@@ -10,7 +10,6 @@ Quick start::
 
 from .gf import (
     FieldCtx,
-    PrimePower,
     SubfieldEmbedding,
     build_field,
     embed_subfield,
@@ -45,7 +44,6 @@ from .codes import (
     code_to_json,
     condition_star_holds,
     encode,
-    extended_distance,
     is_member,
     minimal_poly,
     quotient_codeword,
@@ -58,18 +56,15 @@ from .bounds import (
     bounded_divisor_check,
     condition_star,
     distance_optimal,
-    euler_phi,
-    factorize,
     generic_bounds,
-    mult_order,
     odd_order_search,
-    odd_order_test,
     positivity_certificates,
     repunit_certificate,
     search_condition_divisors,
     sphere_packing_ok,
     table_rows,
 )
+from .ntheory import euler_phi, factorize, mult_order, odd_order_test
 from .distance import (
     DistanceResult,
     SearchBudget,

@@ -24,20 +24,8 @@ from dataclasses import dataclass, field
 from math import comb, gcd
 
 from .cyclotomy import QadicParams, q_weight
-from .codes import condition_star_holds
-from .ntheory import (
-    FactorizationIncomplete,
-    InternalMismatch,
-    NotCoprime,
-    OddOrderResult,
-    divisors,
-    euler_phi,
-    factorize,
-    is_prime_power,
-    mult_order,
-    odd_order_test,
-    prime_power_split,
-)
+from .codes import NotADivisor, condition_star_holds
+from .ntheory import divisors, is_prime_power, mult_order, prime_power_split
 
 __all__ = [
     "Bound",
@@ -58,22 +46,7 @@ __all__ = [
     "odd_order_search",
     "bounded_divisor_check",
     "table_rows",
-    # number-theory surface re-exported for convenience
-    "factorize",
-    "divisors",
-    "euler_phi",
-    "mult_order",
-    "odd_order_test",
-    "OddOrderResult",
-    "NotCoprime",
-    "InternalMismatch",
-    "FactorizationIncomplete",
-    "is_prime_power",
 ]
-
-
-class NotADivisor(ValueError):
-    pass
 
 
 class RangeError(ValueError):

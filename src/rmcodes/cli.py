@@ -16,6 +16,7 @@ from . import bounds as bd
 from . import codes as cd
 from . import distance as ds
 from . import verify
+from .ntheory import FactorizationIncomplete
 from .gf import poly_degree
 
 
@@ -211,7 +212,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, cd.TooLarge, bd.FactorizationIncomplete) as exc:
+    except (ValueError, cd.TooLarge, FactorizationIncomplete) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,6 +23,7 @@ from . import gf
 from .cyclotomy import (
     CosetPartition,
     QadicParams,
+    TooLarge,
     coset_of,
     coset_partition,
     index_set,
@@ -32,10 +33,6 @@ from .cyclotomy import (
 )
 from .gf import FieldCtx, SubfieldEmbedding, build_field, embed_subfield
 from .ntheory import prime_power_split
-
-
-class TooLarge(ValueError):
-    pass
 
 
 class LengthMismatch(ValueError):
@@ -356,13 +353,6 @@ def quotient_codeword(
         for j in range(e):
             coeffs[j * F] = 1
     return Codeword.from_coeffs(coeffs)
-
-
-def extended_distance(d: int) -> int:
-    """Minimum distance after appending an overall parity coordinate."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    return d + 1
 
 
 def code_to_json(inst: CodeInstance) -> dict:

@@ -20,7 +20,7 @@ from itertools import combinations, product
 from math import comb
 
 from . import gf
-from .codes import Codeword, CodeInstance, is_member
+from .codes import Codeword, CodeInstance, _xn_minus_1, is_member
 
 
 class BudgetExceeded(RuntimeError):
@@ -139,11 +139,8 @@ def witness_upper_bound(inst: CodeInstance, candidates) -> DistanceResult:
 
 def dual_generator(inst: CodeInstance) -> tuple[int, ...]:
     """Monic generator of the dual code: the reciprocal of (x^n - 1) / gen."""
-    small, n = inst.small, inst.n
-    xn1 = [0] * (n + 1)
-    xn1[0] = small.neg(1)
-    xn1[n] = 1
-    check, rem = gf.poly_divmod(small, tuple(xn1), inst.gen_poly)
+    small = inst.small
+    check, rem = gf.poly_divmod(small, _xn_minus_1(small, inst.n), inst.gen_poly)
     if rem:
         raise RuntimeError("internal: generator does not divide x^n - 1")
     return gf.poly_reciprocal(small, check)

@@ -10,8 +10,16 @@ base-p expansion of i).
 A field is built deterministically: the modulus is the first monic
 irreducible polynomial of its degree in ascending index order, and the
 primitive element is the least index generating the multiplicative group.
-Fields of at most ``DEFAULT_TABLE_THRESHOLD`` elements carry discrete
-exp/log tables; larger fields fall back to direct polynomial arithmetic.
+The characteristic p must be below ``ntheory.PROVEN_PRIME_BOUND``, where
+the primality test is a proof.  Fields of at most
+``DEFAULT_TABLE_THRESHOLD`` elements carry discrete exp/log tables; larger
+fields fall back to direct polynomial arithmetic.
+
+A subfield F_q of F_{q^m} is embedded by matching the powers of a primitive
+element of F_q with the powers of beta = alpha^((q^m-1)/(q-1)).  Such a map
+phi is multiplicative with phi(1) = 1, so it is additive exactly when
+phi(1 + c) = 1 + phi(c) for every c in F_q, because
+phi(a + b) = phi(a) * phi(1 + b/a); that test of q values is exact.
 
 Polynomials over a field are tuples of element indices, lowest degree
 first, with no trailing zeros; the zero polynomial is the empty tuple.
@@ -23,9 +31,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-import random
 
-from .ntheory import factorize
+from .ntheory import PROVEN_PRIME_BOUND, factorize, is_probable_prime
 
 
 class NotPrime(ValueError):
@@ -59,156 +66,22 @@ SMALL_TABLE_MAX = 256
 EXPONENT_LIMIT = 1 << 128
 
 
-def is_prime(p: int) -> bool:
-    """Trial division up to sqrt(p)."""
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
-class PrimePower:
-    """A validated q = p**s."""
-
-    __slots__ = ("p", "s", "q")
-
-    def __init__(self, p: int, s: int):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        if s < 1:
-            raise ValueError(f"need exponent s >= 1, got {s}")
-        q = p**s
-        if q > EXPONENT_LIMIT:
-            raise Overflow(f"{p}^{s} exceeds the supported 128-bit range")
-        self.p, self.s, self.q = p, s, q
-
-    def __repr__(self):
-        return f"PrimePower({self.p}, {self.s})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimePower) and (self.p, self.s) == (other.p, other.s)
-
-    def __hash__(self):
-        return hash((self.p, self.s))
-
-
-# ---------------------------------------------------------------------------
-# polynomial helpers over the prime field Z_p (coefficient lists, used only
-# while searching for an irreducible modulus)
-
-
-def _zp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zp_mulmod(a, b, f, p):
-    r = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                r[i + j] = (r[i + j] + ai * bj) % p
-    # reduce by monic f
-    nf = len(f)
-    for k in range(len(r) - 1, nf - 2, -1):
-        c = r[k]
-        if c:
-            off = k - nf + 1
-            for i in range(nf - 1):
-                r[off + i] = (r[off + i] - c * f[i]) % p
-            r[k] = 0
-    del r[nf - 1 :]
-    return _zp_trim(r)
-
-
-def _zp_mod(a, b, p):
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
-    while len(a) >= len(b):
-        c = a[-1]
-        if c:
-            fac = c * inv_lead % p
-            off = len(a) - len(b)
-            for i in range(len(b)):
-                a[off + i] = (a[off + i] - fac * b[i]) % p
-        a.pop()
-        _zp_trim(a)
-        if not a:
-            break
-    return a
-
-
-def _zp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _zp_mod(a, b, p)
-    return a
-
-
-def _zp_pow_x(e, f, p):
-    """x**e mod f over Z_p."""
-    result = [1]
-    base = [0, 1]
-    while e:
-        if e & 1:
-            result = _zp_mulmod(result, base, f, p)
-        base = _zp_mulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _is_irreducible(f, p, s):
-    """Degree-s monic f is irreducible iff gcd(f, x^(p^i) - x) = 1 for i <= s/2."""
-    for i in range(1, s // 2 + 1):
-        xpi = _zp_pow_x(p**i, f, p)
-        diff = list(xpi)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        _zp_trim(diff)
-        if not diff:
-            return False
-        if len(_zp_gcd(list(f), diff, p)) > 1:
-            return False
-    return True
-
-
-def _find_modulus(p: int, s: int) -> tuple[int, ...]:
-    if s == 1:
-        return (0, 1)
-    for c in range(p**s):
-        coeffs = []
-        cc = c
-        for _ in range(s):
-            coeffs.append(cc % p)
-            cc //= p
-        coeffs.append(1)
-        if _is_irreducible(coeffs, p, s):
-            return tuple(coeffs)
-    raise RuntimeError(f"no irreducible degree-{s} polynomial over Z_{p}")  # unreachable
-
-
-# ---------------------------------------------------------------------------
-
-
 class FieldCtx:
     """Immutable arithmetic context for F_{p^s}; safe to share freely."""
 
-    def __init__(self, prime_power: PrimePower, *, table_threshold: int, primitive: int | None):
-        self.prime_power = prime_power
-        self.p = prime_power.p
-        self.s = prime_power.s
-        self.order = prime_power.q
-        self.modulus = _find_modulus(self.p, self.s)
+    def __init__(self, p: int, s: int, *, table_threshold: int, primitive: int | None):
+        if p >= PROVEN_PRIME_BOUND:
+            raise Overflow(f"primality of {p} cannot be proven (needs p < {PROVEN_PRIME_BOUND})")
+        if not is_probable_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        if s < 1:
+            raise ValueError(f"need exponent s >= 1, got {s}")
+        if p**s > EXPONENT_LIMIT:
+            raise Overflow(f"{p}^{s} exceeds the supported 128-bit range")
+        self.p = p
+        self.s = s
+        self.order = p**s
+        self.modulus = _find_modulus(p, s)
         self.exp: list[int] | None = None
         self.log: list[int] | None = None
         self._add_table: list[int] | None = None
@@ -402,7 +275,7 @@ class FieldCtx:
 
 @lru_cache(maxsize=None)
 def _build_field_cached(p, s, table_threshold, primitive):
-    return FieldCtx(PrimePower(p, s), table_threshold=table_threshold, primitive=primitive)
+    return FieldCtx(p, s, table_threshold=table_threshold, primitive=primitive)
 
 
 def build_field(
@@ -425,7 +298,10 @@ class SubfieldEmbedding:
 
     ``beta`` is alpha**((q^m-1)/(q-1)), a generator of the order-(q-1)
     subgroup; the embedding matches beta-powers with powers of a primitive
-    element of the small field and is verified to preserve addition.
+    element g of the small field.  That map is multiplicative, and it is
+    accepted only if phi(1 + c) = 1 + phi(c) for all q elements c, which
+    holds iff it preserves every sum.  The first g in ascending order that
+    passes is used.
     """
 
     def __init__(self, big: FieldCtx, small: FieldCtx, beta: int, to_big: tuple[int, ...]):
@@ -462,39 +338,25 @@ def _embed_cached(big: FieldCtx, small: FieldCtx) -> SubfieldEmbedding:
     if big.p != small.p:
         raise NotASubfield(f"characteristics differ: {big.p} vs {small.p}")
     q = small.order
-    m, t = 1, q
+    t = q
     while t < big.order:
         t *= q
-        m += 1
     if t != big.order:
         raise NotASubfield(f"{big.order} is not a power of {q}")
     beta = big.alpha_pow((big.order - 1) // (q - 1)) if q > 2 else 1
     if q > 2 and big.order_of(beta) != q - 1:
         raise EmbeddingMismatch(f"beta has order {big.order_of(beta)}, expected {q - 1}")
 
-    exhaustive = q <= 256
-    rng = random.Random(0xBE7A)
     for g in _small_primitives(small):
         to_big = [0] * q
         xs, xb = 1, 1
-        ok = True
         for _ in range(q - 1):
-            if to_big[xs]:
-                ok = False  # g's powers collided, not primitive (cannot happen)
-                break
             to_big[xs] = xb
             xs = small.mul(xs, g)
             xb = big.mul(xb, beta)
-        if not ok:
-            continue
-        if exhaustive:
-            pairs = ((a, b) for a in range(q) for b in range(q))
-        else:
-            pairs = ((rng.randrange(q), rng.randrange(q)) for _ in range(1000))
-        additive = all(
-            to_big[small.add(a, b)] == big.add(to_big[a], to_big[b]) for a, b in pairs
-        )
-        if additive:
+        # to_big is multiplicative with 1 -> 1, so it is additive iff it
+        # commutes with c -> 1 + c: phi(a + b) = phi(a) * phi(1 + b/a)
+        if all(to_big[small.add(1, c)] == big.add(1, to_big[c]) for c in range(q)):
             emb = SubfieldEmbedding(big, small, beta, tuple(to_big))
             for x in emb.to_big:
                 if big.pow(x, q) != x:
@@ -638,3 +500,40 @@ def poly_eval_lifted(emb: SubfieldEmbedding, f, x: int) -> int:
     for c in reversed(f):
         acc = big.add(big.mul(acc, x), lift[c])
     return acc
+
+
+# ---------------------------------------------------------------------------
+# modulus search, on the polynomials above over the prime field
+
+
+def _pow_mod(zp: FieldCtx, g, e: int, f) -> tuple[int, ...]:
+    """g**e mod f, by square-and-multiply."""
+    result = (1,)
+    while e:
+        if e & 1:
+            result = poly_divmod(zp, poly_mul(zp, result, g), f)[1]
+        g = poly_divmod(zp, poly_mul(zp, g, g), f)[1]
+        e >>= 1
+    return result
+
+
+def _find_modulus(p: int, s: int) -> tuple[int, ...]:
+    """The first monic degree-s irreducible over Z_p in ascending index order.
+
+    Monic f of degree s is irreducible iff gcd(f, x^(p^i) - x) = 1 for every
+    i <= s/2.
+    """
+    if s == 1:
+        return (0, 1)
+    zp = build_field(p, 1)
+    x, minus_x = (0, 1), (0, p - 1)
+    for c in range(p**s):
+        f = tuple(c // p**i % p for i in range(s)) + (1,)
+        xpi = x
+        for _ in range(s // 2):
+            xpi = _pow_mod(zp, xpi, p, f)
+            if poly_gcd(zp, f, poly_add(zp, xpi, minus_x)) != (1,):
+                break
+        else:
+            return f
+    raise RuntimeError(f"no irreducible degree-{s} polynomial over Z_{p}")  # unreachable

@@ -29,15 +29,19 @@ class FactorizationIncomplete(RuntimeError):
 
 TRIAL_LIMIT = 1 << 20
 
-# Witnesses proving primality for every n < 3.3e24; beyond that they are an
-# extremely strong probabilistic test (inputs here are bounded by 128 bits).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as strong Miller-Rabin bases.  Sorenson and Webster
+# (2015) proved that no composite below psi_13 = PROVEN_PRIME_BOUND passes
+# all of them, so the test is a proof there.  psi_13 itself is composite and
+# passes, so at or above the bound a "prime" answer is only probable.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PROVEN_PRIME_BOUND = 3317044064679887385961981
 
 
 def is_probable_prime(n: int) -> bool:
+    """Strong-pseudoprime test to the bases ``_MR_BASES``; exact for n < PROVEN_PRIME_BOUND."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n == p:
             return True
         if n % p == 0:
@@ -95,6 +99,8 @@ def _brent_rho(n: int, max_iters: int) -> int:
 def factorize(x: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
     """Factor ``x`` >= 2 into a {prime: exponent} map.
 
+    Each reported factor is proven prime when it is below
+    PROVEN_PRIME_BOUND and only a strong probable prime at or above it.
     Raises FactorizationIncomplete if a composite cofactor survives the
     Pollard-rho iteration budget.
     """

@@ -12,13 +12,14 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from math import comb, gcd
+from math import gcd
 
 from . import bounds as bd
 from . import codes as cd
 from . import distance as ds
 from . import gf
-from .cyclotomy import QadicParams, coset_partition, index_set, q_weight
+from . import ntheory as nt
+from .cyclotomy import QadicParams, coset_partition, index_set, index_set_size, q_weight
 
 DEFAULT_SEED = 2024
 
@@ -140,12 +141,12 @@ def check_table_rows_verified():
             assert r.e == r.q + r.a
             assert r.l % 2 == 1
             assert pow(-r.a, r.l, r.e) == 1
-            for p in bd.factorize(r.l):
+            for p in nt.factorize(r.l):
                 assert pow(-r.a, r.l // p, r.e) != 1
             n_rows += 1
     rows19 = {(r.a, r.l, r.e) for b in blocks if b.q == 19 for r in b.rows}
     assert (4, 11, 23) not in rows19
-    assert bd.mult_order(-4, 23) == 22
+    assert nt.mult_order(-4, 23) == 22
     return (
         f"all {n_rows} generated rows pass direct order verification; "
         f"ERRATUM: {REFERENCE_ERRATA['order-table-19']}"
@@ -260,14 +261,10 @@ def check_packing_positivity():
 # -- criterion 6: dimension formulas -------------------------------------------
 
 
-def _degree_formula(q, m, h):
-    return sum((q - 1) ** i * comb(m, i) for i in range(1, h + 1))
-
-
 def check_dimension_grid():
     for q, m, h in GRID:
         inst = _build(q, m, h)
-        expected = _degree_formula(q, m, h)
+        expected = index_set_size(QadicParams(q, m), h)
         got = gf.poly_degree(inst.gen_poly)
         assert got == expected, f"(q,m,h)=({q},{m},{h}): deg = {got}, formula = {expected}"
     return f"deg(gen) matches the count formula on all {len(GRID)} grid points"
@@ -280,7 +277,7 @@ def check_dimension_grid_barred():
         deg_g = gf.poly_degree(plain.gen_poly)
         deg_bar = gf.poly_degree(mirrored.gen_poly)
         assert deg_bar == 1 + 2 * deg_g, f"(q,m,h)=({q},{m},{h})"
-        assert mirrored.k == mirrored.n - 1 - 2 * _degree_formula(q, m, h)
+        assert mirrored.k == mirrored.n - 1 - 2 * index_set_size(QadicParams(q, m), h)
     return f"deg(gen_bar) = 1 + 2 deg(gen) on all {len(BARRED_GRID)} mirrored grid points"
 
 
@@ -303,7 +300,7 @@ def check_condition_equivalence():
     for q, m, h in GRID:
         n = q**m - 1
         full = index_set(QadicParams(q, m), h)
-        for e in bd.divisors(n):
+        for e in nt.divisors(n):
             if not 2 <= e < n:
                 continue
             via_maximal = bd.condition_star(q, m, h, e)
@@ -321,8 +318,8 @@ def check_odd_order_parity(seed=DEFAULT_SEED):
         b = rng.randrange(1, e)
         if gcd(b, e) != 1:
             continue
-        structural = bd.odd_order_test(b, e).is_odd
-        direct = bd.mult_order(b, e) % 2 == 1
+        structural = nt.odd_order_test(b, e).is_odd
+        direct = nt.mult_order(b, e) % 2 == 1
         assert structural == direct, (b, e)
         count += 1
     return "structural odd-order test matches direct order parity on 10^4 seeded coprime pairs"
@@ -331,11 +328,11 @@ def check_odd_order_parity(seed=DEFAULT_SEED):
 def check_quadratic_residue_rule():
     checked = 0
     for p in range(3, 500, 4):
-        if not gf.is_prime(p):
+        if not nt.is_probable_prime(p):
             continue
         residues = {b * b % p for b in range(1, p)}
         for b in range(2, p):
-            assert bd.odd_order_test(b, p).is_odd == (b in residues), (b, p)
+            assert nt.odd_order_test(b, p).is_odd == (b in residues), (b, p)
             checked += 1
     return f"odd order iff quadratic residue verified for {checked} pairs (p = 3 mod 4, p < 500)"
 
@@ -346,11 +343,7 @@ def check_generator_divides():
             if variant == "omega_bar" and h > (m - 1) // 2:
                 continue
             inst = _build(q, m, h, variant)
-            n = inst.n
-            xn1 = [0] * (n + 1)
-            xn1[0] = inst.small.neg(1)
-            xn1[n] = 1
-            _, rem = gf.poly_divmod(inst.small, tuple(xn1), inst.gen_poly)
+            _, rem = gf.poly_divmod(inst.small, cd._xn_minus_1(inst.small, inst.n), inst.gen_poly)
             assert not rem, f"(q,m,h)=({q},{m},{h}), {variant}"
     return "generator divides x^n - 1 for every constructed grid instance"
 

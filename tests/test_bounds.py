@@ -42,6 +42,30 @@ class TestFactorize:
         assert nt.divisors(80) == [1, 2, 4, 5, 8, 10, 16, 20, 40, 80]
         assert nt.divisors(1) == [1]
 
+    def test_psi12_splits(self):
+        # psi_12, the least strong pseudoprime to the first 12 prime bases
+        assert nt.factorize(PSI_12) == {399165290221: 1, 798330580441: 1}
+
+
+# the least strong pseudoprimes to the first 12 and 13 prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+class TestPrimality:
+    def test_psi12_is_composite(self):
+        assert not nt.is_probable_prime(PSI_12)
+
+    def test_psi13_is_the_proof_bound(self):
+        # psi_13 is composite yet passes every base, so it bounds the proof
+        assert PSI_13 == nt.PROVEN_PRIME_BOUND == 1287836182261 * 2575672364521
+        assert nt.is_probable_prime(PSI_13)
+
+    def test_matches_sympy_below_1e5(self):
+        sympy = pytest.importorskip("sympy")
+        for n in range(100_000):
+            assert nt.is_probable_prime(n) == sympy.isprime(n), n
+
 
 class TestPhiAndOrder:
     def test_phi_goldens(self):

@@ -238,17 +238,6 @@ class TestQuotientCodeword:
             quotient_codeword(3, 4, 2, 16, l=5)
 
 
-class TestExtendedDistance:
-    def test_values(self):
-        assert cd.extended_distance(3) == 4
-        assert cd.extended_distance(1) == 2
-        assert cd.extended_distance(7) == 8
-
-    def test_gate(self):
-        with pytest.raises(ValueError):
-            cd.extended_distance(0)
-
-
 class TestSerialization:
     def test_round_trip(self):
         inst = build_code(CodeSpec(3, 2, 1))

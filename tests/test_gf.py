@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -72,6 +73,34 @@ class TestBuildField:
     def test_forced_primitive_must_be_primitive(self):
         with pytest.raises(ValueError):
             build_field(3, 2, primitive=1)
+
+    def test_pseudoprime_characteristic_rejected_promptly(self):
+        start = time.perf_counter()
+        with pytest.raises(NotPrime):
+            build_field(318665857834031151167461, 1)  # psi_12, composite
+        assert time.perf_counter() - start < 1.0
+
+    def test_unprovable_characteristic_overflows(self):
+        with pytest.raises(Overflow):
+            build_field(3317044064679887385961981, 1)  # psi_13, passes every base
+
+
+# (p, s) -> index of the modulus f in the ascending search, i.e. the base-p
+# number whose digits are the coefficients of f - x^s, lowest first
+MODULUS_INDEX = {
+    **dict(zip(((2, s) for s in range(2, 25)), (
+        3, 3, 3, 5, 3, 3, 27, 3, 9, 5, 9, 27, 33, 3, 43, 9, 9, 39, 9, 5, 3, 33, 27))),
+    **dict(zip(((3, s) for s in range(2, 16)), (1, 7, 5, 7, 5, 11, 11, 64, 19, 11, 11, 7, 5, 11))),
+    (5, 2): 2, (5, 3): 6, (5, 4): 2, (5, 5): 21,
+    (7, 2): 1, (7, 3): 2, (13, 2): 2, (1021, 2): 2,
+}
+
+
+@pytest.mark.parametrize("p,s", sorted(MODULUS_INDEX))
+def test_modulus_table(p, s):
+    index = MODULUS_INDEX[p, s]
+    want = tuple(index // p**i % p for i in range(s)) + (1,)
+    assert build_field(p, s, table_threshold=0).modulus == want
 
 
 @pytest.mark.parametrize("p,s", [(2, 3), (3, 2), (2, 4), (5, 2)])
@@ -174,6 +203,17 @@ class TestEmbedding:
             for b in range(3):
                 assert emb.lift(small.add(a, b)) == big.add(emb.lift(a), emb.lift(b))
                 assert emb.lift(small.mul(a, b)) == big.mul(emb.lift(a), emb.lift(b))
+
+    def test_gf289_into_gf83521_all_pairs(self):
+        # q = 17^2 > 256: every sum and product in GF(289) must survive the lift
+        big, small = build_field(17, 4), build_field(17, 2)
+        lift = embed_subfield(big, small).to_big
+        q = small.order
+        for a in range(q):
+            la = lift[a]
+            for b in range(q):
+                assert lift[small.add(a, b)] == big.add(la, lift[b]), (a, b)
+                assert lift[small.mul(a, b)] == big.mul(la, lift[b]), (a, b)
 
     def test_not_a_subfield(self):
         with pytest.raises(gf.NotASubfield):
