@@ -1,7 +1,8 @@
 """Command-line front end: code construction, bounds, divisor search, tables.
 
 Subcommands: code, bounds, search-e, tables, verify-paper.  Output is
-text by default; --format json/csv selects machine-readable forms.  The
+text by default; --format json/csv selects machine-readable forms (no csv
+for verify-paper).  Each subcommand takes only the flags it reads.  The
 environment variable RMCODES_MAX_N (or --max-n) bounds construction size.
 """
 
@@ -20,13 +21,12 @@ from .ntheory import FactorizationIncomplete
 from .gf import poly_degree
 
 
-def _common_flags(parser):
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+def _format_flag(parser, choices=("text", "json", "csv")):
+    parser.add_argument("--format", choices=choices, default="text")
+
+
+def _max_n_flag(parser):
     parser.add_argument("--max-n", type=int, default=None, help="construction size bound")
-    parser.add_argument(
-        "--max-messages", type=int, default=None, help="enumeration budget for exact distances"
-    )
-    parser.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
 
 
 def _spec_args(parser):
@@ -176,13 +176,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("code", help="build a code and print its parameters")
     _spec_args(p)
     p.add_argument("--emit", metavar="PATH", default=None, help="also write the JSON document here")
-    _common_flags(p)
+    _format_flag(p)
+    _max_n_flag(p)
     p.set_defaults(fn=cmd_code)
 
     p = sub.add_parser("bounds", help="distance bounds with provenance")
     _spec_args(p)
     p.add_argument("--distance", action="store_true", help="add the exact distance if it fits the budget")
-    _common_flags(p)
+    p.add_argument(
+        "--max-messages", type=int, default=None, help="enumeration budget for exact distances"
+    )
+    _format_flag(p)
+    _max_n_flag(p)
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("search-e", help="divisors of q^m - 1 giving explicit low-weight codewords")
@@ -190,18 +195,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("h", type=int)
     p.add_argument("--max-e", type=int, default=None)
-    _common_flags(p)
+    _format_flag(p)
     p.set_defaults(fn=cmd_search_e)
 
     p = sub.add_parser("tables", help="odd-order search table for h = 1 over a range of q")
     p.add_argument("--q-min", type=int, default=7)
     p.add_argument("--q-max", type=int, default=32)
-    _common_flags(p)
+    _format_flag(p)
     p.set_defaults(fn=cmd_tables)
 
     p = sub.add_parser("verify-paper", help="run the built-in verification suite")
     p.add_argument("--only", default=None, help="restrict to one criterion group (number or name)")
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    _format_flag(p, ("text", "json"))
     p.set_defaults(fn=cmd_verify_paper)
 
     return parser

@@ -189,13 +189,13 @@ def _xn_minus_1(ctx: FieldCtx, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=128)
-def _build_cached(spec: CodeSpec, max_n: int, table_threshold: int, primitive) -> CodeInstance:
+def _build_cached(spec: CodeSpec, max_n: int, primitive) -> CodeInstance:
     n = spec.n
     if n > max_n:
         raise TooLarge(f"n = {n} exceeds the construction bound {max_n}")
     p, s = prime_power_split(spec.q)
-    small = build_field(p, s, table_threshold=table_threshold)
-    big = build_field(p, s * spec.m, table_threshold=table_threshold, primitive=primitive)
+    small = build_field(p, s)
+    big = build_field(p, s * spec.m, primitive=primitive)
     emb = embed_subfield(big, small)
     params = spec.params
     partition = coset_partition(params, spec.h)
@@ -222,7 +222,6 @@ def build_code(
     spec: CodeSpec,
     *,
     max_n: int | None = None,
-    table_threshold: int = gf.DEFAULT_TABLE_THRESHOLD,
     primitive: int | None = None,
 ) -> CodeInstance:
     """Build the code for ``spec``.
@@ -231,7 +230,7 @@ def build_code(
     ``primitive`` optionally forces a specific primitive element of the big
     field, which must leave every reported parameter unchanged.
     """
-    return _build_cached(spec, construction_bound(max_n), table_threshold, primitive)
+    return _build_cached(spec, construction_bound(max_n), primitive)
 
 
 def _check_instance(inst: CodeInstance):
@@ -291,16 +290,10 @@ def is_member(inst: CodeInstance, word) -> bool:
     word = tuple(word)
     if len(word) != inst.n:
         raise LengthMismatch(f"word length {len(word)} != n = {inst.n}")
-    big, lift = inst.big, inst.emb.to_big
-    lifted = [lift[c] for c in word]
-    for a in inst.zero_check_exponents():
-        x = big.alpha_pow(a)
-        acc = 0
-        for c in reversed(lifted):
-            acc = big.add(big.mul(acc, x), c)
-        if acc != 0:
-            return False
-    return True
+    return all(
+        gf.poly_eval_lifted(inst.emb, word, inst.big.alpha_pow(a)) == 0
+        for a in inst.zero_check_exponents()
+    )
 
 
 def condition_star_holds(q: int, m: int, h: int, e: int) -> bool:

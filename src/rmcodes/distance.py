@@ -1,11 +1,17 @@
 """Exact minimum distances for small instances, plus low-weight witness checks.
 
-Two exact routes are provided and cross-checked in the tests:
+Both exact routes walk every multiple of a generator polynomial with one
+kernel, ``_multiples``, which visits the messages in modular q-ary Gray
+order so that each word differs from the last by one scaled, shifted row of
+the generator.  The routes are cross-checked against each other in the
+tests:
 
-  * message enumeration: walk all q^k information words with incremental
-    codeword and weight updates (exact when the full space fits the budget);
-  * dual transform: when q^(n-k) is small instead, enumerate the dual
-    code's weight distribution exhaustively and recover the code's own
+  * message enumeration: walk the q^k multiples of the code's generator
+    (exact when q^k fits the budget); the witness is the codeword of the
+    least message, read as the integer sum m_i q^i, among those of
+    minimum weight;
+  * dual transform: when q^(n-k) is small instead, walk the q^(n-k)
+    multiples of the dual generator and recover the code's own weight
     distribution through the exact integer MacWilliams/Krawtchouk
     transform, with divisibility and total-count checks at every step.
 
@@ -20,7 +26,7 @@ from itertools import combinations, product
 from math import comb
 
 from . import gf
-from .codes import Codeword, CodeInstance, _xn_minus_1, is_member
+from .codes import Codeword, CodeInstance, _xn_minus_1, encode, is_member
 
 
 class BudgetExceeded(RuntimeError):
@@ -38,7 +44,6 @@ class EmptyCandidates(ValueError):
 @dataclass(frozen=True)
 class SearchBudget:
     max_messages: int = 1 << 24
-    max_weight_target: int | None = None
 
     def __post_init__(self):
         if self.max_messages < 1:
@@ -63,17 +68,65 @@ class DistanceResult:
         }
 
 
-def _scaled_rows(ctx, g, q):
-    """delta -> coefficient row of delta * g, for delta in 1..q-1."""
-    return [None] + [[ctx.mul(d, c) for c in g] for d in range(1, q)]
+def _multiples(ctx, g, n, dim, q) -> tuple[list[int], list[int] | None]:
+    """Walk all q^dim multiples m(x) * g(x) with deg m < dim and deg(m g) < n.
+
+    Returns the weight histogram (zero word included) and the least message,
+    read as the integer sum m_i q^i, among the nonzero words of least weight
+    (None when dim = 0).
+
+    The messages run in modular q-ary Gray order on element indices: a
+    base-q counter names the changed digit i (its number of trailing q-1
+    digits), and message digit i steps from d to (d+1) mod q.  So each word
+    adds exactly one row, (new - old) * x^i * g, to the running word, and
+    the weight is updated at the nonzero positions of that row.
+    """
+    hist = [0] * (n + 1)
+    hist[0] = 1
+    if dim == 0:
+        return hist, None
+    add, sub, mul = ctx.add, ctx.sub, ctx.mul
+    rows = [None] + [[(j, mul(d, c)) for j, c in enumerate(g) if c] for d in range(1, q)]
+    top = q - 1
+    cw = [0] * n
+    weight = 0
+    counter = [0] * dim
+    digits = [0] * dim
+    best = n + 1
+    best_rev = None
+    for _ in range(q**dim - 1):
+        i = 0
+        while counter[i] == top:
+            counter[i] = 0
+            i += 1
+        counter[i] += 1
+        old = digits[i]
+        new = old + 1 if old < top else 0
+        digits[i] = new
+        for j, c in rows[sub(new, old)]:
+            pos = i + j
+            o = cw[pos]
+            v = add(o, c)
+            if o:
+                if not v:
+                    weight -= 1
+            elif v:
+                weight += 1
+            cw[pos] = v
+        hist[weight] += 1
+        if weight <= best:
+            rev = digits[::-1]
+            if weight < best or rev < best_rev:
+                best, best_rev = weight, rev
+    return hist, best_rev[::-1]
 
 
 def exhaustive_distance(inst: CodeInstance, budget: SearchBudget | None = None) -> DistanceResult:
     """Minimum weight over all q^k - 1 nonzero information words.
 
-    The information word advances as a base-q odometer; each digit change
-    adds one shifted multiple of the generator to the running codeword, so
-    the weight is maintained incrementally instead of recounted.
+    One pass of the shared Gray-order kernel over the multiples of the
+    generator.  The witness is ``encode`` of the least message (as the
+    integer sum m_i q^i) among the words of minimum weight.
     """
     budget = budget or SearchBudget()
     q, n, k = inst.q, inst.n, inst.k
@@ -82,45 +135,12 @@ def exhaustive_distance(inst: CodeInstance, budget: SearchBudget | None = None) 
     total = q**k
     if total > budget.max_messages:
         raise BudgetExceeded(f"q^k = {total} exceeds the message budget {budget.max_messages}")
-    small = inst.small
-    g = inst.gen_poly
-    dg = len(g)
-    rows = _scaled_rows(small, g, q)
-    add, sub = small.add, small.sub
-    cw = [0] * n
-    weight = 0
-    digits = [0] * k
-    best = n + 1
-    best_cw: tuple[int, ...] | None = None
-    target = budget.max_weight_target
-    count = 0
-    for _ in range(total - 1):
-        i = 0
-        while True:
-            old = digits[i]
-            new = 0 if old == q - 1 else old + 1
-            digits[i] = new
-            row = rows[sub(new, old)]
-            for j in range(dg):
-                pos = i + j
-                o = cw[pos]
-                v = add(o, row[j])
-                if o:
-                    if not v:
-                        weight -= 1
-                elif v:
-                    weight += 1
-                cw[pos] = v
-            if new != 0:
-                break
-            i += 1
-        count += 1
-        if weight < best:
-            best = weight
-            best_cw = tuple(cw)
-            if target is not None and best <= target:
-                return DistanceResult(best, False, Codeword(best_cw, best), "message-enumeration", count)
-    return DistanceResult(best, True, Codeword(best_cw, best), "message-enumeration", count)
+    hist, msg = _multiples(inst.small, inst.gen_poly, n, k, q)
+    value = next(w for w in range(1, n + 1) if hist[w])
+    witness = encode(inst, msg)
+    if witness.weight != value:
+        raise RuntimeError("internal: the witness weight differs from the enumerated minimum")
+    return DistanceResult(value, True, witness, "message-enumeration", total - 1)
 
 
 def witness_upper_bound(inst: CodeInstance, candidates) -> DistanceResult:
@@ -146,42 +166,6 @@ def dual_generator(inst: CodeInstance) -> tuple[int, ...]:
     return gf.poly_reciprocal(small, check)
 
 
-def _weight_histogram(ctx, g, n, dim, q) -> list[int]:
-    """Weight counts over all q^dim multiples of g (degree < n), zero word included."""
-    hist = [0] * (n + 1)
-    hist[0] += 1
-    if dim == 0:
-        return hist
-    dg = len(g)
-    rows = _scaled_rows(ctx, g, q)
-    add, sub = ctx.add, ctx.sub
-    cw = [0] * n
-    weight = 0
-    digits = [0] * dim
-    for _ in range(q**dim - 1):
-        i = 0
-        while True:
-            old = digits[i]
-            new = 0 if old == q - 1 else old + 1
-            digits[i] = new
-            row = rows[sub(new, old)]
-            for j in range(dg):
-                pos = i + j
-                o = cw[pos]
-                v = add(o, row[j])
-                if o:
-                    if not v:
-                        weight -= 1
-                elif v:
-                    weight += 1
-                cw[pos] = v
-            if new != 0:
-                break
-            i += 1
-        hist[weight] += 1
-    return hist
-
-
 def krawtchouk(j: int, i: int, n: int, q: int) -> int:
     """K_j(i) over the q-ary Hamming scheme of length n, exactly."""
     return sum(
@@ -201,7 +185,7 @@ def weight_distribution_from_dual(inst: CodeInstance) -> list[int]:
     dual_gen = dual_generator(inst)
     if gf.poly_degree(dual_gen) != k:
         raise RuntimeError("internal: dual generator degree != k")
-    hist = _weight_histogram(inst.small, dual_gen, n, r, q)
+    hist, _ = _multiples(inst.small, dual_gen, n, r, q)
     size = q**r
     dist = []
     for j in range(n + 1):
@@ -269,8 +253,6 @@ def exact_distance(inst: CodeInstance, budget: SearchBudget | None = None) -> Di
     """Exact distance via whichever side of the code fits the budget."""
     budget = budget or SearchBudget()
     q, n, k = inst.q, inst.n, inst.k
-    if k == 0:
-        raise ValueError("the zero code has no nonzero codewords")
     if q**k <= budget.max_messages:
         return exhaustive_distance(inst, budget)
     if q ** (n - k) <= budget.max_messages:

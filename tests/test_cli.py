@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rmcodes import codes as cd
 from rmcodes.cli import main
 
@@ -162,3 +164,19 @@ def test_deterministic_output(capsys):
     _, b1, _ = run(capsys, "bounds", "3", "4", "2", "--format", "json")
     _, b2, _ = run(capsys, "bounds", "3", "4", "2", "--format", "json")
     assert b1 == b2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-paper", "--format", "csv"),
+        ("tables", "--seed", "1"),
+        ("search-e", "3", "4", "2", "--max-n", "100"),
+        ("code", "3", "2", "1", "--max-messages", "100"),
+    ],
+)
+def test_flags_only_where_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err

@@ -1,8 +1,14 @@
+import random
+from itertools import product
+
 import pytest
 
 from rmcodes import distance as ds
 from rmcodes.bounds import generic_bounds
-from rmcodes.codes import CodeSpec, build_code, is_member, quotient_codeword
+from rmcodes.codes import VARIANTS, CodeSpec, build_code, encode, is_member, quotient_codeword
+from rmcodes.cyclotomy import QadicParams, index_set, index_set_negated
+from rmcodes.gf import build_field, poly_mul, poly_normalize
+from rmcodes.ntheory import prime_power_split
 from rmcodes.distance import (
     BudgetExceeded,
     EmptyCandidates,
@@ -16,6 +22,7 @@ from rmcodes.distance import (
     witness_upper_bound,
 )
 from rmcodes.codes import Codeword
+from rmcodes.verify import GRID
 
 
 GOLDEN = [
@@ -46,12 +53,6 @@ class TestExhaustive:
         with pytest.raises(BudgetExceeded):
             exhaustive_distance(small, SearchBudget(max_messages=10))
 
-    def test_weight_target_early_exit(self):
-        inst = build_code(CodeSpec(3, 2, 1))
-        result = exhaustive_distance(inst, SearchBudget(max_weight_target=inst.n))
-        assert not result.exact
-        assert result.value <= inst.n
-
     def test_zero_code(self):
         inst = build_code(CodeSpec(2, 3, 1, "omega_bar"))
         with pytest.raises(ValueError):
@@ -76,6 +77,91 @@ class TestExhaustive:
             assert inst.big.primitive_elem == prim
             assert (inst.n, inst.k) == (base.n, base.k)
             assert exhaustive_distance(inst).value == 4
+
+
+def _grid_dimensions():
+    """(spec, k) for every GRID point of both variants, from the zero-set size alone."""
+    out = []
+    for variant in VARIANTS:
+        for q, m, h in GRID:
+            params = QadicParams(q, m)
+            zeros = set(index_set(params, h))
+            if variant == "omega_bar":
+                zeros |= {0, *index_set_negated(params, h)}
+            out.append((CodeSpec(q, m, h, variant), params.n - len(zeros)))
+    return out
+
+
+SMALL = 1 << 12
+MESSAGE_SIDE = [(s, k) for s, k in _grid_dimensions() if k and s.q**k <= SMALL]
+BOTH_SIDES = [s for s, k in MESSAGE_SIDE if s.q ** (s.n - k) <= SMALL]
+
+
+def _brute_force(q, n, dim, weight_of):
+    """Weight histogram over all q^dim messages, and (weight, message) of the
+    least message, read as the integer sum m_i q^i, of least nonzero weight."""
+    hist = [0] * (n + 1)
+    least = None  # (weight, reversed message), so tuple order is integer order
+    for msg in product(range(q), repeat=dim):
+        weight = weight_of(msg)
+        hist[weight] += 1
+        if any(msg) and (least is None or (weight, msg[::-1]) < least):
+            least = (weight, msg[::-1])
+    return hist, (least[0], least[1][::-1])
+
+
+def _spec_id(spec):
+    return f"{spec.q}-{spec.m}-{spec.h}-{spec.variant}"
+
+
+class TestKernel:
+    """The shared Gray-order kernel against independent enumerations."""
+
+    @pytest.mark.parametrize("spec,k", MESSAGE_SIDE, ids=[_spec_id(s) for s, _ in MESSAGE_SIDE])
+    def test_matches_brute_force(self, spec, k):
+        inst = build_code(spec)
+        assert inst.k == k
+        q, n = spec.q, inst.n
+        hist, least = _brute_force(q, n, k, lambda msg: encode(inst, msg).weight)
+        got_hist, got_msg = ds._multiples(inst.small, inst.gen_poly, n, k, q)
+        assert got_hist == hist
+        assert tuple(got_msg) == least[1]
+        result = exhaustive_distance(inst)
+        assert result.value == least[0]
+        assert result.witness == encode(inst, got_msg)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_arbitrary_polynomials(self, q):
+        """Seeded random g, whose lightest multiples are mostly not g itself."""
+        ctx = build_field(*prime_power_split(q))
+        rng = random.Random(q)
+        for _ in range(40):
+            deg, dim = rng.randrange(1, 6), rng.randrange(1, 5)
+            g = tuple(rng.randrange(q) for _ in range(deg)) + (rng.randrange(1, q),)
+            n = deg + dim
+
+            def weight(msg):
+                return sum(1 for c in poly_mul(ctx, poly_normalize(msg), g) if c)
+
+            hist, least = _brute_force(q, n, dim, weight)
+            got_hist, got_msg = ds._multiples(ctx, g, n, dim, q)
+            assert got_hist == hist
+            assert tuple(got_msg) == least[1]
+
+    @pytest.mark.parametrize("spec", BOTH_SIDES, ids=_spec_id)
+    def test_macwilliams_both_sides(self, spec):
+        inst = build_code(spec)
+        hist, _ = ds._multiples(inst.small, inst.gen_poly, inst.n, inst.k, spec.q)
+        assert hist == weight_distribution_from_dual(inst)
+
+    def test_empty_message_space(self):
+        inst = build_code(CodeSpec(2, 3, 1))
+        assert ds._multiples(inst.small, inst.gen_poly, inst.n, 0, 2) == ([1] + [0] * inst.n, None)
+
+    def test_zero_code_through_dispatch(self):
+        inst = build_code(CodeSpec(2, 3, 1, "omega_bar"))
+        with pytest.raises(ValueError):
+            exact_distance(inst)
 
 
 class TestWitnessUpperBound:
