@@ -3,8 +3,11 @@
 Both exact routes walk every multiple of a generator polynomial with one
 kernel, ``_multiples``, which visits the messages in modular q-ary Gray
 order so that each word differs from the last by one scaled, shifted row of
-the generator.  The routes are cross-checked against each other in the
-tests:
+the generator.  Words are bit-packed: one int holds the s base-p coordinate
+planes of a word over F_{p^s}, one lane per code position, so a step is a
+few whole-word integer operations (an XOR for p = 2, a lane-wise add mod p
+for odd p) and the weight is a popcount.  The routes are cross-checked
+against each other in the tests:
 
   * message enumeration: walk the q^k multiples of the code's generator
     (exact when q^k fits the budget); the witness is the codeword of the
@@ -52,6 +55,12 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class DistanceResult:
+    """A distance value and how it was obtained.
+
+    ``enumerated`` counts the nonzero words walked on either exact route,
+    q^k - 1 by messages and q^(n-k) - 1 by the dual, or the candidates checked.
+    """
+
     value: int
     exact: bool
     witness: Codeword | None
@@ -78,18 +87,56 @@ def _multiples(ctx, g, n, dim, q) -> tuple[list[int], list[int] | None]:
     The messages run in modular q-ary Gray order on element indices: a
     base-q counter names the changed digit i (its number of trailing q-1
     digits), and message digit i steps from d to (d+1) mod q.  So each word
-    adds exactly one row, (new - old) * x^i * g, to the running word, and
-    the weight is updated at the nonzero positions of that row.
+    adds exactly one row, (new - old) * x^i * g, to the running word.
+
+    The running word is one int holding the s base-p coordinate planes of
+    F_{p^s} (the base-p digits of the element indices) side by side, plane t
+    at bit t*n*w; code position j is the w-bit lane j of every plane.  The
+    rows are packed the same way once, before the walk, indexed by digit i
+    and the old digit d.  Two lane classes:
+
+      * p = 2, w = 1: a step XORs the row into the word;
+      * odd p, w = bit_length(p) + 1: a step adds the row lane-wise and
+        subtracts p from every lane that reached p, found as the lane top
+        bit of word + (2^(w-1) - p).  A reduced lane holds at most
+        p - 1 < 2^(w-1), and a sum at most 2p - 2 < 2^w, so no carry
+        crosses a lane.
+
+    The weight is the number of lanes of the OR of the planes whose top bit
+    is set by adding 2^(w-1) - 1 to every lane (which adds 0 when w = 1).
     """
     hist = [0] * (n + 1)
     hist[0] = 1
     if dim == 0:
         return hist, None
-    add, sub, mul = ctx.add, ctx.sub, ctx.mul
-    rows = [None] + [[(j, mul(d, c)) for j, c in enumerate(g) if c] for d in range(1, q)]
+    if len(g) + dim - 1 > n:
+        raise ValueError(f"deg g + dim = {len(g) - 1 + dim} exceeds the length {n}")
+    p, s, mul = ctx.p, ctx.s, ctx.mul
+    odd = p != 2
+    w = p.bit_length() + 1 if odd else 1
+    stride = n * w
+    lanes = sum(1 << (j * w) for j in range(n))
+    shift = w - 1
+    hi = lanes << shift
+    probe = lanes * ((1 << shift) - 1)
+    all_lanes = sum(lanes << (t * stride) for t in range(s))
+    all_hi = all_lanes << shift
+    bias = all_lanes * ((1 << shift) - p)
+    folds = [t * stride for t in range(1, s)]
+    scaled = [
+        sum(
+            (mul(c, a) // p**t % p) << (t * stride + j * w)
+            for j, a in enumerate(g)
+            for t in range(s)
+        )
+        for c in range(q)
+    ]
     top = q - 1
-    cw = [0] * n
-    weight = 0
+    rows = [
+        [scaled[ctx.sub(d + 1 if d < top else 0, d)] << (i * w) for d in range(q)]
+        for i in range(dim)
+    ]
+    word = 0
     counter = [0] * dim
     digits = [0] * dim
     best = n + 1
@@ -101,18 +148,16 @@ def _multiples(ctx, g, n, dim, q) -> tuple[list[int], list[int] | None]:
             i += 1
         counter[i] += 1
         old = digits[i]
-        new = old + 1 if old < top else 0
-        digits[i] = new
-        for j, c in rows[sub(new, old)]:
-            pos = i + j
-            o = cw[pos]
-            v = add(o, c)
-            if o:
-                if not v:
-                    weight -= 1
-            elif v:
-                weight += 1
-            cw[pos] = v
+        digits[i] = old + 1 if old < top else 0
+        if odd:
+            word += rows[i][old]
+            word -= (((word + bias) & all_hi) >> shift) * p
+        else:
+            word ^= rows[i][old]
+        planes = word
+        for f in folds:
+            planes |= word >> f
+        weight = ((planes + probe) & hi).bit_count()
         hist[weight] += 1
         if weight <= best:
             rev = digits[::-1]
@@ -246,7 +291,7 @@ def dual_transform_distance(inst: CodeInstance, budget: SearchBudget | None = No
     dist = weight_distribution_from_dual(inst)
     value = next(j for j in range(1, n + 1) if dist[j])
     witness = find_weight_witness(inst, value)
-    return DistanceResult(value, True, witness, "dual-transform", size)
+    return DistanceResult(value, True, witness, "dual-transform", size - 1)
 
 
 def exact_distance(inst: CodeInstance, budget: SearchBudget | None = None) -> DistanceResult:

@@ -42,6 +42,7 @@ class TestExhaustive:
         assert result.value == expected
         assert result.exact
         assert result.enumerated == spec.q**inst.k - 1
+        assert dual_transform_distance(inst).enumerated == spec.q ** (inst.n - inst.k) - 1
         assert result.witness.weight == expected
         assert is_member(inst, result.witness.coeffs)
 
@@ -130,13 +131,19 @@ class TestKernel:
         assert result.value == least[0]
         assert result.witness == encode(inst, got_msg)
 
-    @pytest.mark.parametrize("q", [2, 3, 4])
+    # p = 2 with s = 1, 2, 3; odd p with s = 1 and s = 2
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 31])
     def test_arbitrary_polynomials(self, q):
-        """Seeded random g, whose lightest multiples are mostly not g itself."""
+        """Seeded random g, whose lightest multiples are mostly not g itself.
+
+        Degrees reach 70, so a packed plane spans more than one 64-bit limb.
+        """
         ctx = build_field(*prime_power_split(q))
         rng = random.Random(q)
+        max_dim = max(d for d in range(1, 13) if q**d <= SMALL)
         for _ in range(40):
-            deg, dim = rng.randrange(1, 6), rng.randrange(1, 5)
+            deg = rng.randrange(1, 6) if rng.random() < 0.5 else rng.randrange(6, 71)
+            dim = rng.randrange(1, max_dim + 1)
             g = tuple(rng.randrange(q) for _ in range(deg)) + (rng.randrange(1, q),)
             n = deg + dim
 
@@ -153,6 +160,11 @@ class TestKernel:
         inst = build_code(spec)
         hist, _ = ds._multiples(inst.small, inst.gen_poly, inst.n, inst.k, spec.q)
         assert hist == weight_distribution_from_dual(inst)
+
+    def test_multiples_must_fit_the_length(self):
+        ctx = build_field(3, 1)
+        with pytest.raises(ValueError):
+            ds._multiples(ctx, (1, 2, 1), 4, 3, 3)
 
     def test_empty_message_space(self):
         inst = build_code(CodeSpec(2, 3, 1))
