@@ -18,7 +18,6 @@ from .gf import (
     poly_eval,
     poly_eval_lifted,
     poly_gcd,
-    poly_lcm,
     poly_mul,
     poly_reciprocal,
 )

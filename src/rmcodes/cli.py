@@ -70,7 +70,7 @@ def cmd_bounds(args) -> int:
             report.upper = bd.Bound(value, "divisor-witness")
         report.witnesses.append(("divisor_e", e))
     if args.distance:
-        budget = ds.SearchBudget(args.max_messages) if args.max_messages else ds.SearchBudget()
+        budget = ds.SearchBudget() if args.max_messages is None else ds.SearchBudget(args.max_messages)
         try:
             inst = cd.build_code(cd.CodeSpec(args.q, args.m, args.h, args.variant), max_n=args.max_n)
             result = ds.exact_distance(inst, budget)

@@ -2,10 +2,15 @@
 
 For a prime power q, m >= 2 and 1 <= h <= m-1, the plain variant is the
 length-(q^m - 1) cyclic code over F_q whose generator polynomial has the
-zeros {alpha^a : a in the index set of q-weight <= h}; the mirrored
+zeros {alpha^a : a in I}, I the index set of q-weight <= h; the mirrored
 ("omega_bar") variant additionally kills the inverse zeros and the point 1:
 
     gen_bar = (x - 1) * lcm(gen, reciprocal(gen))
+
+Both generators are built the same way, as the product of the minimal
+polynomials of the q-cyclotomic cosets of the zero set: I for the plain
+variant, {0} u I u -I for the mirrored one.  A zero set closed under
+negation is what makes a cyclic code LCD (Yang-Massey, 1994).
 
 Dimensions follow from the generator degree.  The module also constructs
 the explicit low-weight quotient codewords (x^N - 1)/(x^F - 1) that
@@ -21,7 +26,6 @@ from functools import lru_cache
 
 from . import gf
 from .cyclotomy import (
-    CosetPartition,
     QadicParams,
     TooLarge,
     coset_of,
@@ -106,7 +110,11 @@ class Codeword:
 
 
 class CodeInstance:
-    """A realized cyclic code: fields, zero set, generator polynomial, dimension."""
+    """A realized cyclic code: fields, zero set, generator polynomial, dimension.
+
+    ``zero_representatives`` holds the least exponent of each q-cyclotomic
+    coset of the zero set, ascending; evaluating there decides membership.
+    """
 
     def __init__(
         self,
@@ -116,7 +124,7 @@ class CodeInstance:
         small: FieldCtx,
         big: FieldCtx,
         emb: SubfieldEmbedding,
-        partition: CosetPartition,
+        zero_representatives: tuple[int, ...],
     ):
         self.spec = spec
         self.n = spec.n
@@ -126,19 +134,11 @@ class CodeInstance:
         self.small = small
         self.big = big
         self.emb = emb
-        self.partition = partition
+        self.zero_representatives = zero_representatives
 
     @property
     def q(self) -> int:
         return self.spec.q
-
-    def zero_check_exponents(self) -> tuple[int, ...]:
-        """One exponent per zero coset; evaluating there decides membership."""
-        reps = self.partition.representatives
-        if self.spec.variant == "omega":
-            return reps
-        n = self.n
-        return tuple(sorted({0, *reps, *(n - a for a in reps)}))
 
     def __repr__(self):
         s = self.spec
@@ -197,23 +197,18 @@ def _build_cached(spec: CodeSpec, max_n: int, primitive) -> CodeInstance:
     small = build_field(p, s)
     big = build_field(p, s * spec.m, primitive=primitive)
     emb = embed_subfield(big, small)
-    params = spec.params
-    partition = coset_partition(params, spec.h)
+    params, h = spec.params, spec.h
+    reps = coset_partition(params, h).representatives
+    zeros = index_set(params, h)
+    if spec.variant == "omega_bar":
+        reps = tuple(sorted({0, *reps, *(coset_of(params, params.n - r)[0] for r in reps)}))
+        zeros = tuple(sorted({0, *zeros, *index_set_negated(params, h)}))
 
-    g = (1,)
-    for a in partition.representatives:
-        g = gf.poly_mul(small, g, _minimal_poly_cached(emb, params, a))
+    gen = (1,)
+    for a in reps:
+        gen = gf.poly_mul(small, gen, _minimal_poly_cached(emb, params, a))
 
-    if spec.variant == "omega":
-        gen = g
-        zeros = index_set(params, spec.h)
-    else:
-        ghat = gf.poly_reciprocal(small, g)
-        core = gf.poly_lcm(small, g, ghat)
-        gen = gf.poly_mul(small, core, (small.neg(1), 1))
-        zeros = tuple(sorted({0, *index_set(params, spec.h), *index_set_negated(params, spec.h)}))
-
-    inst = CodeInstance(spec, zeros, gen, small, big, emb, partition)
+    inst = CodeInstance(spec, zeros, gen, small, big, emb, reps)
     _check_instance(inst)
     return inst
 
@@ -292,7 +287,7 @@ def is_member(inst: CodeInstance, word) -> bool:
         raise LengthMismatch(f"word length {len(word)} != n = {inst.n}")
     return all(
         gf.poly_eval_lifted(inst.emb, word, inst.big.alpha_pow(a)) == 0
-        for a in inst.zero_check_exponents()
+        for a in inst.zero_representatives
     )
 
 

@@ -15,8 +15,8 @@ against each other in the tests:
     minimum weight;
   * dual transform: when q^(n-k) is small instead, walk the q^(n-k)
     multiples of the dual generator and recover the code's own weight
-    distribution through the exact integer MacWilliams/Krawtchouk
-    transform, with divisibility and total-count checks at every step.
+    distribution through the exact integer MacWilliams transform, with
+    divisibility and total-count checks at every step.
 
 The second route exists because dimension grows fast: already (q, m, h) =
 (3, 3, 1) has q^k = 3^20 information words but only 3^6 dual words.
@@ -211,19 +211,28 @@ def dual_generator(inst: CodeInstance) -> tuple[int, ...]:
     return gf.poly_reciprocal(small, check)
 
 
-def krawtchouk(j: int, i: int, n: int, q: int) -> int:
-    """K_j(i) over the q-ary Hamming scheme of length n, exactly."""
-    return sum(
-        (-1) ** t * (q - 1) ** (j - t) * comb(i, t) * comb(n - i, j - t) for t in range(j + 1)
-    )
+def _macwilliams(hist: list[int], q: int) -> list[int]:
+    """Coefficients of sum_i B_i (1 + (q-1)y)^(n-i) (1-y)^i in y, for B = hist of length n + 1.
+
+    Horner's rule in 1 + (q-1)y: S_i = S_(i-1) (1 + (q-1)y) + B_i (1-y)^i,
+    so S_n is the sum, in O(n^2) exact integer steps.
+    """
+    s: list[int] = []
+    power = [1]  # (1 - y)^i
+    for b in hist:
+        s = [x + (q - 1) * y for x, y in zip(s + [0], [0] + s)]
+        if b:
+            s = [x + b * c for x, c in zip(s, power)]
+        power = [x - y for x, y in zip(power + [0], [0] + power)]
+    return s
 
 
 def weight_distribution_from_dual(inst: CodeInstance) -> list[int]:
     """Exact weight distribution A_0..A_n via the dual code and MacWilliams.
 
-    Enumerates the q^(n-k) dual codewords, transforms with integer
-    Krawtchouk sums, and verifies integrality, nonnegativity, A_0 = 1 and
-    sum(A) = q^k before returning.
+    Enumerates the q^(n-k) dual codewords with weight distribution B, so
+    that q^(n-k) A(y) = sum_i B_i (1 + (q-1)y)^(n-i) (1-y)^i, and verifies
+    integrality, nonnegativity, A_0 = 1 and sum(A) = q^k before returning.
     """
     n, k, q = inst.n, inst.k, inst.q
     r = n - k
@@ -233,8 +242,7 @@ def weight_distribution_from_dual(inst: CodeInstance) -> list[int]:
     hist, _ = _multiples(inst.small, dual_gen, n, r, q)
     size = q**r
     dist = []
-    for j in range(n + 1):
-        s = sum(hist[i] * krawtchouk(j, i, n, q) for i in range(n + 1) if hist[i])
+    for j, s in enumerate(_macwilliams(hist, q)):
         if s % size != 0 or s < 0:
             raise RuntimeError(f"internal: transform gave non-integral or negative A_{j}")
         dist.append(s // size)
@@ -259,7 +267,7 @@ def find_weight_witness(
     if comb(n - 1, slots) * (q - 1) ** slots > max_candidates:
         return None
     big, lift = inst.big, inst.emb.to_big
-    reps = inst.zero_check_exponents()
+    reps = inst.zero_representatives
     add, mul, apow = big.add, big.mul, big.alpha_pow
     for support in combinations(range(1, n), slots):
         positions = (0, *support)

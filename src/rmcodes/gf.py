@@ -88,11 +88,10 @@ class FieldCtx:
         self._mul_table: list[int] | None = None
 
         if primitive is None:
-            self.primitive_elem = self._least_primitive()
-        else:
-            if not 1 <= primitive < self.order or self._order_of_raw(primitive) != self.order - 1:
-                raise ValueError(f"{primitive} is not a primitive element of F_{self.order}")
-            self.primitive_elem = primitive
+            primitive = next(self.primitives())
+        elif not 1 <= primitive < self.order or self.order_of(primitive) != self.order - 1:
+            raise ValueError(f"{primitive} is not a primitive element of F_{self.order}")
+        self.primitive_elem = primitive
 
         if self.order <= table_threshold:
             self._build_log_tables()
@@ -158,26 +157,6 @@ class FieldCtx:
             base = self._raw_mul(base, base)
             e >>= 1
         return result
-
-    def _order_of_raw(self, x: int) -> int:
-        n = self.order - 1
-        if x == 0:
-            raise DivisionByZero("0 has no multiplicative order")
-        if n == 1:
-            return 1
-        order = n
-        for r in factorize(n):
-            while order % r == 0 and self._raw_pow(x, order // r) == 1:
-                order //= r
-        return order
-
-    def _least_primitive(self) -> int:
-        if self.order == 2:
-            return 1
-        for x in range(2, self.order):
-            if self._order_of_raw(x) == self.order - 1:
-                return x
-        raise RuntimeError("no primitive element found")  # unreachable
 
     def _build_log_tables(self):
         q = self.order
@@ -254,13 +233,24 @@ class FieldCtx:
         return self._raw_pow(self.primitive_elem, e)
 
     def order_of(self, x: int) -> int:
-        """Multiplicative order of a nonzero element."""
+        """Multiplicative order of a nonzero element (raw powers while the tables are unbuilt)."""
         if x == 0:
             raise DivisionByZero("0 has no multiplicative order")
         n = self.order - 1
         if self.log is not None:
-            return n // gcd(n, self.log[x]) if n else 1
-        return self._order_of_raw(x)
+            return n // gcd(n, self.log[x])
+        if n == 1:
+            return 1
+        order = n
+        for r in factorize(n):
+            while order % r == 0 and self._raw_pow(x, order // r) == 1:
+                order //= r
+        return order
+
+    def primitives(self):
+        """The primitive elements, in ascending index order."""
+        n = self.order - 1
+        return (x for x in range(1, self.order) if self.order_of(x) == n)
 
     def element_coeffs(self, x: int) -> tuple[int, ...]:
         """Polynomial-basis coordinate vector (length s, lowest power first)."""
@@ -323,16 +313,6 @@ class SubfieldEmbedding:
         return f"SubfieldEmbedding(GF({self.small.order}) -> GF({self.big.order}))"
 
 
-def _small_primitives(small: FieldCtx):
-    n = small.order - 1
-    if n == 1:
-        yield 1
-        return
-    for x in range(2, small.order):
-        if small.order_of(x) == n:
-            yield x
-
-
 @lru_cache(maxsize=None)
 def _embed_cached(big: FieldCtx, small: FieldCtx) -> SubfieldEmbedding:
     if big.p != small.p:
@@ -347,7 +327,7 @@ def _embed_cached(big: FieldCtx, small: FieldCtx) -> SubfieldEmbedding:
     if q > 2 and big.order_of(beta) != q - 1:
         raise EmbeddingMismatch(f"beta has order {big.order_of(beta)}, expected {q - 1}")
 
-    for g in _small_primitives(small):
+    for g in small.primitives():
         to_big = [0] * q
         xs, xb = 1, 1
         for _ in range(q - 1):
@@ -463,17 +443,6 @@ def poly_gcd(ctx: FieldCtx, a, b) -> tuple[int, ...]:
     while b:
         a, b = b, poly_divmod(ctx, a, b)[1]
     return poly_monic(ctx, a)
-
-
-def poly_lcm(ctx: FieldCtx, a, b) -> tuple[int, ...]:
-    """Monic least common multiple, a*b / gcd(a,b)."""
-    if not a or not b:
-        return ()
-    g = poly_gcd(ctx, a, b)
-    quot, rem = poly_divmod(ctx, poly_mul(ctx, a, b), g)
-    if rem:
-        raise RuntimeError("internal: lcm division left a remainder")
-    return poly_monic(ctx, quot)
 
 
 def poly_reciprocal(ctx: FieldCtx, f) -> tuple[int, ...]:

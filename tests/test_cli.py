@@ -86,6 +86,11 @@ class TestBounds:
         assert doc["exact"] is None
         assert any("skipped" in note for note in doc["notes"])
 
+    def test_zero_budget_is_an_error(self, capsys):
+        code, out, err = run(capsys, "bounds", "3", "2", "1", "--distance", "--max-messages", "0")
+        assert code == 2
+        assert out == "" and "max_messages" in err
+
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "bounds", "3", "5", "1", "--variant", "omega_bar")
         assert code == 0

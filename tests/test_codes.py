@@ -5,8 +5,16 @@ import pytest
 
 from rmcodes import codes as cd
 from rmcodes.codes import CodeSpec, build_code, encode, is_member, quotient_codeword
-from rmcodes.cyclotomy import QadicParams
-from rmcodes.gf import poly_degree, poly_divmod, poly_normalize
+from rmcodes.cyclotomy import QadicParams, coset_of, coset_partition
+from rmcodes.gf import (
+    poly_degree,
+    poly_divmod,
+    poly_gcd,
+    poly_mul,
+    poly_normalize,
+    poly_reciprocal,
+)
+from rmcodes.verify import GRID
 
 
 class TestCodeSpec:
@@ -46,9 +54,9 @@ class TestMinimalPoly:
 
     def test_degree_is_coset_size(self):
         inst = build_code(CodeSpec(3, 4, 2))
-        for a in inst.partition.representatives:
+        partition = coset_partition(QadicParams(3, 4), 2)
+        for a, orbit in zip(partition.representatives, partition.classes):
             mp = cd.minimal_poly(inst.emb, QadicParams(3, 4), a)
-            orbit = next(c for c in inst.partition.classes if a in c)
             assert poly_degree(mp) == len(orbit)
             assert mp[-1] == 1
 
@@ -125,6 +133,29 @@ class TestBuildCode:
         fwd = set(build_code(CodeSpec(3, 4, 2)).zero_exponents)
         assert set(inst.zero_exponents) == {0} | fwd | {n - a for a in fwd}
 
+    @pytest.mark.parametrize(
+        "spec", [CodeSpec(3, 4, 2), CodeSpec(4, 3, 2, "omega_bar")], ids=["omega", "omega_bar"]
+    )
+    def test_zero_representatives_are_coset_minima(self, spec):
+        inst = build_code(spec)
+        minima = {coset_of(spec.params, a)[0] for a in inst.zero_exponents}
+        assert inst.zero_representatives == tuple(sorted(minima))
+
+    @pytest.mark.parametrize(
+        "qmh",
+        [qmh for qmh in GRID if qmh not in ((4, 6, 4), (4, 6, 5))],
+        ids=lambda qmh: "-".join(map(str, qmh)),
+    )
+    def test_mirrored_generator_matches_lcm_reference(self, qmh):
+        # the definition (x - 1) * lcm(g, g^), with lcm = g * g^ / gcd(g, g^)
+        plain = build_code(CodeSpec(*qmh))
+        F, g = plain.small, plain.gen_poly
+        ghat = poly_reciprocal(F, g)
+        lcm, rem = poly_divmod(F, poly_mul(F, g, ghat), poly_gcd(F, g, ghat))
+        assert rem == ()
+        reference = poly_mul(F, (F.neg(1), 1), lcm)
+        assert build_code(CodeSpec(*qmh, "omega_bar")).gen_poly == reference
+
 
 class TestEncodeAndMembership:
     def test_zero_message(self):
@@ -166,6 +197,18 @@ class TestEncodeAndMembership:
             by_eval = is_member(inst, word)
             _, rem = poly_divmod(inst.small, poly_normalize(word), inst.gen_poly)
             assert by_eval == (rem == ())
+
+    def test_mirrored_membership_vs_divisibility(self):
+        inst = build_code(CodeSpec(3, 4, 1, "omega_bar"))
+        import random
+
+        rng = random.Random(17)
+        for _ in range(20):
+            word = list(encode(inst, [rng.randrange(3) for _ in range(inst.k)]).coeffs)
+            assert is_member(inst, word)
+            word[rng.randrange(inst.n)] = rng.randrange(3)
+            _, rem = poly_divmod(inst.small, poly_normalize(word), inst.gen_poly)
+            assert is_member(inst, word) == (rem == ())
 
     def test_single_coordinate_not_member(self):
         inst = build_code(CodeSpec(3, 2, 1))

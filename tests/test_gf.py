@@ -16,7 +16,6 @@ from rmcodes.gf import (
     poly_eval,
     poly_eval_lifted,
     poly_gcd,
-    poly_lcm,
     poly_mul,
     poly_normalize,
     poly_reciprocal,
@@ -256,15 +255,6 @@ class TestPolys:
         g = poly_gcd(F, f, f)
         assert g == (1, 2, 1)  # monic normalization
         assert g[-1] == 1
-
-    def test_lcm_idempotent(self):
-        F = build_field(3, 1)
-        assert poly_lcm(F, (2, 1), (2, 1)) == (2, 1)
-
-    def test_lcm_coprime_is_product(self):
-        F = build_field(2, 1)
-        a, b = (1, 1), (1, 1, 1)
-        assert poly_lcm(F, a, b) == poly_mul(F, a, b)
 
     def test_reciprocal(self):
         F2 = build_field(2, 1)
