@@ -3,9 +3,9 @@ minimum distances, and distance-bound certificates.
 
 Quick start::
 
-    from rmcodes import CodeSpec, build_code, exact_distance
+    from rmcodes import CodeSpec, build_code, certify, exact_distance
     inst = build_code(CodeSpec(3, 2, 1))
-    print(inst.n, inst.k, exact_distance(inst).value)
+    print(inst.n, inst.k, exact_distance(inst).value, certify(inst.spec).exact)
 """
 
 from .gf import (
@@ -53,6 +53,7 @@ from .bounds import (
     BoundReport,
     OrderSearchRow,
     bounded_divisor_check,
+    certify,
     condition_star,
     distance_optimal,
     generic_bounds,

@@ -1,9 +1,11 @@
 """Distance-bound certifiers: generic bounds, divisor conditions, sphere packing.
 
 Every certificate here is exact integer arithmetic.  A BoundReport carries
-lower/upper/exact values, each tagged with the rule that produced it:
+lower/upper/exact values, each tagged with the rule that produced it, and
+``certify`` is the one place that merges every source into it:
 
   generic-lower / generic-upper    the always-valid envelope
+  generic-lower-doubled            mirrored BCH bound 2(1 + q + ... + q^h)
   binary-exact                     q = 2 closed form
   max-h-exact                      h = m-1 closed form
   ternary-h1-exact                 (q, h) = (3, 1) exact value 4
@@ -11,6 +13,8 @@ lower/upper/exact values, each tagged with the rule that produced it:
   binary-h1-bar-exact              mirrored q = 2, h = 1, m >= 4 exact value 6
   ternary-h1-bar-upper             mirrored (3, 1), odd m, upper bound 10
   divisor-witness                  quotient-codeword divisor found by search
+  enumeration:<route>              exact distance by enumeration, given a budget
+  <lower via>+<upper via>          no exact source, but lower meets upper
 
 The sphere-packing side provides the exclusion test q^(n-k) >= volume sum
 and the distance-optimality check (parameters fine at d, excluded at d+1),
@@ -24,7 +28,8 @@ from dataclasses import dataclass, field
 from math import comb, gcd
 
 from .cyclotomy import QadicParams, q_weight
-from .codes import NotADivisor, condition_star_holds
+from .codes import CodeSpec, NotADivisor, TooLarge, build_code, condition_star_holds
+from .distance import BudgetExceeded, SearchBudget, exact_distance
 from .ntheory import divisors, is_prime_power, mult_order, prime_power_split
 
 __all__ = [
@@ -37,6 +42,7 @@ __all__ = [
     "RangeError",
     "CertificateFailed",
     "generic_bounds",
+    "certify",
     "condition_star",
     "search_condition_divisors",
     "repunit_certificate",
@@ -101,14 +107,26 @@ class BoundReport:
         }
 
 
-def _set_exact(report: BoundReport, value: int, via: str):
-    if report.exact is not None and report.exact.value != value:
-        raise RuntimeError(
-            f"conflicting exact values {report.exact.value} ({report.exact.via}) vs {value} ({via})"
-        )
-    if report.exact is None:
-        report.exact = Bound(value, via)
-    report.witnesses.append(("exact-rule", via))
+def _merge(report: BoundReport, bound: Bound, source: str = "upper", witness: tuple | None = None):
+    """Fold a bound from ``source`` (upper, rule or enumeration) into ``report``.
+
+    Upper bounds and rules replace ``upper`` only when strictly smaller; a rule
+    sets ``exact`` only if unset; an enumeration replaces both, even on a tie.
+    Differing exact values raise.  A lower bound met by the upper bound with no
+    exact value becomes exact, tagged ``<lower via>+<upper via>``.
+    """
+    if source != "upper":
+        old = report.exact
+        if old is not None and old.value != bound.value:
+            raise CertificateFailed(f"{bound.via} value {bound.value} contradicts {old.via} value {old.value}")
+        if old is None or source == "enumeration":
+            report.exact = bound
+    if report.upper is None or bound.value < report.upper.value or source == "enumeration":
+        report.upper = bound
+    if report.exact is None and report.upper.value == report.lower.value:
+        report.exact = Bound(report.lower.value, f"{report.lower.via}+{report.upper.via}")
+    if witness is not None:
+        report.witnesses.append(witness)
 
 
 def generic_bounds(q: int, m: int, h: int, variant: str = "omega") -> BoundReport:
@@ -118,38 +136,47 @@ def generic_bounds(q: int, m: int, h: int, variant: str = "omega") -> BoundRepor
         raise RangeError(f"need m >= 2 and 1 <= h <= m-1, got m={m}, h={h}")
     repunit = (q ** (h + 1) - 1) // (q - 1)
     if variant == "omega":
-        report = BoundReport(
-            q, m, h, variant,
-            lower=Bound(repunit, "generic-lower"),
-            upper=Bound(2 * q**h - 1, "generic-upper"),
-        )
-        if q == 2:
-            _set_exact(report, 2 ** (h + 1) - 1, "binary-exact")
-        if h == m - 1:
-            _set_exact(report, (q**m - 1) // (q - 1), "max-h-exact")
-        if (q, h) == (3, 1):
-            _set_exact(report, 4, "ternary-h1-exact")
-        if q >= 3 and m % (h + 1) == 0:
-            _set_exact(report, repunit, "repunit-divisor-exact")
+        report = BoundReport(q, m, h, variant, Bound(repunit, "generic-lower"),
+                             Bound(2 * q**h - 1, "generic-upper"))
+        rules = [(q == 2, 2 ** (h + 1) - 1, "binary-exact"),
+                 (h == m - 1, (q**m - 1) // (q - 1), "max-h-exact"),
+                 ((q, h) == (3, 1), 4, "ternary-h1-exact"),
+                 (q >= 3 and m % (h + 1) == 0, repunit, "repunit-divisor-exact")]
     elif variant == "omega_bar":
-        if h <= (m + 1) // 2:
-            lower = Bound(2 * repunit, "generic-lower-doubled")
-        else:
-            lower = Bound(1, "trivial")
-        report = BoundReport(q, m, h, variant, lower=lower)
-        if h > (m + 1) // 2:
-            report.notes.append("doubled lower bound needs h <= floor((m+1)/2); using trivial 1")
-        if q >= 3 and m % (h + 1) == 0:
-            _set_exact(report, 2 * repunit, "repunit-divisor-exact")
-        if q == 2 and h == 1 and m >= 4:
-            _set_exact(report, 6, "binary-h1-bar-exact")
-        if (q, h) == (3, 1) and m >= 3 and m % 2 == 1:
-            report.upper = Bound(10, "ternary-h1-bar-upper")
+        if q == 2 and 2 * h >= m - 1:  # the binary nonzeros are the exponents of weight in (h, m - h)
+            raise RangeError(f"omega_bar(2, {m}, {h}) is the zero code (2h >= m - 1)")
+        # 0, +-1, ..., +-(repunit-1) are zeros (q-weight <= h), so BCH gives 2 * repunit
+        report = BoundReport(q, m, h, variant, Bound(2 * repunit, "generic-lower-doubled"))
+        if (q, h) == (3, 1) and m % 2 == 1:
+            _merge(report, Bound(10, "ternary-h1-bar-upper"))
+        rules = [(q >= 3 and m % (h + 1) == 0, 2 * repunit, "repunit-divisor-exact"),
+                 (q == 2 and h == 1 and m >= 4, 6, "binary-h1-bar-exact")]
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    if report.exact is not None:
-        if report.upper is None or report.exact.value < report.upper.value:
-            report.upper = report.exact
+    for applies, value, via in rules:
+        if applies:
+            _merge(report, Bound(value, via), "rule", ("exact-rule", via))
+    report.validate()
+    return report
+
+
+def certify(spec: CodeSpec, *, budget: SearchBudget | None = None, max_n: int | None = None) -> BoundReport:
+    """Every distance bound for ``spec`` in one report: the closed forms, the least
+    divisor passing the divisor condition (d <= e, or 2e for omega_bar) and, given
+    a budget, the enumerated distance (else a note).  Without one nothing is built.
+    """
+    report = generic_bounds(spec.q, spec.m, spec.h, spec.variant)
+    for e in search_condition_divisors(spec.q, spec.m, spec.h)[:1]:
+        value = e if spec.variant == "omega" else 2 * e
+        _merge(report, Bound(value, "divisor-witness"), witness=("divisor_e", e))
+    if budget is not None:
+        try:
+            result = exact_distance(build_code(spec, max_n=max_n), budget)
+        except (BudgetExceeded, TooLarge) as exc:
+            report.notes.append(f"exact distance skipped: {exc}")
+        else:
+            enumerated = Bound(result.value, f"enumeration:{result.method}")
+            _merge(report, enumerated, "enumeration", ("distance_method", result.method))
     report.validate()
     return report
 

@@ -61,31 +61,12 @@ def cmd_code(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    report = bd.generic_bounds(args.q, args.m, args.h, args.variant)
-    divs = bd.search_condition_divisors(args.q, args.m, args.h)
-    if divs:
-        e = divs[0]
-        value = e if args.variant == "omega" else 2 * e
-        if report.upper is None or value < report.upper.value:
-            report.upper = bd.Bound(value, "divisor-witness")
-        report.witnesses.append(("divisor_e", e))
+    budget = None
     if args.distance:
         budget = ds.SearchBudget() if args.max_messages is None else ds.SearchBudget(args.max_messages)
-        try:
-            inst = cd.build_code(cd.CodeSpec(args.q, args.m, args.h, args.variant), max_n=args.max_n)
-            result = ds.exact_distance(inst, budget)
-        except (ds.BudgetExceeded, cd.TooLarge) as exc:
-            report.notes.append(f"exact distance skipped: {exc}")
-        else:
-            if report.exact is not None and report.exact.value != result.value:
-                raise RuntimeError(
-                    f"enumerated distance {result.value} contradicts {report.exact.via} "
-                    f"value {report.exact.value}"
-                )
-            report.exact = bd.Bound(result.value, f"enumeration:{result.method}")
-            report.upper = report.exact
-            report.witnesses.append(("distance_method", result.method))
-    report.validate()
+    elif args.max_messages is not None:
+        raise ValueError("--max-messages needs --distance")
+    report = bd.certify(cd.CodeSpec(args.q, args.m, args.h, args.variant), budget=budget, max_n=args.max_n)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     elif args.format == "csv":

@@ -145,21 +145,11 @@ def _maximal_of(reps) -> tuple[int, ...]:
 @lru_cache(maxsize=256)
 def coset_partition(params: QadicParams, h: int) -> CosetPartition:
     """Partition the index set into cosets; representatives are per-orbit minima."""
-    members = set(index_set(params, h))
-    pending = set(members)
-    classes = []
-    for a in index_set(params, h):
-        if a not in pending:
-            continue
-        orbit = coset_of(params, a)
-        for x in orbit:
-            if x not in members:
-                raise RuntimeError(f"internal: orbit of {a} left the index set at {x}")
-            pending.discard(x)
-        classes.append(orbit)
-    classes.sort(key=min)
-    reps = tuple(c[0] for c in classes)
-    return CosetPartition(params, h, tuple(classes), reps, _maximal_of(reps))
+    reps = coset_representatives(params, h)
+    classes = tuple(coset_of(params, r) for r in reps)
+    if sum(map(len, classes)) != index_set_size(params, h):
+        raise RuntimeError(f"internal: the cosets of {params} at h={h} do not cover the index set")
+    return CosetPartition(params, h, classes, reps, _maximal_of(reps))
 
 
 def coset_representatives(params: QadicParams, h: int) -> tuple[int, ...]:

@@ -5,6 +5,19 @@ import pytest
 
 from rmcodes import bounds as bd
 from rmcodes import ntheory as nt
+from rmcodes.codes import CodeSpec, TooLarge, build_code
+from rmcodes.cyclotomy import QadicParams, index_set, index_set_negated
+from rmcodes.distance import BudgetExceeded, DistanceResult, SearchBudget, exact_distance
+from rmcodes.verify import GRID
+
+
+def dimension(q, m, h, variant):
+    """k = n minus the size of the zero set, from the cyclotomy layer alone."""
+    params = QadicParams(q, m)
+    zeros = set(index_set(params, h))
+    if variant == "omega_bar":
+        zeros |= {0, *index_set_negated(params, h)}
+    return params.n - len(zeros)
 
 
 class TestFactorize:
@@ -160,7 +173,8 @@ class TestGenericBounds:
         for m in (4, 5, 9):
             report = bd.generic_bounds(2, m, 1, "omega_bar")
             assert report.exact.value == 6
-        assert bd.generic_bounds(2, 3, 1, "omega_bar").exact is None
+        with pytest.raises(bd.RangeError):  # omega_bar(2, 3, 1) is the zero code
+            bd.generic_bounds(2, 3, 1, "omega_bar")
 
     def test_ternary_bar(self):
         odd = bd.generic_bounds(3, 5, 1, "omega_bar")
@@ -175,7 +189,23 @@ class TestGenericBounds:
             for m in range(2, 7):
                 for h in range(1, m):
                     for variant in ("omega", "omega_bar"):
-                        bd.generic_bounds(q, m, h, variant).validate()
+                        if dimension(q, m, h, variant) == 0:
+                            with pytest.raises(bd.RangeError):
+                                bd.generic_bounds(q, m, h, variant)
+                        else:
+                            bd.generic_bounds(q, m, h, variant).validate()
+
+    def test_doubled_lower_is_a_bch_run_of_zeros(self):
+        # 0, +-1, ..., +-(R-1) lie in {0} u I u -I, so BCH gives d >= 2R for every h
+        for q, m, h in GRID:
+            if dimension(q, m, h, "omega_bar") == 0:
+                continue
+            params = QadicParams(q, m)
+            zeros = {0, *index_set(params, h), *index_set_negated(params, h)}
+            repunit = (q ** (h + 1) - 1) // (q - 1)
+            assert all(a % params.n in zeros for a in range(1 - repunit, repunit)), (q, m, h)
+            lower = bd.generic_bounds(q, m, h, "omega_bar").lower
+            assert lower == bd.Bound(2 * repunit, "generic-lower-doubled")
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
@@ -220,7 +250,7 @@ class TestConditionStar:
         # deciding on the full index set, the representatives, or the
         # maximal set must agree for every divisor of n (divisibility by a
         # divisor of n is constant on cosets; arbitrary e have no such law)
-        from rmcodes.cyclotomy import QadicParams, coset_partition, index_set
+        from rmcodes.cyclotomy import coset_partition
 
         cases = [(3, 4, 2), (2, 6, 3), (4, 3, 2), (5, 2, 1), (3, 5, 2)]
         for q, m, h in cases:
@@ -348,3 +378,88 @@ class TestDivisorCheckAndTables:
         assert "7,2,3,9,8,13" in lines
         assert "8,,,,9,15" in lines
         assert "9,2,5,11,10,17" in lines
+
+
+def cli_merge(spec, budget=None, max_n=None):
+    """The merge ``rmcodes bounds`` did in the CLI before ``certify``: the reference."""
+    report = bd.generic_bounds(spec.q, spec.m, spec.h, spec.variant)
+    divs = bd.search_condition_divisors(spec.q, spec.m, spec.h)
+    if divs:
+        e = divs[0]
+        value = e if spec.variant == "omega" else 2 * e
+        if report.upper is None or value < report.upper.value:
+            report.upper = bd.Bound(value, "divisor-witness")
+        report.witnesses.append(("divisor_e", e))
+    if budget is not None:
+        try:
+            result = exact_distance(build_code(spec, max_n=max_n), budget)
+        except (BudgetExceeded, TooLarge) as exc:
+            report.notes.append(f"exact distance skipped: {exc}")
+        else:
+            assert report.exact is None or report.exact.value == result.value
+            report.exact = bd.Bound(result.value, f"enumeration:{result.method}")
+            report.upper = report.exact
+            report.witnesses.append(("distance_method", result.method))
+    report.validate()
+    return report
+
+
+def nonzero_grid_specs():
+    for q, m, h in GRID:
+        for variant in ("omega", "omega_bar"):
+            if dimension(q, m, h, variant) > 0:
+                yield CodeSpec(q, m, h, variant)
+
+
+MEET = CodeSpec(2, 6, 2, "omega_bar")
+
+
+class TestCertify:
+    def assert_matches_cli_merge(self, spec, budget=None):
+        want = cli_merge(spec, budget)
+        if spec == MEET and budget is None:
+            want.exact = bd.Bound(14, "generic-lower-doubled+divisor-witness")
+        assert bd.certify(spec, budget=budget).to_json() == want.to_json(), spec
+
+    def test_matches_cli_merge_without_budget(self):
+        specs = list(nonzero_grid_specs())
+        assert len(specs) == 79
+        for spec in specs:
+            self.assert_matches_cli_merge(spec)
+
+    def test_matches_cli_merge_with_budget(self):
+        budget = SearchBudget(1 << 16)
+        checked = 0
+        for spec in nonzero_grid_specs():
+            k = dimension(spec.q, spec.m, spec.h, spec.variant)
+            n = spec.q**spec.m - 1
+            if min(spec.q**k, spec.q ** (n - k)) <= budget.max_messages:
+                self.assert_matches_cli_merge(spec, budget)
+                checked += 1
+        assert checked == 29
+
+    def test_meet_is_exact(self):
+        report = bd.certify(MEET)
+        assert report.lower == bd.Bound(14, "generic-lower-doubled")
+        assert report.upper == bd.Bound(14, "divisor-witness")
+        assert report.exact == bd.Bound(14, "generic-lower-doubled+divisor-witness")
+
+    def test_contradicting_enumeration_raises(self, monkeypatch):
+        wrong = DistanceResult(5, True, None, "message-enumeration", 8)
+        monkeypatch.setattr(bd, "exact_distance", lambda inst, budget: wrong)
+        with pytest.raises(RuntimeError, match="value 5 contradicts max-h-exact value 4"):
+            bd.certify(CodeSpec(3, 2, 1), budget=SearchBudget())
+
+    def test_skipped_distance_note(self):
+        report = bd.certify(CodeSpec(3, 4, 2), budget=SearchBudget(100))
+        assert report.exact is None
+        assert report.notes == [
+            f"exact distance skipped: neither q^k = {3**48} nor q^(n-k) = {3**32} fits the budget 100"
+        ]
+        too_long = bd.certify(CodeSpec(3, 4, 2), budget=SearchBudget(), max_n=5)
+        assert too_long.exact is None
+        assert too_long.notes[0].startswith("exact distance skipped: n = 80 exceeds")
+
+    def test_no_budget_builds_nothing(self, monkeypatch):
+        monkeypatch.setattr(bd, "build_code", None)
+        assert bd.certify(CodeSpec(3, 4, 2)).notes == []

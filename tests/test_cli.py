@@ -91,6 +91,21 @@ class TestBounds:
         assert code == 2
         assert out == "" and "max_messages" in err
 
+    def test_max_messages_needs_distance(self, capsys):
+        code, out, err = run(capsys, "bounds", "3", "2", "1", "--max-messages", "5")
+        assert code == 2
+        assert out == "" and "--distance" in err
+
+    def test_zero_code_is_an_error(self, capsys):
+        code, out, err = run(capsys, "bounds", "2", "2", "1", "--variant", "omega_bar")
+        assert code == 2
+        assert out == "" and "zero code" in err
+
+    def test_meet_prints_exact(self, capsys):
+        code, out, _ = run(capsys, "bounds", "2", "6", "2", "--variant", "omega_bar")
+        assert code == 0
+        assert "exact = 14  [generic-lower-doubled+divisor-witness]" in out
+
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "bounds", "3", "5", "1", "--variant", "omega_bar")
         assert code == 0
