@@ -8,6 +8,7 @@ Quick start::
     print(inst.n, inst.k, exact_distance(inst).value, certify(inst.spec).exact)
 """
 
+from .errors import FactorizationIncomplete, InternalError, TooLarge
 from .gf import (
     FieldCtx,
     SubfieldEmbedding,
@@ -54,7 +55,6 @@ from .bounds import (
     OrderSearchRow,
     bounded_divisor_check,
     certify,
-    condition_star,
     distance_optimal,
     generic_bounds,
     odd_order_search,

@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 from math import comb, gcd
 
 from .cyclotomy import QadicParams, q_weight
-from .codes import CodeSpec, NotADivisor, TooLarge, build_code, condition_star_holds
-from .distance import BudgetExceeded, SearchBudget, exact_distance
-from .ntheory import divisors, is_prime_power, mult_order, prime_power_split
+from .codes import CodeSpec, build_code, condition_star_holds
+from .distance import SearchBudget, exact_distance
+from .errors import InternalError, TooLarge
+from .ntheory import divisors, is_prime_power, mult_order
 
 __all__ = [
     "Bound",
@@ -38,12 +39,8 @@ __all__ = [
     "OrderSearchRow",
     "TableBlock",
     "PositivityReport",
-    "NotADivisor",
-    "RangeError",
-    "CertificateFailed",
     "generic_bounds",
     "certify",
-    "condition_star",
     "search_condition_divisors",
     "repunit_certificate",
     "sphere_packing_ok",
@@ -53,14 +50,6 @@ __all__ = [
     "bounded_divisor_check",
     "table_rows",
 ]
-
-
-class RangeError(ValueError):
-    pass
-
-
-class CertificateFailed(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -83,12 +72,12 @@ class BoundReport:
 
     def validate(self):
         if self.upper is not None and self.lower.value > self.upper.value:
-            raise RuntimeError(f"lower {self.lower.value} > upper {self.upper.value}")
+            raise InternalError(f"lower {self.lower.value} > upper {self.upper.value}")
         if self.exact is not None:
             if self.exact.value < self.lower.value:
-                raise RuntimeError("exact value below lower bound")
+                raise InternalError("exact value below lower bound")
             if self.upper is not None and self.exact.value > self.upper.value:
-                raise RuntimeError("exact value above upper bound")
+                raise InternalError("exact value above upper bound")
 
     def to_json(self) -> dict:
         def enc(b):
@@ -118,7 +107,7 @@ def _merge(report: BoundReport, bound: Bound, source: str = "upper", witness: tu
     if source != "upper":
         old = report.exact
         if old is not None and old.value != bound.value:
-            raise CertificateFailed(f"{bound.via} value {bound.value} contradicts {old.via} value {old.value}")
+            raise InternalError(f"{bound.via} value {bound.value} contradicts {old.via} value {old.value}")
         if old is None or source == "enumeration":
             report.exact = bound
     if report.upper is None or bound.value < report.upper.value or source == "enumeration":
@@ -131,9 +120,7 @@ def _merge(report: BoundReport, bound: Bound, source: str = "upper", witness: tu
 
 def generic_bounds(q: int, m: int, h: int, variant: str = "omega") -> BoundReport:
     """Closed-form bounds for the given parameters, refined by the known exact families."""
-    prime_power_split(q)
-    if m < 2 or not 1 <= h <= m - 1:
-        raise RangeError(f"need m >= 2 and 1 <= h <= m-1, got m={m}, h={h}")
+    CodeSpec(q, m, h, variant)
     repunit = (q ** (h + 1) - 1) // (q - 1)
     if variant == "omega":
         report = BoundReport(q, m, h, variant, Bound(repunit, "generic-lower"),
@@ -142,17 +129,15 @@ def generic_bounds(q: int, m: int, h: int, variant: str = "omega") -> BoundRepor
                  (h == m - 1, (q**m - 1) // (q - 1), "max-h-exact"),
                  ((q, h) == (3, 1), 4, "ternary-h1-exact"),
                  (q >= 3 and m % (h + 1) == 0, repunit, "repunit-divisor-exact")]
-    elif variant == "omega_bar":
+    else:  # omega_bar
         if q == 2 and 2 * h >= m - 1:  # the binary nonzeros are the exponents of weight in (h, m - h)
-            raise RangeError(f"omega_bar(2, {m}, {h}) is the zero code (2h >= m - 1)")
+            raise ValueError(f"omega_bar(2, {m}, {h}) is the zero code (2h >= m - 1)")
         # 0, +-1, ..., +-(repunit-1) are zeros (q-weight <= h), so BCH gives 2 * repunit
         report = BoundReport(q, m, h, variant, Bound(2 * repunit, "generic-lower-doubled"))
         if (q, h) == (3, 1) and m % 2 == 1:
             _merge(report, Bound(10, "ternary-h1-bar-upper"))
         rules = [(q >= 3 and m % (h + 1) == 0, 2 * repunit, "repunit-divisor-exact"),
                  (q == 2 and h == 1 and m >= 4, 6, "binary-h1-bar-exact")]
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
     for applies, value, via in rules:
         if applies:
             _merge(report, Bound(value, via), "rule", ("exact-rule", via))
@@ -172,7 +157,7 @@ def certify(spec: CodeSpec, *, budget: SearchBudget | None = None, max_n: int | 
     if budget is not None:
         try:
             result = exact_distance(build_code(spec, max_n=max_n), budget)
-        except (BudgetExceeded, TooLarge) as exc:
+        except TooLarge as exc:
             report.notes.append(f"exact distance skipped: {exc}")
         else:
             enumerated = Bound(result.value, f"enumeration:{result.method}")
@@ -181,31 +166,11 @@ def certify(spec: CodeSpec, *, budget: SearchBudget | None = None, max_n: int | 
     return report
 
 
-def condition_star(q: int, m: int, h: int, e: int) -> bool:
-    """True iff the divisor e of q^m - 1 divides no bounded-weight exponent.
-
-    When true, the quotient codeword certifies distance <= e (and <= 2e for
-    the mirrored code) at every extension length m*l.
-    """
-    n = q**m - 1
-    if not 2 <= e < n:
-        raise RangeError(f"need 2 <= e < n = {n}, got {e}")
-    if n % e != 0:
-        raise NotADivisor(f"{e} does not divide {n}")
-    return condition_star_holds(q, m, h, e)
-
-
 def search_condition_divisors(q: int, m: int, h: int, max_e: int | None = None) -> list[int]:
     """All divisors e of q^m - 1 in [2, min(max_e, n-1)] passing the divisor condition."""
-    n = q**m - 1
+    n = CodeSpec(q, m, h).n
     top = n - 1 if max_e is None else min(max_e, n - 1)
-    out = []
-    for e in divisors(n):
-        if e < 2 or e > top:
-            continue
-        if condition_star_holds(q, m, h, e):
-            out.append(e)
-    return out
+    return [e for e in divisors(n) if 2 <= e <= top and condition_star_holds(q, m, h, e)]
 
 
 def repunit_certificate(q: int, h: int) -> tuple[int, list[str]]:
@@ -215,16 +180,16 @@ def repunit_certificate(q: int, h: int) -> tuple[int, list[str]]:
     to t, hence q-weight h+1 > h, so e divides no bounded-weight exponent.
     """
     if q < 3:
-        raise RangeError(f"need q >= 3, got {q}")
+        raise ValueError(f"need q >= 3, got {q}")
     if h < 1:
-        raise RangeError(f"need h >= 1, got {h}")
+        raise ValueError(f"need h >= 1, got {h}")
     e = (q ** (h + 1) - 1) // (q - 1)
     params = QadicParams(q, h + 1)
     trace = []
     for t in range(1, q - 1):
         w = q_weight(params, t * e)
         if w != h + 1:
-            raise CertificateFailed(f"q_weight({t}*{e}) = {w}, expected {h + 1}")
+            raise InternalError(f"q_weight({t}*{e}) = {w}, expected {h + 1}")
         trace.append(f"weight({t}*{e} = {t * e}) = {h + 1}")
     return e, trace
 
@@ -232,9 +197,9 @@ def repunit_certificate(q: int, h: int) -> tuple[int, list[str]]:
 def sphere_packing_ok(n: int, k: int, q: int, d: int) -> bool:
     """Exact sphere-packing feasibility: q^(n-k) >= sum of ball volumes up to t."""
     if not 1 <= k <= n:
-        raise RangeError(f"need 1 <= k <= n, got k={k}, n={n}")
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if d < 1:
-        raise RangeError(f"need d >= 1, got {d}")
+        raise ValueError(f"need d >= 1, got {d}")
     t = (d - 1) // 2
     volume = sum((q - 1) ** i * comb(n, i) for i in range(t + 1))
     return q ** (n - k) >= volume
@@ -304,7 +269,7 @@ def odd_order_search(q: int) -> list[OrderSearchRow]:
     order of q mod e is l, so e divides q^l - 1).
     """
     if q < 4 or not is_prime_power(q):
-        raise RangeError(f"need a prime power q >= 4, got {q}")
+        raise ValueError(f"need a prime power q >= 4, got {q}")
     rows = []
     for a in range(2, q - 1):
         if gcd(a, q) != 1:
@@ -323,7 +288,7 @@ def bounded_divisor_check(q: int, m: int, e: int) -> bool:
     because e exceeds every h = 1 coset representative 1..q-1.
     """
     if m % 2 == 0:
-        raise RangeError(f"need odd m, got {m}")
+        raise ValueError(f"need odd m, got {m}")
     if not q + 1 <= e <= 2 * q - 1:
         return False
     return (q**m - 1) % e == 0

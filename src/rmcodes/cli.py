@@ -17,7 +17,7 @@ from . import bounds as bd
 from . import codes as cd
 from . import distance as ds
 from . import verify
-from .ntheory import FactorizationIncomplete
+from .errors import FactorizationIncomplete
 from .gf import poly_degree
 
 
@@ -64,8 +64,9 @@ def cmd_bounds(args) -> int:
     budget = None
     if args.distance:
         budget = ds.SearchBudget() if args.max_messages is None else ds.SearchBudget(args.max_messages)
-    elif args.max_messages is not None:
-        raise ValueError("--max-messages needs --distance")
+    elif args.max_messages is not None or args.max_n is not None:
+        flag = "--max-messages" if args.max_messages is not None else "--max-n"
+        raise ValueError(f"{flag} needs --distance")
     report = bd.certify(cd.CodeSpec(args.q, args.m, args.h, args.variant), budget=budget, max_n=args.max_n)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
@@ -199,7 +200,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, cd.TooLarge, FactorizationIncomplete) as exc:
+    except (ValueError, FactorizationIncomplete) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

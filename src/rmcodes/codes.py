@@ -27,7 +27,7 @@ from functools import lru_cache
 from . import gf
 from .cyclotomy import (
     QadicParams,
-    TooLarge,
+    check_h,
     coset_of,
     coset_partition,
     index_set,
@@ -35,25 +35,9 @@ from .cyclotomy import (
     index_set_size,
     maximal_representatives,
 )
+from .errors import InternalError, TooLarge
 from .gf import FieldCtx, SubfieldEmbedding, build_field, embed_subfield
 from .ntheory import prime_power_split
-
-
-class LengthMismatch(ValueError):
-    pass
-
-
-class NotADivisor(ValueError):
-    pass
-
-
-class ConditionStarFails(ValueError):
-    pass
-
-
-class CoefficientNotInSubfield(RuntimeError):
-    pass
-
 
 VARIANTS = ("omega", "omega_bar")
 
@@ -79,11 +63,10 @@ class CodeSpec:
     variant: str = "omega"
 
     def __post_init__(self):
+        # (q, m) and h first: they are O(1), and reject q^m - 1 beyond 128 bits
+        # before q is factored
+        check_h(self.params, self.h)
         prime_power_split(self.q)  # raises if q is not a prime power
-        if self.m < 2:
-            raise ValueError(f"need m >= 2, got {self.m}")
-        if not 1 <= self.h <= self.m - 1:
-            raise ValueError(f"need 1 <= h <= m-1 = {self.m - 1}, got {self.h}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
@@ -150,7 +133,7 @@ def minimal_poly(emb: SubfieldEmbedding, params: QadicParams, a: int) -> tuple[i
 
     Every coefficient of the product is fixed by x -> x^q and is mapped
     down through the embedding; a coefficient outside the image signals a
-    broken embedding and raises CoefficientNotInSubfield.
+    broken embedding and raises InternalError.
     """
     big, small = emb.big, emb.small
     n = params.n
@@ -168,11 +151,11 @@ def minimal_poly(emb: SubfieldEmbedding, params: QadicParams, a: int) -> tuple[i
     q = small.order
     for c in poly:
         if big.pow(c, q) != c:
-            raise CoefficientNotInSubfield(f"coefficient {c} is not fixed by x^{q}")
+            raise InternalError(f"coefficient {c} is not fixed by x^{q}")
         try:
             out.append(emb.to_subfield(c))
         except KeyError:
-            raise CoefficientNotInSubfield(f"coefficient {c} has no subfield preimage") from None
+            raise InternalError(f"coefficient {c} has no subfield preimage") from None
     return tuple(out)
 
 
@@ -232,20 +215,20 @@ def _check_instance(inst: CodeInstance):
     """Cheap structural invariants; violations are construction bugs."""
     spec = inst.spec
     if gf.poly_degree(inst.gen_poly) != len(inst.zero_exponents):
-        raise RuntimeError("internal: generator degree != number of zeros")
+        raise InternalError("internal: generator degree != number of zeros")
     if inst.gen_poly[-1] != 1:
-        raise RuntimeError("internal: generator is not monic")
+        raise InternalError("internal: generator is not monic")
     _, rem = gf.poly_divmod(inst.small, _xn_minus_1(inst.small, inst.n), inst.gen_poly)
     if rem:
-        raise RuntimeError("internal: generator does not divide x^n - 1")
+        raise InternalError("internal: generator does not divide x^n - 1")
     params, h = spec.params, spec.h
     deg_g = index_set_size(params, h)
     if spec.variant == "omega":
         if gf.poly_degree(inst.gen_poly) != deg_g:
-            raise RuntimeError("internal: generator degree disagrees with the count formula")
+            raise InternalError("internal: generator degree disagrees with the count formula")
     elif h <= (spec.m - 1) // 2:
         if inst.k != inst.n - 1 - 2 * deg_g:
-            raise RuntimeError("internal: mirrored dimension disagrees with the count formula")
+            raise InternalError("internal: mirrored dimension disagrees with the count formula")
 
 
 def verify_roots(inst: CodeInstance, *, exhaustive_limit: int = 1 << 16, samples: int = 64) -> None:
@@ -264,14 +247,14 @@ def verify_roots(inst: CodeInstance, *, exhaustive_limit: int = 1 << 16, samples
     for a in exponents:
         value = gf.poly_eval_lifted(emb, inst.gen_poly, big.alpha_pow(a))
         if (value == 0) != (a in zeros):
-            raise AssertionError(f"root test failed at exponent {a}")
+            raise InternalError(f"root test failed at exponent {a}")
 
 
 def encode(inst: CodeInstance, msg) -> Codeword:
     """Non-systematic encoding msg(x) * gen(x); injective on length-k messages."""
     msg = tuple(msg)
     if len(msg) != inst.k:
-        raise LengthMismatch(f"message length {len(msg)} != k = {inst.k}")
+        raise ValueError(f"message length {len(msg)} != k = {inst.k}")
     q = inst.small.order
     if any(not 0 <= c < q for c in msg):
         raise ValueError("message entries must be field element indices")
@@ -284,7 +267,7 @@ def is_member(inst: CodeInstance, word) -> bool:
     """Membership via evaluation at one exponent per zero coset."""
     word = tuple(word)
     if len(word) != inst.n:
-        raise LengthMismatch(f"word length {len(word)} != n = {inst.n}")
+        raise ValueError(f"word length {len(word)} != n = {inst.n}")
     return all(
         gf.poly_eval_lifted(inst.emb, word, inst.big.alpha_pow(a)) == 0
         for a in inst.zero_representatives
@@ -292,7 +275,17 @@ def is_member(inst: CodeInstance, word) -> bool:
 
 
 def condition_star_holds(q: int, m: int, h: int, e: int) -> bool:
-    """True iff e divides no bounded-weight exponent (decided on the maximal set)."""
+    """True iff the divisor e of n = q^m - 1, 2 <= e < n, divides no bounded-weight
+    exponent (decided on the maximal set).
+
+    When true, the quotient codeword certifies distance <= e (and <= 2e for
+    the mirrored code) at every extension length m*l.
+    """
+    n = q**m - 1
+    if not 2 <= e < n:
+        raise ValueError(f"need 2 <= e < n = {n}, got {e}")
+    if n % e:
+        raise ValueError(f"{e} does not divide {n}")
     return all(a % e for a in maximal_representatives(QadicParams(q, m), h))
 
 
@@ -308,20 +301,16 @@ def quotient_codeword(
 ) -> Codeword:
     """The weight-e codeword (x^N - 1)/(x^F - 1) of the length-N code, N = q^(m*l) - 1.
 
-    Requires e | q^m - 1 and that e divides no bounded-weight exponent for
-    (q, m, h); the mirrored form multiplies by (x - 1) and has weight at
-    most 2e.
+    Requires a divisor e >= 2 of n = q^m - 1 that divides no bounded-weight
+    exponent for (q, m, h), as ``condition_star_holds`` decides for e < n;
+    e = n divides no exponent in [1, n - 1] and always qualifies.  The
+    mirrored form multiplies by (x - 1) and has weight at most 2e.
     """
     spec = CodeSpec(q, m, h)  # validates parameter ranges
-    n = spec.n
-    if e < 2 or n % e != 0:
-        raise NotADivisor(f"{e} is not a divisor of {n} with e >= 2")
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
-    if not condition_star_holds(q, m, h, e):
-        raise ConditionStarFails(
-            f"{e} divides a maximal bounded-weight exponent for (q={q}, m={m}, h={h})"
-        )
+    if e != spec.n and not condition_star_holds(q, m, h, e):
+        raise ValueError(f"{e} divides a maximal bounded-weight exponent for (q={q}, m={m}, h={h})")
     N = q ** (m * l) - 1
     bound = construction_bound(max_n)
     if N > bound:

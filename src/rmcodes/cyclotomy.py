@@ -16,20 +16,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
+from .errors import InternalError, TooLarge
 from .gf import EXPONENT_LIMIT
-
-
-class OutOfRange(ValueError):
-    pass
-
-
-class BadRange(ValueError):
-    pass
-
-
-class TooLarge(ValueError):
-    pass
-
 
 MATERIALIZE_LIMIT = 1 << 26
 
@@ -47,7 +35,7 @@ class QadicParams:
         if self.m < 2:
             raise ValueError(f"need m >= 2, got {self.m}")
         if self.q**self.m - 1 > EXPONENT_LIMIT:
-            raise OutOfRange(f"{self.q}^{self.m} - 1 exceeds the supported 128-bit range")
+            raise TooLarge(f"{self.q}^{self.m} - 1 exceeds the supported 128-bit range")
 
     @property
     def n(self) -> int:
@@ -57,7 +45,7 @@ class QadicParams:
 def q_digits(params: QadicParams, a: int) -> tuple[int, ...]:
     """The m base-q digits of a, lowest first; requires 0 <= a <= n-1."""
     if not 0 <= a <= params.n - 1:
-        raise OutOfRange(f"need 0 <= a <= {params.n - 1}, got {a}")
+        raise ValueError(f"need 0 <= a <= {params.n - 1}, got {a}")
     q = params.q
     digits = []
     for _ in range(params.m):
@@ -78,14 +66,15 @@ def q_weight(params: QadicParams, x: int) -> int:
     return w
 
 
-def _check_h(params: QadicParams, h: int):
+def check_h(params: QadicParams, h: int):
+    """Raise ValueError unless 1 <= h <= m - 1."""
     if not 1 <= h <= params.m - 1:
-        raise BadRange(f"need 1 <= h <= m-1 = {params.m - 1}, got {h}")
+        raise ValueError(f"need 1 <= h <= m-1 = {params.m - 1}, got {h}")
 
 
 def index_set_size(params: QadicParams, h: int) -> int:
     """|{a in [1, n-1] : q_weight(a) <= h}| = sum over i of (q-1)^i C(m,i)."""
-    _check_h(params, h)
+    check_h(params, h)
     return sum((params.q - 1) ** i * comb(params.m, i) for i in range(1, h + 1))
 
 
@@ -101,7 +90,7 @@ def _iter_index_set(params: QadicParams, h: int):
 @lru_cache(maxsize=256)
 def index_set(params: QadicParams, h: int) -> tuple[int, ...]:
     """Sorted exponents a in [1, n-1] with q_weight(a) <= h."""
-    _check_h(params, h)
+    check_h(params, h)
     if index_set_size(params, h) > MATERIALIZE_LIMIT:
         raise TooLarge("index set too large to materialize; use coset_representatives")
     return tuple(sorted(_iter_index_set(params, h)))
@@ -148,13 +137,13 @@ def coset_partition(params: QadicParams, h: int) -> CosetPartition:
     reps = coset_representatives(params, h)
     classes = tuple(coset_of(params, r) for r in reps)
     if sum(map(len, classes)) != index_set_size(params, h):
-        raise RuntimeError(f"internal: the cosets of {params} at h={h} do not cover the index set")
+        raise InternalError(f"internal: the cosets of {params} at h={h} do not cover the index set")
     return CosetPartition(params, h, classes, reps, _maximal_of(reps))
 
 
 def coset_representatives(params: QadicParams, h: int) -> tuple[int, ...]:
     """Per-orbit minima, computed by streaming orbit walks (no index-set storage)."""
-    _check_h(params, h)
+    check_h(params, h)
     n, q = params.n, params.q
     reps = []
     for a in _iter_index_set(params, h):
@@ -184,7 +173,7 @@ def fold_exponent(params: QadicParams, a: int) -> int:
     bounded-weight exponent mod n.
     """
     if a < 0:
-        raise OutOfRange(f"need a >= 0, got {a}")
+        raise ValueError(f"need a >= 0, got {a}")
     q, m = params.q, params.m
     qm = q**m
     while a >= qm:

@@ -30,19 +30,7 @@ from math import comb
 
 from . import gf
 from .codes import Codeword, CodeInstance, _xn_minus_1, encode, is_member
-
-
-class BudgetExceeded(RuntimeError):
-    pass
-
-
-class NotAMember(ValueError):
-    pass
-
-
-class EmptyCandidates(ValueError):
-    pass
-
+from .errors import InternalError, TooLarge
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -179,12 +167,12 @@ def exhaustive_distance(inst: CodeInstance, budget: SearchBudget | None = None) 
         raise ValueError("the zero code has no nonzero codewords")
     total = q**k
     if total > budget.max_messages:
-        raise BudgetExceeded(f"q^k = {total} exceeds the message budget {budget.max_messages}")
+        raise TooLarge(f"q^k = {q}^{k} exceeds the message budget {budget.max_messages}")
     hist, msg = _multiples(inst.small, inst.gen_poly, n, k, q)
     value = next(w for w in range(1, n + 1) if hist[w])
     witness = encode(inst, msg)
     if witness.weight != value:
-        raise RuntimeError("internal: the witness weight differs from the enumerated minimum")
+        raise InternalError("internal: the witness weight differs from the enumerated minimum")
     return DistanceResult(value, True, witness, "message-enumeration", total - 1)
 
 
@@ -192,11 +180,11 @@ def witness_upper_bound(inst: CodeInstance, candidates) -> DistanceResult:
     """Upper bound from explicit candidate codewords; every candidate must be a member."""
     candidates = list(candidates)
     if not candidates:
-        raise EmptyCandidates("no candidate codewords supplied")
+        raise ValueError("no candidate codewords supplied")
     best = None
     for cand in candidates:
         if not is_member(inst, cand.coeffs):
-            raise NotAMember(f"candidate of weight {cand.weight} is not in the code")
+            raise ValueError(f"candidate of weight {cand.weight} is not in the code")
         if best is None or cand.weight < best.weight:
             best = cand
     return DistanceResult(best.weight, False, best, "candidate-witnesses", len(candidates))
@@ -207,7 +195,7 @@ def dual_generator(inst: CodeInstance) -> tuple[int, ...]:
     small = inst.small
     check, rem = gf.poly_divmod(small, _xn_minus_1(small, inst.n), inst.gen_poly)
     if rem:
-        raise RuntimeError("internal: generator does not divide x^n - 1")
+        raise InternalError("internal: generator does not divide x^n - 1")
     return gf.poly_reciprocal(small, check)
 
 
@@ -238,16 +226,16 @@ def weight_distribution_from_dual(inst: CodeInstance) -> list[int]:
     r = n - k
     dual_gen = dual_generator(inst)
     if gf.poly_degree(dual_gen) != k:
-        raise RuntimeError("internal: dual generator degree != k")
+        raise InternalError("internal: dual generator degree != k")
     hist, _ = _multiples(inst.small, dual_gen, n, r, q)
     size = q**r
     dist = []
     for j, s in enumerate(_macwilliams(hist, q)):
         if s % size != 0 or s < 0:
-            raise RuntimeError(f"internal: transform gave non-integral or negative A_{j}")
+            raise InternalError(f"internal: transform gave non-integral or negative A_{j}")
         dist.append(s // size)
     if dist[0] != 1 or sum(dist) != q**k:
-        raise RuntimeError("internal: transformed distribution fails the count checks")
+        raise InternalError("internal: transformed distribution fails the count checks")
     return dist
 
 
@@ -295,7 +283,7 @@ def dual_transform_distance(inst: CodeInstance, budget: SearchBudget | None = No
         raise ValueError("the zero code has no nonzero codewords")
     size = q ** (n - k)
     if size > budget.max_messages:
-        raise BudgetExceeded(f"q^(n-k) = {size} exceeds the message budget {budget.max_messages}")
+        raise TooLarge(f"q^(n-k) = {q}^{n - k} exceeds the message budget {budget.max_messages}")
     dist = weight_distribution_from_dual(inst)
     value = next(j for j in range(1, n + 1) if dist[j])
     witness = find_weight_witness(inst, value)
@@ -310,6 +298,6 @@ def exact_distance(inst: CodeInstance, budget: SearchBudget | None = None) -> Di
         return exhaustive_distance(inst, budget)
     if q ** (n - k) <= budget.max_messages:
         return dual_transform_distance(inst, budget)
-    raise BudgetExceeded(
-        f"neither q^k = {q**k} nor q^(n-k) = {q**(n-k)} fits the budget {budget.max_messages}"
+    raise TooLarge(
+        f"neither q^k = {q}^{k} nor q^(n-k) = {q}^{n - k} fits the budget {budget.max_messages}"
     )

@@ -32,32 +32,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
+from .errors import InternalError, TooLarge
 from .ntheory import PROVEN_PRIME_BOUND, factorize, is_probable_prime
-
-
-class NotPrime(ValueError):
-    pass
-
-
-class Overflow(OverflowError):
-    pass
-
-
-class DivisionByZero(ZeroDivisionError):
-    pass
-
-
-class NotASubfield(ValueError):
-    pass
-
-
-class EmbeddingMismatch(RuntimeError):
-    pass
-
-
-class ZeroConstantTerm(ValueError):
-    pass
-
 
 DEFAULT_TABLE_THRESHOLD = 1 << 20
 # full q*q add/mul tables, worth it for the small coefficient fields that
@@ -71,13 +47,13 @@ class FieldCtx:
 
     def __init__(self, p: int, s: int, *, table_threshold: int, primitive: int | None):
         if p >= PROVEN_PRIME_BOUND:
-            raise Overflow(f"primality of {p} cannot be proven (needs p < {PROVEN_PRIME_BOUND})")
+            raise TooLarge(f"primality of {p} cannot be proven (needs p < {PROVEN_PRIME_BOUND})")
         if not is_probable_prime(p):
-            raise NotPrime(f"{p} is not prime")
+            raise ValueError(f"{p} is not prime")
         if s < 1:
             raise ValueError(f"need exponent s >= 1, got {s}")
         if p**s > EXPONENT_LIMIT:
-            raise Overflow(f"{p}^{s} exceeds the supported 128-bit range")
+            raise TooLarge(f"{p}^{s} exceeds the supported 128-bit range")
         self.p = p
         self.s = s
         self.order = p**s
@@ -168,7 +144,7 @@ class FieldCtx:
             log[t] = i
             t = self._raw_mul(t, self.primitive_elem)
         if t != 1:
-            raise RuntimeError("primitive element order check failed")
+            raise InternalError("primitive element order check failed")
         self.exp, self.log = exp, log
 
     def _build_small_tables(self):
@@ -211,7 +187,7 @@ class FieldCtx:
 
     def inv(self, x: int) -> int:
         if x == 0:
-            raise DivisionByZero("inverse of 0")
+            raise ZeroDivisionError("inverse of 0")
         if self.log is not None:
             return self.exp[-self.log[x] % (self.order - 1)]
         return self._raw_pow(x, self.order - 2)
@@ -235,7 +211,7 @@ class FieldCtx:
     def order_of(self, x: int) -> int:
         """Multiplicative order of a nonzero element (raw powers while the tables are unbuilt)."""
         if x == 0:
-            raise DivisionByZero("0 has no multiplicative order")
+            raise ZeroDivisionError("0 has no multiplicative order")
         n = self.order - 1
         if self.log is not None:
             return n // gcd(n, self.log[x])
@@ -316,16 +292,16 @@ class SubfieldEmbedding:
 @lru_cache(maxsize=None)
 def _embed_cached(big: FieldCtx, small: FieldCtx) -> SubfieldEmbedding:
     if big.p != small.p:
-        raise NotASubfield(f"characteristics differ: {big.p} vs {small.p}")
+        raise ValueError(f"characteristics differ: {big.p} vs {small.p}")
     q = small.order
     t = q
     while t < big.order:
         t *= q
     if t != big.order:
-        raise NotASubfield(f"{big.order} is not a power of {q}")
+        raise ValueError(f"{big.order} is not a power of {q}")
     beta = big.alpha_pow((big.order - 1) // (q - 1)) if q > 2 else 1
     if q > 2 and big.order_of(beta) != q - 1:
-        raise EmbeddingMismatch(f"beta has order {big.order_of(beta)}, expected {q - 1}")
+        raise InternalError(f"beta has order {big.order_of(beta)}, expected {q - 1}")
 
     for g in small.primitives():
         to_big = [0] * q
@@ -340,9 +316,9 @@ def _embed_cached(big: FieldCtx, small: FieldCtx) -> SubfieldEmbedding:
             emb = SubfieldEmbedding(big, small, beta, tuple(to_big))
             for x in emb.to_big:
                 if big.pow(x, q) != x:
-                    raise EmbeddingMismatch(f"image element {x} fails x^q = x")
+                    raise InternalError(f"image element {x} fails x^q = x")
             return emb
-    raise EmbeddingMismatch(
+    raise InternalError(
         f"no multiplicative matching of GF({q}) into GF({big.order}) is additive"
     )
 
@@ -410,7 +386,7 @@ def poly_scale(ctx: FieldCtx, c: int, f) -> tuple[int, ...]:
 def poly_divmod(ctx: FieldCtx, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(quotient, remainder) with deg(remainder) < deg(b)."""
     if not b:
-        raise DivisionByZero("polynomial division by zero")
+        raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
     db = len(b) - 1
     if len(a) - 1 < db:
@@ -449,7 +425,7 @@ def poly_reciprocal(ctx: FieldCtx, f) -> tuple[int, ...]:
     """x^deg(f) * f(1/x), normalized monic; requires f(0) != 0."""
     f = poly_normalize(f)
     if not f or f[0] == 0:
-        raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
+        raise ValueError("reciprocal needs a nonzero constant term")
     return poly_monic(ctx, tuple(reversed(f)))
 
 
@@ -505,4 +481,4 @@ def _find_modulus(p: int, s: int) -> tuple[int, ...]:
                 break
         else:
             return f
-    raise RuntimeError(f"no irreducible degree-{s} polynomial over Z_{p}")  # unreachable
+    raise InternalError(f"no irreducible degree-{s} polynomial over Z_{p}")  # unreachable

@@ -12,19 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-
-class NotCoprime(ValueError):
-    pass
-
-
-class InternalMismatch(RuntimeError):
-    """Two independent routes to the same answer disagreed."""
-
-
-class FactorizationIncomplete(RuntimeError):
-    def __init__(self, cofactor: int):
-        super().__init__(f"composite cofactor {cofactor} not factored within budget")
-        self.cofactor = cofactor
+from .errors import FactorizationIncomplete, InternalError
 
 
 TRIAL_LIMIT = 1 << 20
@@ -169,7 +157,7 @@ def mult_order(b: int, e: int) -> int:
         raise ValueError(f"need modulus e >= 2, got {e}")
     b %= e
     if gcd(b, e) != 1:
-        raise NotCoprime(f"gcd({b}, {e}) != 1")
+        raise ValueError(f"gcd({b}, {e}) != 1")
     l = euler_phi(e)
     for r in factorize(l):
         while l % r == 0 and pow(b, l // r, e) == 1:
@@ -193,13 +181,13 @@ def odd_order_test(b: int, e: int) -> OddOrderResult:
     p - 1 = 2**t * N with N odd, i.e. when b**N == 1 (mod p).
 
     The structural answer is cross-checked against the parity of the order
-    computed directly; a disagreement raises InternalMismatch.
+    computed directly; a disagreement raises InternalError.
     """
     if e < 2:
         raise ValueError(f"need modulus e >= 2, got {e}")
     b %= e
     if gcd(b, e) != 1:
-        raise NotCoprime(f"gcd({b}, {e}) != 1")
+        raise ValueError(f"gcd({b}, {e}) != 1")
     steps = []
     is_odd = True
     for p, a in sorted(factorize(e).items()):
@@ -221,7 +209,7 @@ def odd_order_test(b: int, e: int) -> OddOrderResult:
             is_odd = False
     direct = mult_order(b, e) % 2 == 1
     if direct != is_odd:
-        raise InternalMismatch(
+        raise InternalError(
             f"structural odd-order answer {is_odd} != direct parity {direct} for b={b}, e={e}"
         )
     return OddOrderResult(is_odd, tuple(steps))

@@ -303,7 +303,7 @@ def check_condition_equivalence():
         for e in nt.divisors(n):
             if not 2 <= e < n:
                 continue
-            via_maximal = bd.condition_star(q, m, h, e)
+            via_maximal = cd.condition_star_holds(q, m, h, e)
             via_full = all(a % e for a in full)
             assert via_maximal == via_full, f"(q,m,h,e)=({q},{m},{h},{e})"
             checked += 1

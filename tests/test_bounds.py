@@ -4,10 +4,12 @@ from math import comb, gcd
 import pytest
 
 from rmcodes import bounds as bd
+from rmcodes import codes as cd
 from rmcodes import ntheory as nt
-from rmcodes.codes import CodeSpec, TooLarge, build_code
+from rmcodes.codes import CodeSpec, build_code
 from rmcodes.cyclotomy import QadicParams, index_set, index_set_negated
-from rmcodes.distance import BudgetExceeded, DistanceResult, SearchBudget, exact_distance
+from rmcodes.distance import DistanceResult, SearchBudget, exact_distance
+from rmcodes.errors import InternalError, TooLarge
 from rmcodes.verify import GRID
 
 
@@ -48,7 +50,7 @@ class TestFactorize:
         assert exc.value.cofactor == mersenne**2
 
     def test_rejects_small(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need x >= 2, got 1"):
             nt.factorize(1)
 
     def test_divisors(self):
@@ -119,9 +121,9 @@ class TestPhiAndOrder:
             assert nt.euler_phi(e) % nt.mult_order(b, e) == 0
 
     def test_not_coprime(self):
-        with pytest.raises(nt.NotCoprime):
+        with pytest.raises(ValueError, match=r"gcd\(6, 27\) != 1"):
             nt.mult_order(6, 27)
-        with pytest.raises(nt.NotCoprime):
+        with pytest.raises(ValueError, match=r"gcd\(6, 27\) != 1"):
             nt.odd_order_test(6, 27)
 
 
@@ -173,7 +175,7 @@ class TestGenericBounds:
         for m in (4, 5, 9):
             report = bd.generic_bounds(2, m, 1, "omega_bar")
             assert report.exact.value == 6
-        with pytest.raises(bd.RangeError):  # omega_bar(2, 3, 1) is the zero code
+        with pytest.raises(ValueError, match=r"omega_bar\(2, 3, 1\) is the zero code"):
             bd.generic_bounds(2, 3, 1, "omega_bar")
 
     def test_ternary_bar(self):
@@ -190,7 +192,7 @@ class TestGenericBounds:
                 for h in range(1, m):
                     for variant in ("omega", "omega_bar"):
                         if dimension(q, m, h, variant) == 0:
-                            with pytest.raises(bd.RangeError):
+                            with pytest.raises(ValueError, match="is the zero code"):
                                 bd.generic_bounds(q, m, h, variant)
                         else:
                             bd.generic_bounds(q, m, h, variant).validate()
@@ -208,16 +210,18 @@ class TestGenericBounds:
             assert lower == bd.Bound(2 * repunit, "generic-lower-doubled")
 
     def test_bad_params(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="6 is not a prime power"):
             bd.generic_bounds(6, 4, 2)
-        with pytest.raises(bd.RangeError):
+        with pytest.raises(ValueError, match="need 1 <= h <= m-1 = 1, got 2"):
             bd.generic_bounds(3, 2, 2)
+        with pytest.raises(ValueError, match="variant must be one of"):
+            bd.generic_bounds(3, 2, 1, "omega_hat")
 
 
 class TestConditionStar:
     def test_goldens(self):
-        assert bd.condition_star(3, 4, 2, 16)
-        assert bd.condition_star(3, 6, 2, 13)
+        assert cd.condition_star_holds(3, 4, 2, 16)
+        assert cd.condition_star_holds(3, 6, 2, 13)
 
     def test_small_e_always_fails(self):
         # e <= q - 1 divides itself, a weight-1 exponent
@@ -225,15 +229,15 @@ class TestConditionStar:
             n = q**m - 1
             for e in range(2, q):
                 if n % e == 0:
-                    assert not bd.condition_star(q, m, h, e)
+                    assert not cd.condition_star_holds(q, m, h, e)
 
     def test_gates(self):
-        with pytest.raises(bd.RangeError):
-            bd.condition_star(3, 4, 2, 80)
-        with pytest.raises(bd.RangeError):
-            bd.condition_star(3, 4, 2, 1)
-        with pytest.raises(bd.NotADivisor):
-            bd.condition_star(3, 4, 2, 6)
+        with pytest.raises(ValueError, match="need 2 <= e < n = 80, got 80"):
+            cd.condition_star_holds(3, 4, 2, 80)
+        with pytest.raises(ValueError, match="need 2 <= e < n = 80, got 1"):
+            cd.condition_star_holds(3, 4, 2, 1)
+        with pytest.raises(ValueError, match="6 does not divide 80"):
+            cd.condition_star_holds(3, 4, 2, 6)
 
     def test_search_divisors(self):
         assert bd.search_condition_divisors(3, 4, 2) == [16, 40]
@@ -273,14 +277,14 @@ class TestRepunitCertificate:
         assert bd.repunit_certificate(25, 1)[0] == 26
 
     def test_gate(self):
-        with pytest.raises(bd.RangeError):
+        with pytest.raises(ValueError, match="need q >= 3, got 2"):
             bd.repunit_certificate(2, 1)
 
     def test_certified_divisor_passes_condition(self):
         for q, h in [(3, 1), (3, 2), (4, 1), (5, 2), (9, 1)]:
             e, trace = bd.repunit_certificate(q, h)
             assert len(trace) == q - 2
-            assert bd.condition_star(q, h + 1, h, e)
+            assert cd.condition_star_holds(q, h + 1, h, e)
 
 
 class TestSpherePacking:
@@ -347,9 +351,9 @@ class TestOrderSearch:
                 assert pow(-r.a, r.l, r.e) == 1
 
     def test_gates(self):
-        with pytest.raises(bd.RangeError):
+        with pytest.raises(ValueError, match="need a prime power q >= 4, got 3"):
             bd.odd_order_search(3)
-        with pytest.raises(bd.RangeError):
+        with pytest.raises(ValueError, match="need a prime power q >= 4, got 6"):
             bd.odd_order_search(6)
 
 
@@ -360,7 +364,7 @@ class TestDivisorCheckAndTables:
         for q in (3, 4, 7, 11):
             for m in (3, 5):
                 assert not bd.bounded_divisor_check(q, m, q + 1)
-        with pytest.raises(bd.RangeError):
+        with pytest.raises(ValueError, match="need odd m, got 4"):
             bd.bounded_divisor_check(7, 4, 9)
 
     def test_table_blocks(self):
@@ -393,7 +397,7 @@ def cli_merge(spec, budget=None, max_n=None):
     if budget is not None:
         try:
             result = exact_distance(build_code(spec, max_n=max_n), budget)
-        except (BudgetExceeded, TooLarge) as exc:
+        except TooLarge as exc:
             report.notes.append(f"exact distance skipped: {exc}")
         else:
             assert report.exact is None or report.exact.value == result.value
@@ -447,14 +451,14 @@ class TestCertify:
     def test_contradicting_enumeration_raises(self, monkeypatch):
         wrong = DistanceResult(5, True, None, "message-enumeration", 8)
         monkeypatch.setattr(bd, "exact_distance", lambda inst, budget: wrong)
-        with pytest.raises(RuntimeError, match="value 5 contradicts max-h-exact value 4"):
+        with pytest.raises(InternalError, match="value 5 contradicts max-h-exact value 4"):
             bd.certify(CodeSpec(3, 2, 1), budget=SearchBudget())
 
     def test_skipped_distance_note(self):
         report = bd.certify(CodeSpec(3, 4, 2), budget=SearchBudget(100))
         assert report.exact is None
         assert report.notes == [
-            f"exact distance skipped: neither q^k = {3**48} nor q^(n-k) = {3**32} fits the budget 100"
+            "exact distance skipped: neither q^k = 3^48 nor q^(n-k) = 3^32 fits the budget 100"
         ]
         too_long = bd.certify(CodeSpec(3, 4, 2), budget=SearchBudget(), max_n=5)
         assert too_long.exact is None

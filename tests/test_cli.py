@@ -3,6 +3,7 @@ import json
 import pytest
 
 from rmcodes import codes as cd
+from rmcodes import ntheory as nt
 from rmcodes.cli import main
 
 
@@ -96,6 +97,18 @@ class TestBounds:
         assert code == 2
         assert out == "" and "--distance" in err
 
+    def test_max_n_needs_distance(self, capsys):
+        code, out, err = run(capsys, "bounds", "3", "2", "1", "--max-n", "5")
+        assert code == 2
+        assert out == "" and "--max-n needs --distance" in err
+
+    def test_skipped_distance_note_is_short(self, capsys):
+        code, out, _ = run(capsys, "bounds", "4", "6", "1", "--distance", "--format", "json")
+        assert code == 0
+        (note,) = json.loads(out)["notes"]
+        assert "4^4077" in note and "4^18" in note
+        assert len(note) < 200
+
     def test_zero_code_is_an_error(self, capsys):
         code, out, err = run(capsys, "bounds", "2", "2", "1", "--variant", "omega_bar")
         assert code == 2
@@ -129,6 +142,24 @@ class TestSearchE:
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "search-e", "3", "4", "2", "--format", "csv")
         assert out.splitlines() == ["q,m,h,e", "3,4,2,16", "3,4,2,40"]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(("6", "3", "1"), "6 is not a prime power"), (("2", "3", "5"), "need 1 <= h <= m-1 = 2, got 5")],
+    )
+    def test_outside_the_domain(self, capsys, argv, message):
+        code, out, err = run(capsys, "search-e", *argv)
+        assert code == 2
+        assert out == "" and err == f"error: {message}\n"
+
+    def test_past_128_bits_fails_before_factoring(self, capsys, monkeypatch):
+        def no_factoring(x, **kwargs):
+            raise AssertionError(f"factorize({x}) ran before the parameters were checked")
+
+        monkeypatch.setattr(nt, "factorize", no_factoring)
+        code, out, err = run(capsys, "search-e", "7", "46", "1")
+        assert code == 2
+        assert out == "" and err == "error: 7^46 - 1 exceeds the supported 128-bit range\n"
 
 
 class TestTables:

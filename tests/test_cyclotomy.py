@@ -3,10 +3,7 @@ import random
 import pytest
 
 from rmcodes.cyclotomy import (
-    BadRange,
-    OutOfRange,
     QadicParams,
-    TooLarge,
     coset_of,
     coset_partition,
     coset_representatives,
@@ -18,6 +15,7 @@ from rmcodes.cyclotomy import (
     q_digits,
     q_weight,
 )
+from rmcodes.errors import TooLarge
 
 
 def brute_index_set(q, m, h):
@@ -50,10 +48,15 @@ class TestDigitsAndWeight:
 
     def test_out_of_range(self):
         params = QadicParams(3, 4)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValueError, match="need 0 <= a <= 79, got 80"):
             q_digits(params, params.n)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValueError, match="need 0 <= a <= 79, got -1"):
             q_digits(params, -1)
+
+    def test_128_bit_range(self):
+        QadicParams(2, 128)
+        with pytest.raises(TooLarge, match=r"7\^46 - 1 exceeds the supported 128-bit range"):
+            QadicParams(7, 46)
 
     def test_weight_examples(self):
         params = QadicParams(3, 4)
@@ -85,14 +88,14 @@ class TestIndexSets:
         assert index_set_size(QadicParams(3, 4), 2) == 32
 
     def test_bad_range(self):
-        with pytest.raises(BadRange):
+        with pytest.raises(ValueError, match="need 1 <= h <= m-1 = 3, got 0"):
             index_set(QadicParams(3, 4), 0)
-        with pytest.raises(BadRange):
+        with pytest.raises(ValueError, match="need 1 <= h <= m-1 = 3, got 4"):
             index_set(QadicParams(3, 4), 4)
 
     def test_materialization_guard(self):
         # the size formula alone triggers the guard, before any generation
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match="index set too large to materialize"):
             index_set(QadicParams(2, 40), 20)
         # the streaming representative walk has no such limit in principle;
         # spot-check it against the formula-driven count on a midsize case
@@ -150,7 +153,10 @@ class TestCosets:
         for q, m, h in [(3, 4, 2), (3, 6, 2), (2, 6, 3), (4, 3, 2)]:
             params = QadicParams(q, m)
             part = coset_partition(params, h)
-            assert coset_representatives(params, h) == part.representatives
+            # the per-orbit minima of the materialized index set, independently
+            want = sorted({min(coset_of(params, a)) for a in index_set(params, h)})
+            assert list(coset_representatives(params, h)) == want
+            assert part.representatives == tuple(want)
             assert maximal_representatives(params, h) == part.maximal
 
     def test_maximal_definition(self):

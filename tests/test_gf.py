@@ -3,12 +3,8 @@ import time
 
 import pytest
 
-from rmcodes import gf
+from rmcodes.errors import TooLarge
 from rmcodes.gf import (
-    DivisionByZero,
-    NotPrime,
-    Overflow,
-    ZeroConstantTerm,
     build_field,
     embed_subfield,
     poly_degree,
@@ -53,13 +49,13 @@ class TestBuildField:
         assert F.mul(2, 4) == 3
 
     def test_not_prime(self):
-        with pytest.raises(NotPrime):
+        with pytest.raises(ValueError, match="4 is not prime"):
             build_field(4, 2)
-        with pytest.raises(NotPrime):
+        with pytest.raises(ValueError, match="1 is not prime"):
             build_field(1, 1)
 
     def test_overflow(self):
-        with pytest.raises(Overflow):
+        with pytest.raises(TooLarge, match=r"2\^200 exceeds the supported 128-bit range"):
             build_field(2, 200)
 
     def test_bad_exponent(self):
@@ -75,12 +71,12 @@ class TestBuildField:
 
     def test_pseudoprime_characteristic_rejected_promptly(self):
         start = time.perf_counter()
-        with pytest.raises(NotPrime):
+        with pytest.raises(ValueError, match="318665857834031151167461 is not prime"):
             build_field(318665857834031151167461, 1)  # psi_12, composite
         assert time.perf_counter() - start < 1.0
 
     def test_unprovable_characteristic_overflows(self):
-        with pytest.raises(Overflow):
+        with pytest.raises(TooLarge, match="primality of 3317044064679887385961981 cannot be proven"):
             build_field(3317044064679887385961981, 1)  # psi_13, passes every base
 
 
@@ -108,7 +104,7 @@ class TestFieldAxioms:
         F = build_field(p, s)
         for x in range(1, F.order):
             assert F.mul(x, F.inv(x)) == 1
-        with pytest.raises(DivisionByZero):
+        with pytest.raises(ZeroDivisionError, match="inverse of 0"):
             F.inv(0)
 
     def test_lagrange(self, p, s):
@@ -215,9 +211,9 @@ class TestEmbedding:
                 assert lift[small.mul(a, b)] == big.mul(la, lift[b]), (a, b)
 
     def test_not_a_subfield(self):
-        with pytest.raises(gf.NotASubfield):
+        with pytest.raises(ValueError, match="8 is not a power of 4"):
             embed_subfield(build_field(2, 3), build_field(2, 2))
-        with pytest.raises(gf.NotASubfield):
+        with pytest.raises(ValueError, match="characteristics differ: 3 vs 2"):
             embed_subfield(build_field(3, 2), build_field(2, 1))
 
 
@@ -246,7 +242,7 @@ class TestPolys:
 
     def test_divmod_by_zero(self):
         F = build_field(2, 1)
-        with pytest.raises(DivisionByZero):
+        with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
             poly_divmod(F, (1, 1), ())
 
     def test_gcd_self(self):
@@ -260,7 +256,7 @@ class TestPolys:
         F2 = build_field(2, 1)
         assert poly_reciprocal(F2, (1, 1)) == (1, 1)
         assert poly_reciprocal(F2, (1, 1, 0, 1)) == (1, 0, 1, 1)
-        with pytest.raises(ZeroConstantTerm):
+        with pytest.raises(ValueError, match="reciprocal needs a nonzero constant term"):
             poly_reciprocal(F2, (0, 1))
 
     def test_reciprocal_involution_and_weight(self):
