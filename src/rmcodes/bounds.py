@@ -31,7 +31,7 @@ from .cyclotomy import QadicParams, q_weight
 from .codes import CodeSpec, build_code, condition_star_holds
 from .distance import SearchBudget, exact_distance
 from .errors import InternalError, TooLarge
-from .ntheory import divisors, is_prime_power, mult_order
+from .ntheory import divisors, is_prime_power, mult_order, prime_power_split
 
 __all__ = [
     "Bound",
@@ -151,7 +151,8 @@ def certify(spec: CodeSpec, *, budget: SearchBudget | None = None, max_n: int | 
     a budget, the enumerated distance (else a note).  Without one nothing is built.
     """
     report = generic_bounds(spec.q, spec.m, spec.h, spec.variant)
-    for e in search_condition_divisors(spec.q, spec.m, spec.h)[:1]:
+    e = next(_condition_divisors(spec.q, spec.m, spec.h), None)
+    if e is not None:
         value = e if spec.variant == "omega" else 2 * e
         _merge(report, Bound(value, "divisor-witness"), witness=("divisor_e", e))
     if budget is not None:
@@ -166,11 +167,16 @@ def certify(spec: CodeSpec, *, budget: SearchBudget | None = None, max_n: int | 
     return report
 
 
-def search_condition_divisors(q: int, m: int, h: int, max_e: int | None = None) -> list[int]:
-    """All divisors e of q^m - 1 in [2, min(max_e, n-1)] passing the divisor condition."""
+def _condition_divisors(q: int, m: int, h: int, max_e: int | None = None):
+    """The divisors e of q^m - 1 in [2, min(max_e, n-1)] passing the divisor condition, ascending."""
     n = CodeSpec(q, m, h).n
     top = n - 1 if max_e is None else min(max_e, n - 1)
-    return [e for e in divisors(n) if 2 <= e <= top and condition_star_holds(q, m, h, e)]
+    return (e for e in divisors(n) if 2 <= e <= top and condition_star_holds(q, m, h, e))
+
+
+def search_condition_divisors(q: int, m: int, h: int, max_e: int | None = None) -> list[int]:
+    """All divisors e of q^m - 1 in [2, min(max_e, n-1)] passing the divisor condition."""
+    return list(_condition_divisors(q, m, h, max_e))
 
 
 def repunit_certificate(q: int, h: int) -> tuple[int, list[str]]:
@@ -183,6 +189,7 @@ def repunit_certificate(q: int, h: int) -> tuple[int, list[str]]:
         raise ValueError(f"need q >= 3, got {q}")
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
+    prime_power_split(q)  # raises if q is not a prime power
     e = (q ** (h + 1) - 1) // (q - 1)
     params = QadicParams(q, h + 1)
     trace = []
@@ -287,6 +294,7 @@ def bounded_divisor_check(q: int, m: int, e: int) -> bool:
     A passing e certifies distance <= e (mirrored <= 2e) for h = 1,
     because e exceeds every h = 1 coset representative 1..q-1.
     """
+    prime_power_split(q)  # raises if q is not a prime power
     if m % 2 == 0:
         raise ValueError(f"need odd m, got {m}")
     if not q + 1 <= e <= 2 * q - 1:

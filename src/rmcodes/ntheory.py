@@ -1,21 +1,30 @@
 """Exact integer number theory: factorization, Euler phi, multiplicative orders.
 
 Everything here is deterministic and uses arbitrary-precision integers only.
-Factorization is trial division up to ``TRIAL_LIMIT`` followed by Brent's
-cycle-finding variant of Pollard rho with a fixed iteration budget; a
-composite cofactor that survives the budget is reported, never mislabeled
-as prime.
+``factorize`` splits an x = b^k - 1 beyond the reach of trial division into
+its cyclotomic pieces Phi_d(b), d | k (Brillhart et al., *Factorizations of
+b^n +- 1*).  A prime factor of Phi_d(b) divides d or is 1 mod d, so once the
+primes of 2d are divided out, trial division steps through 1 + lcm(2, d)*j.
+Any other x gets trial division over the 6k +- 1 wheel.  Both go up to
+``TRIAL_LIMIT`` and hand a composite that is left to one finisher: a short
+pass of Brent's variant of Pollard rho, then Lenstra's elliptic-curve method
+(ECM) on Montgomery curves with fixed parameters, stage 1 and a stage-2
+continuation.  One budget bounds the work of rho and of ECM; a composite
+cofactor that survives it is reported, never mislabeled as prime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from functools import lru_cache
+from itertools import combinations
+from math import exp, gcd, isqrt, log, prod
 
 from .errors import FactorizationIncomplete, InternalError
 
 
 TRIAL_LIMIT = 1 << 20
+_RHO_PASS = 1 << 14  # rho iterations before ECM takes over
 
 # The first 13 primes as strong Miller-Rabin bases.  Sorenson and Webster
 # (2015) proved that no composite below psi_13 = PROVEN_PRIME_BOUND passes
@@ -53,13 +62,16 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int, max_iters: int) -> int:
-    """One Brent-rho attempt per polynomial offset; 0 if nothing found."""
+    """Brent's rho on x^2 + c, c = 1, 2, ..., for about ``max_iters`` iterations in all.
+
+    Returns a proper factor of ``n``, or 0 if none was found.
+    """
     if n % 2 == 0:
         return 2
+    iters = 0
     for c in range(1, 20):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
-        iters = 0
         while g == 1 and iters < max_iters:
             x = y
             for _ in range(r):
@@ -81,28 +93,140 @@ def _brent_rho(n: int, max_iters: int) -> int:
                 g = gcd(abs(x - ys), n)
         if 1 < g < n:
             return g
+        if iters >= max_iters:
+            return 0
     return 0
 
 
-def factorize(x: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
-    """Factor ``x`` >= 2 into a {prime: exponent} map.
+# ECM: (B1, curves) per round, the usual choice for factors of 15, 20 and 25
+# digits; stage 2 covers the primes up to B2 = _ECM_B2_RATIO * B1 in giant
+# steps of _ECM_D, against the baby steps i < D/2 prime to D.
+_ECM_ROUNDS = ((2_000, 25), (11_000, 90), (50_000, 300))
+_ECM_B2_RATIO = 50
+_ECM_D = 210
+_ECM_BABY = tuple(i for i in range(1, _ECM_D // 2, 2) if gcd(i, _ECM_D) == 1)
 
-    Each reported factor is proven prime when it is below
-    PROVEN_PRIME_BOUND and only a strong probable prime at or above it.
-    Raises FactorizationIncomplete if a composite cofactor survives the
-    Pollard-rho iteration budget.
+
+@lru_cache(maxsize=None)
+def _stage1_multiplier(b1: int) -> int:
+    """The product of the largest powers of each prime p <= b1 that stay <= b1."""
+    sieve = bytearray([1]) * (b1 + 1)
+    sieve[:2] = b"\0\0"
+    k = 1
+    for p in range(2, b1 + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, b1 + 1, p)))
+            pk = p
+            while pk * p <= b1:
+                pk *= p
+            k *= pk
+    return k
+
+
+def _xdbl(x, z, a24, n):
+    """2P on y^2 = x^3 + Ax^2 + x in (X : Z) coordinates, a24 = (A + 2)/4."""
+    s = (x + z) * (x + z) % n
+    d = (x - z) * (x - z) % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _xadd(x1, z1, x2, z2, xd, zd, n):
+    """P1 + P2 from P1, P2 and their difference (xd : zd)."""
+    u = (x1 - z1) * (x2 + z2)
+    v = (x1 + z1) * (x2 - z2)
+    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
+
+
+def _ladder(k, x, z, a24, n):
+    """kP by the Montgomery ladder, k >= 1."""
+    x0, z0 = x, z
+    x1, z1 = _xdbl(x, z, a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            x0, z0 = _xadd(x1, z1, x0, z0, x, z, n)
+            x1, z1 = _xdbl(x1, z1, a24, n)
+        else:
+            x1, z1 = _xadd(x0, z0, x1, z1, x, z, n)
+            x0, z0 = _xdbl(x0, z0, a24, n)
+    return x0, z0
+
+
+def _ecm_curve(n: int, sigma: int, b1: int) -> int:
+    """One ECM curve with Suyama's parameter ``sigma``: a gcd that may be 1 or n."""
+    u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+    x, z = u * u * u % n, v * v * v % n
+    den = 16 * x * v % n  # a24 = (v - u)^3 (3u + v) / (16 u^3 v)
+    g = gcd(den, n)
+    if g != 1:
+        return g
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+    x, z = _ladder(_stage1_multiplier(b1), x, z, a24, n)
+    g = gcd(z, n)
+    if g != 1:
+        return g
+    # stage 2: a prime l in (B1, B2] is m*D +- i; l*Q = 0 forces mD*Q = +-i*Q,
+    # which the cross product of the x coordinates detects
+    babies = [_ladder(i, x, z, a24, n) for i in _ECM_BABY]
+    m = max(1, b1 // _ECM_D)
+    xs, zs = _ladder(_ECM_D, x, z, a24, n)
+    xg, zg = _ladder(m * _ECM_D, x, z, a24, n)
+    xh, zh = _ladder((m + 1) * _ECM_D, x, z, a24, n)
+    acc = 1
+    while m * _ECM_D - _ECM_D // 2 <= _ECM_B2_RATIO * b1:
+        for xi, zi in babies:
+            acc = acc * (xg * zi - xi * zg) % n
+        xg, zg, (xh, zh) = xh, zh, _xadd(xh, zh, xs, zs, xg, zg, n)
+        m += 1
+    return gcd(acc, n)
+
+
+def _ecm_cost(b1: int) -> int:
+    """Budget units of one curve: stage-1 ladder steps plus stage-2 products."""
+    b2 = _ECM_B2_RATIO * b1
+    giants = (b2 + _ECM_D // 2) // _ECM_D - max(1, b1 // _ECM_D) + 1
+    return _stage1_multiplier(b1).bit_length() + giants * len(_ECM_BABY)
+
+
+def _ecm(n: int, budget: int) -> int:
+    """A proper factor of the odd composite ``n`` by ECM, or 0 once ``budget`` runs out.
+
+    The curves take sigma = 6, 7, 8, ... through ``_ECM_ROUNDS``; a curve
+    runs only if its whole cost still fits the budget.
     """
-    if x < 2:
-        raise ValueError(f"need x >= 2, got {x}")
-    factors: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while x % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            x //= p
-    # wheel over 6k +- 1
-    d = 7
+    sigma = 6
+    for b1, curves in _ECM_ROUNDS:
+        cost = _ecm_cost(b1)
+        for _ in range(curves):
+            if cost > budget:
+                return 0
+            budget -= cost
+            g = _ecm_curve(n, sigma, b1)
+            sigma += 1
+            if 1 < g < n:
+                return g
+    return 0
+
+
+def _finish(x: int, factors: dict[int, int], budget: int):
+    """Add the prime factors of ``x`` >= 2 to ``factors``: a rho pass, then ECM."""
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        if is_probable_prime(y):
+            factors[y] = factors.get(y, 0) + 1
+            continue
+        g = _brent_rho(y, min(budget, _RHO_PASS)) or _ecm(y, budget)
+        if g == 0:
+            raise FactorizationIncomplete(y)
+        stack.append(g)
+        stack.append(y // g)
+
+
+def _trial(x: int, factors: dict[int, int], d: int, step: int, wheel: int) -> int:
+    """Divide out the candidates d, d + step, ... (steps alternate with wheel - step)
+    up to min(TRIAL_LIMIT, isqrt(x)), recording them in ``factors``; return what is left."""
     limit = min(TRIAL_LIMIT, isqrt(x))
-    step = 4
     while d <= limit:
         if x % d == 0:
             while x % d == 0:
@@ -110,23 +234,98 @@ def factorize(x: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
                 x //= d
             limit = min(TRIAL_LIMIT, isqrt(x))
         d += step
-        step = 6 - step
-    if x == 1:
-        return factors
-    stack = [x]
-    while stack:
-        y = stack.pop()
-        if y == 1:
-            continue
-        if is_probable_prime(y):
-            factors[y] = factors.get(y, 0) + 1
-            continue
-        g = _brent_rho(y, rho_budget)
-        if g == 0:
-            raise FactorizationIncomplete(y)
-        stack.append(g)
-        stack.append(y // g)
+        step = wheel - step
+    return x
+
+
+def _factor_generic(x: int, budget: int) -> dict[int, int]:
+    """Trial division over the 6k +- 1 wheel, then the finisher."""
+    factors: dict[int, int] = {}
+    for p in (2, 3, 5):
+        while x % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            x //= p
+    x = _trial(x, factors, 7, 4, 6)
+    if x > 1:
+        _finish(x, factors, budget)
     return factors
+
+
+def _iroot(y: int, k: int) -> int:
+    """floor(y ** (1/k)) for y >= 1, k >= 2, by Newton's method from a float guess."""
+    r = max(1, int(exp(min(log(y) / k, 700.0))))
+    r = ((k - 1) * r + y // r ** (k - 1)) // k  # now r >= the root, by AM-GM
+    while True:
+        s = ((k - 1) * r + y // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _power_base(y: int) -> tuple[int, int]:
+    """(b, k) with b**k == y >= 2 and k as large as possible."""
+    b, k, l = y, 1, 2
+    while l < b.bit_length():
+        r = _iroot(b, l)
+        if r**l == b:
+            b, k = r, k * l
+        else:
+            l += 1
+    return b, k
+
+
+def _cyclotomic_value(b: int, d: int) -> int:
+    """Phi_d(b), the Moebius product of the b^e - 1 over the divisors e of d."""
+    primes = list(_factor_generic(d, 0))
+    num = den = 1
+    for r in range(len(primes) + 1):
+        for subset in combinations(primes, r):
+            if r % 2:
+                den *= b ** (d // prod(subset)) - 1
+            else:
+                num *= b ** (d // prod(subset)) - 1
+    return num // den
+
+
+@lru_cache(maxsize=1024)
+def _piece_factors(b: int, d: int, budget: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of Phi_d(b): the primes of 2d first, then
+    trial division over 1 + lcm(2, d)*j, then the finisher."""
+    v = _cyclotomic_value(b, d)
+    factors: dict[int, int] = {}
+    for p in _factor_generic(2 * d, 0):
+        while v % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            v //= p
+    step = d if d % 2 == 0 else 2 * d
+    v = _trial(v, factors, 1 + step, step, 2 * step)
+    if v > 1:
+        _finish(v, factors, budget)
+    return tuple(sorted(factors.items()))
+
+
+def factorize(x: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
+    """Factor ``x`` >= 2 into a {prime: exponent} map.
+
+    Above TRIAL_LIMIT**2, an x with x + 1 = b^k, k >= 2, is factored
+    through its cyclotomic pieces; any other x directly.  Each reported
+    factor is proven prime when it is below PROVEN_PRIME_BOUND and only a
+    strong probable prime at or above it.  Raises FactorizationIncomplete if
+    a composite cofactor survives ``rho_budget``, which bounds the rho
+    iterations and the ECM work on each cofactor.
+    """
+    if x < 2:
+        raise ValueError(f"need x >= 2, got {x}")
+    if x > TRIAL_LIMIT * TRIAL_LIMIT:
+        b, k = _power_base(x + 1)
+        if k > 1:
+            factors: dict[int, int] = {}
+            for d in range(1, k + 1):
+                if k % d == 0:
+                    for p, a in _piece_factors(b, d, rho_budget):
+                        factors[p] = factors.get(p, 0) + a
+            return dict(sorted(factors.items()))
+    return _factor_generic(x, rho_budget)
 
 
 def divisors(x: int) -> list[int]:

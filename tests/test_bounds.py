@@ -42,6 +42,10 @@ class TestFactorize:
     def test_large_semiprime_via_rho(self):
         p, q = 1_000_003, 1_000_033
         assert nt.factorize(p * q) == {p: 1, q: 1}
+        # both beyond TRIAL_LIMIT, so trial division finds neither
+        p, q = 16_777_259, 33_554_467
+        assert nt._brent_rho(p * q, nt._RHO_PASS) == p
+        assert nt.factorize(p * q) == {p: 1, q: 1}
 
     def test_incomplete_budget(self):
         mersenne = 2**61 - 1
@@ -60,6 +64,64 @@ class TestFactorize:
     def test_psi12_splits(self):
         # psi_12, the least strong pseudoprime to the first 12 prime bases
         assert nt.factorize(PSI_12) == {399165290221: 1, 798330580441: 1}
+
+    def test_iroot(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            y = rng.randrange(1, 1 << rng.randrange(1, 300))
+            k = rng.randrange(2, 40)
+            r = nt._iroot(y, k)
+            assert r**k <= y < (r + 1) ** k, (y, k)
+
+    def test_power_base(self):
+        assert nt._power_base(2**122) == (2, 122)
+        assert nt._power_base(3**80) == (3, 80)
+        assert nt._power_base(6**25) == (6, 25)
+        assert nt._power_base(10**20 + 1) == (10**20 + 1, 1)
+
+    def test_split_matches_generic(self):
+        checked = 0
+        for q in filter(nt.is_prime_power, range(2, 33)):
+            m = 2
+            while q**m - 1 <= 1 << 64:
+                n = q**m - 1
+                assert nt.factorize(n) == nt._factor_generic(n, 1 << 22), (q, m)
+                checked += 1
+                m += 1
+        assert checked == 366
+
+    def test_split_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        pairs = [(q, m) for q in filter(nt.is_prime_power, range(2, 33))
+                 for m in range(2, 129) if 1 << 40 < q**m - 1 <= 1 << 128]
+        for q, m in random.Random(43).sample(pairs, 6):
+            assert nt.factorize(q**m - 1) == sympy.factorint(q**m - 1), (q, m)
+
+    def test_former_stalls(self):
+        # q^m - 1 that trial division and rho alone did not factor in 69-83 s
+        # (19^29 - 1: 12 s); every prime is below the proof bound
+        for (q, m), want in FORMER_STALLS.items():
+            product = 1
+            for p, a in want.items():
+                assert p < nt.PROVEN_PRIME_BOUND and nt.is_probable_prime(p)
+                product *= p**a
+            assert product == q**m - 1
+            assert nt.factorize(q**m - 1) == want, (q, m)
+
+    def test_ecm_splits_what_rho_does_not(self):
+        # Phi_43(7) = (7^43 - 1)/6, 119 bits, is a product of two primes near 2^57 and 2^61
+        cofactor = (7**43 - 1) // 6
+        assert nt._brent_rho(cofactor, nt._RHO_PASS) == 0
+        assert nt._ecm(cofactor, 1 << 22) in (166003607842448777, 2192537062271178641)
+        assert nt._ecm(cofactor, nt._ecm_cost(2_000) - 1) == 0
+
+
+FORMER_STALLS = {
+    (2, 122): {3: 1, 768614336404564651: 1, 2305843009213693951: 1},
+    (4, 61): {3: 1, 768614336404564651: 1, 2305843009213693951: 1},
+    (7, 43): {2: 1, 3: 1, 166003607842448777: 1, 2192537062271178641: 1},
+    (19, 29): {2: 1, 3: 2, 59: 1, 233: 1, 297003021451861: 1, 165049085515149863: 1},
+}
 
 
 # the least strong pseudoprimes to the first 12 and 13 prime bases
@@ -279,6 +341,8 @@ class TestRepunitCertificate:
     def test_gate(self):
         with pytest.raises(ValueError, match="need q >= 3, got 2"):
             bd.repunit_certificate(2, 1)
+        with pytest.raises(ValueError, match="6 is not a prime power"):
+            bd.repunit_certificate(6, 1)
 
     def test_certified_divisor_passes_condition(self):
         for q, h in [(3, 1), (3, 2), (4, 1), (5, 2), (9, 1)]:
@@ -366,6 +430,8 @@ class TestDivisorCheckAndTables:
                 assert not bd.bounded_divisor_check(q, m, q + 1)
         with pytest.raises(ValueError, match="need odd m, got 4"):
             bd.bounded_divisor_check(7, 4, 9)
+        with pytest.raises(ValueError, match="6 is not a prime power"):
+            bd.bounded_divisor_check(6, 3, 11)
 
     def test_table_blocks(self):
         blocks = bd.table_rows(7, 32)
@@ -463,6 +529,18 @@ class TestCertify:
         too_long = bd.certify(CodeSpec(3, 4, 2), budget=SearchBudget(), max_n=5)
         assert too_long.exact is None
         assert too_long.notes[0].startswith("exact distance skipped: n = 80 exceeds")
+
+    def test_divisor_search_stops_at_first_hit(self, monkeypatch):
+        calls = []
+
+        def counted(q, m, h, e):
+            calls.append(e)
+            return cd.condition_star_holds(q, m, h, e)
+
+        monkeypatch.setattr(bd, "condition_star_holds", counted)
+        report = bd.certify(CodeSpec(3, 80, 1))
+        assert calls == [2, 4]  # 3^80 - 1 has 16128 divisors
+        assert ("divisor_e", 4) in report.witnesses
 
     def test_no_budget_builds_nothing(self, monkeypatch):
         monkeypatch.setattr(bd, "build_code", None)
