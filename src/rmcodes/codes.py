@@ -159,16 +159,9 @@ def minimal_poly(emb: SubfieldEmbedding, params: QadicParams, a: int) -> tuple[i
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _minimal_poly_cached(emb, params, a):
     return minimal_poly(emb, params, a)
-
-
-def _xn_minus_1(ctx: FieldCtx, n: int) -> tuple[int, ...]:
-    coeffs = [0] * (n + 1)
-    coeffs[0] = ctx.neg(1)
-    coeffs[n] = 1
-    return tuple(coeffs)
 
 
 @lru_cache(maxsize=128)
@@ -187,9 +180,12 @@ def _build_cached(spec: CodeSpec, max_n: int, primitive) -> CodeInstance:
         reps = tuple(sorted({0, *reps, *(coset_of(params, params.n - r)[0] for r in reps)}))
         zeros = tuple(sorted({0, *zeros, *index_set_negated(params, h)}))
 
-    gen = (1,)
-    for a in reps:
-        gen = gf.poly_mul(small, gen, _minimal_poly_cached(emb, params, a))
+    # a balanced product tree: Karatsuba gains most on equal-sized operands
+    factors = [_minimal_poly_cached(emb, params, a) for a in reps]
+    while len(factors) > 1:
+        pairs = zip(factors[::2], factors[1::2])
+        factors = [gf.poly_mul(small, f, g) for f, g in pairs] + factors[len(factors) & ~1 :]
+    gen = factors[0]
 
     inst = CodeInstance(spec, zeros, gen, small, big, emb, reps)
     _check_instance(inst)
@@ -218,8 +214,7 @@ def _check_instance(inst: CodeInstance):
         raise InternalError("internal: generator degree != number of zeros")
     if inst.gen_poly[-1] != 1:
         raise InternalError("internal: generator is not monic")
-    _, rem = gf.poly_divmod(inst.small, _xn_minus_1(inst.small, inst.n), inst.gen_poly)
-    if rem:
+    if gf.poly_xn_minus_1_quotient(inst.small, inst.n, inst.gen_poly) is None:
         raise InternalError("internal: generator does not divide x^n - 1")
     params, h = spec.params, spec.h
     deg_g = index_set_size(params, h)

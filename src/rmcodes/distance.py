@@ -29,7 +29,7 @@ from itertools import combinations, product
 from math import comb
 
 from . import gf
-from .codes import Codeword, CodeInstance, _xn_minus_1, encode, is_member
+from .codes import Codeword, CodeInstance, encode, is_member
 from .errors import InternalError, TooLarge
 
 @dataclass(frozen=True)
@@ -193,8 +193,8 @@ def witness_upper_bound(inst: CodeInstance, candidates) -> DistanceResult:
 def dual_generator(inst: CodeInstance) -> tuple[int, ...]:
     """Monic generator of the dual code: the reciprocal of (x^n - 1) / gen."""
     small = inst.small
-    check, rem = gf.poly_divmod(small, _xn_minus_1(small, inst.n), inst.gen_poly)
-    if rem:
+    check = gf.poly_xn_minus_1_quotient(small, inst.n, inst.gen_poly)
+    if check is None:
         raise InternalError("internal: generator does not divide x^n - 1")
     return gf.poly_reciprocal(small, check)
 

@@ -24,20 +24,33 @@ phi(a + b) = phi(a) * phi(1 + b/a); that test of q values is exact.
 Polynomials over a field are tuples of element indices, lowest degree
 first, with no trailing zeros; the zero polynomial is the empty tuple.
 
+``poly_mul`` uses Kronecker substitution: the base-p digits of the
+coefficients fill fixed-width slots of one integer, CPython's Karatsuba
+multiply forms the product, and each product slot is reduced mod p.  Over
+F_{p^s}, s > 1, a coefficient takes 2s - 1 slots (its s digits, s - 1
+zeros), so each product coefficient is a digit group low + high * y^s in
+the field generator y, with y^s reduced by the modulus.  A product slot
+sums at most min(len a, len b) * s * (p-1)^2, so a slot that holds it never
+carries; the width is whole bytes, without an upper cutoff.
+``poly_xn_minus_1_quotient`` finds (x^n - 1)/g as the power series -1/g
+mod x^(n - deg g + 1), by Newton's iteration, and checks g times it exactly.
+
 All arithmetic is exact; there is no floating point anywhere.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from math import gcd
+from sys import byteorder
 
 from .errors import InternalError, TooLarge
 from .ntheory import PROVEN_PRIME_BOUND, factorize, is_probable_prime
 
 DEFAULT_TABLE_THRESHOLD = 1 << 20
-# full q*q add/mul tables, worth it for the small coefficient fields that
-# dominate generator-polynomial products
+# full q*q add/mul tables, for the scalar arithmetic of the small coefficient
+# fields: minimal polynomials, the distance kernels' scalars, evaluation
 SMALL_TABLE_MAX = 256
 EXPONENT_LIMIT = 1 << 128
 
@@ -148,17 +161,23 @@ class FieldCtx:
         self.exp, self.log = exp, log
 
     def _build_small_tables(self):
-        q = self.order
-        self._add_table = [self._raw_add(a, b) for a in range(q) for b in range(q)]
-        self._mul_table = [self._raw_mul(a, b) for a in range(q) for b in range(q)]
+        """q*q add and mul tables from exp/log: a*b = exp[log a + log b], and
+        a + b = a * (1 + b/a), where adding 1 steps the lowest base-p digit."""
+        q, p, log, exp = self.order, self.p, self.log, self.exp * 2
+        self._mul_table = mul = [exp[i + j] if i >= 0 and j >= 0 else 0 for i in log for j in log]
+        if p == 2:
+            self._add_table = [a ^ b for a in range(q) for b in range(q)]
+            return
+        one_plus = [x - x % p + (x + 1) % p for x in range(q)]
+        self._add_table = add = list(range(q))  # row 0, then row a from row 1/a
+        for a, la in enumerate(log[1:], 1):
+            add += [mul[a * q + one_plus[c]] for c in mul[exp[-la] * q : exp[-la] * q + q]]
 
     # -- public ops ----------------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
         if self._add_table is not None:
             return self._add_table[x * self.order + y]
-        if self.p == 2:
-            return x ^ y
         return self._raw_add(x, y)
 
     def neg(self, x: int) -> int:
@@ -239,7 +258,7 @@ class FieldCtx:
         return f"FieldCtx(GF({self.p}^{self.s}))"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _build_field_cached(p, s, table_threshold, primitive):
     return FieldCtx(p, s, table_threshold=table_threshold, primitive=primitive)
 
@@ -289,7 +308,7 @@ class SubfieldEmbedding:
         return f"SubfieldEmbedding(GF({self.small.order}) -> GF({self.big.order}))"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _embed_cached(big: FieldCtx, small: FieldCtx) -> SubfieldEmbedding:
     if big.p != small.p:
         raise ValueError(f"characteristics differ: {big.p} vs {small.p}")
@@ -353,28 +372,49 @@ def poly_add(ctx: FieldCtx, a, b) -> tuple[int, ...]:
     return poly_normalize(out)
 
 
+# array typecode of each item width in bytes, ascending
+_ARRAY_CODES = {array(c).itemsize: c for c in "BHILQ"}
+
+
 def poly_mul(ctx: FieldCtx, a, b) -> tuple[int, ...]:
+    """Product by Kronecker substitution (see the module docstring)."""
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
-    at, mt = ctx._add_table, ctx._mul_table
-    if at is not None:
-        q = ctx.order
-        for i, ai in enumerate(a):
-            if ai:
-                row = ai * q
-                for j, bj in enumerate(b):
-                    if bj:
-                        k = i + j
-                        out[k] = at[out[k] * q + mt[row + bj]]
-    else:
-        add, mul = ctx.add, ctx.mul
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = add(out[i + j], mul(ai, bj))
-    return poly_normalize(out)
+    p, s, group = ctx.p, ctx.s, 2 * ctx.s - 1  # group: digit slots per coefficient
+    width = ((min(len(a), len(b)) * s * (p - 1) ** 2).bit_length() + 7) // 8
+    width = next((w for w in _ARRAY_CODES if w >= width), width)
+    product = _pack(ctx, a, width) * _pack(ctx, b, width)
+    digits = [v % p for v in _unpack(product, width, (len(a) + len(b)) * group - 1)]
+    if s == 1:
+        return poly_normalize(digits)
+    # a coefficient's digit group t is low + high * y^s, y^s reduced by the modulus
+    ys, join = ctx.neg(ctx._from_coeffs(ctx.modulus[:s])), ctx._from_coeffs
+    value = {
+        t: ctx.add(join(t[:s]), ctx.mul(join(t[s:]), ys)) for t in set(zip(*[iter(digits)] * group))
+    }
+    return poly_normalize(list(map(value.__getitem__, zip(*[iter(digits)] * group))))
+
+
+def _pack(ctx: FieldCtx, coeffs, width: int) -> int:
+    """Each coefficient's s digits, then s - 1 zero slots, as ``width``-byte slots
+    of one int in native byte order.  A big-endian host reverses all slots of
+    both factors, and so of the product, which ``_unpack`` reads back in full."""
+    if ctx.s == 1 and width in _ARRAY_CODES:
+        return int.from_bytes(array(_ARRAY_CODES[width], coeffs).tobytes(), byteorder)
+    pad = bytes(width * (ctx.s - 1))
+    slots = {
+        c: b"".join(d.to_bytes(width, byteorder) for d in ctx._to_coeffs(c)) + pad
+        for c in set(coeffs)
+    }
+    return int.from_bytes(b"".join(map(slots.__getitem__, coeffs)), byteorder)
+
+
+def _unpack(x: int, width: int, count: int):
+    """The ``count`` slot values of ``x``, inverse to ``_pack``."""
+    raw = x.to_bytes(width * count, byteorder)
+    if width in _ARRAY_CODES:
+        return array(_ARRAY_CODES[width], raw)
+    return [int.from_bytes(raw[i : i + width], byteorder) for i in range(0, len(raw), width)]
 
 
 def poly_scale(ctx: FieldCtx, c: int, f) -> tuple[int, ...]:
@@ -403,6 +443,31 @@ def poly_divmod(ctx: FieldCtx, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
             for j in range(db + 1):
                 a[i + j] = add(a[i + j], mul(nfac, b[j]))
     return poly_normalize(quot), poly_normalize(a[:db])
+
+
+def poly_xn_minus_1_quotient(ctx: FieldCtx, n: int, g) -> tuple[int, ...] | None:
+    """(x^n - 1) / g, or None when g does not divide x^n - 1.
+
+    For deg g >= 1 the quotient h has degree below N = n - deg g + 1 and
+    g*h = -1 mod x^N; Newton's step h <- h + h*(g*h + 1) doubles the precision
+    of that series.  The closing check g*h == x^n - 1 is exact.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    g = poly_normalize(g)
+    target = (ctx.neg(1),) + (0,) * (n - 1) + (1,)
+    if not g or g[0] == 0 or len(g) > n + 1:
+        return None
+    if len(g) == 1:
+        h = poly_scale(ctx, ctx.inv(g[0]), target)
+    else:
+        N, h, k = n - len(g) + 2, (ctx.neg(ctx.inv(g[0])),), 1
+        while k < N:
+            k2 = min(2 * k, N)
+            e = poly_mul(ctx, g[:k2], h)[k:k2]  # g*h + 1 = x^k * e mod x^k2
+            h = poly_normalize(h + (0,) * (k - len(h)) + poly_mul(ctx, h, e)[: k2 - k])
+            k = k2
+    return h if poly_mul(ctx, g, h) == target else None
 
 
 def poly_monic(ctx: FieldCtx, f) -> tuple[int, ...]:

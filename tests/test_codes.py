@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from rmcodes import codes as cd
+from rmcodes import gf
 from rmcodes.codes import CodeSpec, build_code, encode, is_member, quotient_codeword
 from rmcodes.cyclotomy import QadicParams, coset_of, coset_partition
 from rmcodes.errors import TooLarge
@@ -14,8 +15,10 @@ from rmcodes.gf import (
     poly_mul,
     poly_normalize,
     poly_reciprocal,
+    poly_xn_minus_1_quotient,
 )
-from rmcodes.verify import GRID
+from rmcodes.ntheory import prime_power_split
+from rmcodes.verify import BARRED_GRID, GRID
 
 
 class TestCodeSpec:
@@ -156,6 +159,54 @@ class TestBuildCode:
         assert rem == ()
         reference = poly_mul(F, (F.neg(1), 1), lcm)
         assert build_code(CodeSpec(*qmh, "omega_bar")).gen_poly == reference
+
+
+def _xn_minus_1(F, n):
+    return (F.neg(1),) + (0,) * (n - 1) + (1,)
+
+
+QUOTIENT_SPECS = [
+    CodeSpec(*qmh, variant)
+    for variant, grid in (("omega", GRID), ("omega_bar", BARRED_GRID))
+    for qmh in grid
+    if qmh[0] ** qmh[1] - 1 <= 1023
+] + [CodeSpec(4, 6, 2)]
+
+
+class TestXnMinus1Quotient:
+    @pytest.mark.parametrize("spec", QUOTIENT_SPECS, ids=str)
+    def test_matches_long_division(self, spec):
+        inst = build_code(spec)
+        quot, rem = poly_divmod(inst.small, _xn_minus_1(inst.small, inst.n), inst.gen_poly)
+        assert rem == ()
+        assert poly_xn_minus_1_quotient(inst.small, inst.n, inst.gen_poly) == quot
+
+    def test_rejects_non_divisors(self):
+        inst = build_code(CodeSpec(3, 4, 2))
+        F, n, g = inst.small, inst.n, inst.gen_poly
+        for i in (0, 1, len(g) // 2, len(g) - 2):
+            perturbed = g[:i] + (F.add(g[i], 1),) + g[i + 1 :]
+            assert poly_xn_minus_1_quotient(F, n, perturbed) is None, i
+        assert poly_xn_minus_1_quotient(F, n, (0,) + g) is None  # g(0) = 0
+        assert poly_xn_minus_1_quotient(F, n, _xn_minus_1(F, n) + (0, 1)) is None  # deg > n
+        assert poly_xn_minus_1_quotient(F, n, ()) is None
+        with pytest.raises(ValueError, match="need n >= 1, got 0"):
+            poly_xn_minus_1_quotient(F, 0, (1,))
+
+    @pytest.mark.parametrize("q,n", [(2, 1), (3, 8), (4, 15), (9, 80)])
+    def test_edge_quotients(self, q, n):
+        F = gf.build_field(*prime_power_split(q))
+        xn1 = _xn_minus_1(F, n)
+        assert poly_xn_minus_1_quotient(F, n, (1,)) == xn1
+        assert poly_xn_minus_1_quotient(F, n, xn1) == (1,)
+        c = F.order - 1  # a unit other than 1 when q > 2
+        assert poly_xn_minus_1_quotient(F, n, (c,)) == gf.poly_scale(F, F.inv(c), xn1)
+        assert poly_xn_minus_1_quotient(F, n, gf.poly_scale(F, c, xn1)) == (F.inv(c),)
+
+
+def test_field_layer_caches_are_bounded():
+    for cache in (gf._build_field_cached, gf._embed_cached, cd._minimal_poly_cached):
+        assert cache.cache_info().maxsize is not None
 
 
 class TestEncodeAndMembership:

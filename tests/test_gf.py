@@ -1,10 +1,13 @@
 import random
 import time
+from itertools import product
 
 import pytest
 
+from rmcodes import gf
 from rmcodes.errors import TooLarge
 from rmcodes.gf import (
+    SMALL_TABLE_MAX,
     build_field,
     embed_subfield,
     poly_degree,
@@ -288,3 +291,106 @@ def _poly_add(F, a, b):
     for i, c in enumerate(b):
         out[i] = F.add(out[i], c)
     return poly_normalize(out)
+
+
+def _schoolbook_mul(F, a, b):
+    """The schoolbook product that Kronecker substitution replaced; the oracle."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = F.add(out[i + j], F.mul(ai, bj))
+    return poly_normalize(out)
+
+
+def _random_poly(rng, q, length):
+    """Uniform coefficients, so the top one may be 0 (an unnormalized input)."""
+    return tuple(rng.randrange(q) for _ in range(length))
+
+
+def _prime_powers(top):
+    primes = [p for p in range(2, top + 1) if all(p % d for d in range(2, p))]
+    return [(p, s) for p in primes for s in range(1, 9) if p**s <= top]
+
+
+class TestPolyMul:
+    @pytest.mark.parametrize("p,s", _prime_powers(32))
+    def test_matches_schoolbook(self, p, s):
+        F = build_field(p, s)
+        rng = random.Random(p**s)
+        lengths = [(0, 0), (0, 7), (5, 0), (1, 1), (1, 600), (600, 1), (2, 600)]
+        lengths += [(rng.randrange(601), rng.randrange(61)) for _ in range(6)]
+        lengths += [(rng.randrange(100, 201), rng.randrange(100, 201))]
+        for la, lb in lengths:
+            a, b = _random_poly(rng, F.order, la), _random_poly(rng, F.order, lb)
+            want = _schoolbook_mul(F, a, b)
+            assert poly_mul(F, a, b) == want, (la, lb)
+            assert poly_mul(F, b, a) == want, (lb, la)
+        # constants, including the unnormalized zero
+        assert poly_mul(F, (0, 0, 0), (1, 1)) == ()
+        assert poly_mul(F, (F.order - 1,), (1,)) == (F.order - 1,)
+
+    @pytest.mark.parametrize("p,s", [(2, 1), (7, 1), (2, 2), (3, 2), (2, 3)])
+    def test_full_slots(self, p, s):
+        """All digits p - 1 make the middle slot reach its bound len * s * (p-1)^2,
+        with the length chosen so the bound just needs a second byte."""
+        F = build_field(p, s)
+        a = (F.order - 1,) * (256 // (s * (p - 1) ** 2) + 1)
+        assert poly_mul(F, a, a) == _schoolbook_mul(F, a, a)
+
+    @pytest.mark.parametrize(
+        "p,s,la,lb",
+        [
+            (4294967311, 1, 300, 256),  # a slot needs 256 * (p-1)^2 > 2^72
+            (2, 40, 256, 3),  # p^(2s-1) = 2^79: far beyond any lookup table
+            (2, 40, 20, 17),
+        ],
+    )
+    def test_wide_slots_and_tableless_fields(self, p, s, la, lb):
+        F = build_field(p, s)
+        assert F.exp is None
+        rng = random.Random(la * lb)
+        a, b = _random_poly(rng, F.order, la), _random_poly(rng, F.order, lb)
+        assert poly_mul(F, a, b) == _schoolbook_mul(F, a, b)
+
+    def test_big_endian_slot_order(self, monkeypatch):
+        """A big-endian host packs every slot in reverse order; the byte-string
+        paths replay that here, with the array paths switched off."""
+        monkeypatch.setattr(gf, "byteorder", "big")
+        monkeypatch.setattr(gf, "_ARRAY_CODES", {})
+        rng = random.Random(9)
+        for p, s in [(2, 1), (3, 2), (2, 3)]:
+            F = build_field(p, s)
+            a, b = _random_poly(rng, F.order, 40), _random_poly(rng, F.order, 25)
+            assert poly_mul(F, a, b) == _schoolbook_mul(F, a, b), (p, s)
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.symbols("x")
+        rng = random.Random(2)
+        for p in (2, 3, 31, 1021, 4294967311):
+            F = build_field(p, 1)
+            lengths = [(rng.randrange(1, 601), rng.randrange(1, 61)) for _ in range(3)]
+            for la, lb in lengths + [(200, 150)]:
+                a, b = _random_poly(rng, p, la), _random_poly(rng, p, lb)
+                prod = sympy.Poly(a[::-1], x, modulus=p) * sympy.Poly(b[::-1], x, modulus=p)
+                want = poly_normalize(int(c) % p for c in reversed(prod.all_coeffs()))
+                assert poly_mul(F, a, b) == want, p
+
+
+@pytest.mark.parametrize("p,s", _prime_powers(SMALL_TABLE_MAX))
+def test_small_tables_match_raw_arithmetic(p, s):
+    """The exp/log-built q*q tables against the table-free arithmetic."""
+    F = build_field(p, s)
+    q = F.order
+    if q <= 64:
+        pairs = product(range(q), repeat=2)
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(10_000)]
+    for a, b in pairs:
+        assert F._add_table[a * q + b] == F._raw_add(a, b), (a, b)
+        assert F._mul_table[a * q + b] == F._raw_mul(a, b), (a, b)
