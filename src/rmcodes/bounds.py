@@ -25,13 +25,14 @@ extend the base-case exclusions to every larger length.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile
 from math import comb, gcd
 
 from .cyclotomy import QadicParams, q_weight
 from .codes import CodeSpec, build_code, condition_star_holds
 from .distance import SearchBudget, exact_distance
 from .errors import InternalError, TooLarge
-from .ntheory import divisors, is_prime_power, mult_order, prime_power_split
+from .ntheory import divisors_ascending, is_prime_power, mult_order, prime_power_split
 
 __all__ = [
     "Bound",
@@ -171,7 +172,8 @@ def _condition_divisors(q: int, m: int, h: int, max_e: int | None = None):
     """The divisors e of q^m - 1 in [2, min(max_e, n-1)] passing the divisor condition, ascending."""
     n = CodeSpec(q, m, h).n
     top = n - 1 if max_e is None else min(max_e, n - 1)
-    return (e for e in divisors(n) if 2 <= e <= top and condition_star_holds(q, m, h, e))
+    below_top = takewhile(lambda e: e <= top, divisors_ascending(n))
+    return (e for e in below_top if e >= 2 and condition_star_holds(q, m, h, e))
 
 
 def search_condition_divisors(q: int, m: int, h: int, max_e: int | None = None) -> list[int]:

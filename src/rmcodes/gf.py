@@ -9,7 +9,8 @@ base-p expansion of i).
 
 A field is built deterministically: the modulus is the first monic
 irreducible polynomial of its degree in ascending index order, and the
-primitive element is the least index generating the multiplicative group.
+primitive element is the least index generating the multiplicative group,
+found with one factorization of p^s - 1 and, for s >= 2, from index p on.
 The characteristic p must be below ``ntheory.PROVEN_PRIME_BOUND``, where
 the primality test is a proof.  Fields of at most
 ``DEFAULT_TABLE_THRESHOLD`` elements carry discrete exp/log tables; larger
@@ -71,6 +72,7 @@ class FieldCtx:
         self.s = s
         self.order = p**s
         self.modulus = _find_modulus(p, s)
+        self._group_primes = tuple(factorize(self.order - 1)) if self.order > 2 else ()
         self.exp: list[int] | None = None
         self.log: list[int] | None = None
         self._add_table: list[int] | None = None
@@ -234,18 +236,18 @@ class FieldCtx:
         n = self.order - 1
         if self.log is not None:
             return n // gcd(n, self.log[x])
-        if n == 1:
-            return 1
         order = n
-        for r in factorize(n):
+        for r in self._group_primes:
             while order % r == 0 and self._raw_pow(x, order // r) == 1:
                 order //= r
         return order
 
     def primitives(self):
-        """The primitive elements, in ascending index order."""
+        """The primitive elements, in ascending index order; for s >= 2 from
+        index p on, since indices below p are the prime subfield."""
         n = self.order - 1
-        return (x for x in range(1, self.order) if self.order_of(x) == n)
+        start = self.p if self.s > 1 else 1
+        return (x for x in range(start, self.order) if self.order_of(x) == n)
 
     def element_coeffs(self, x: int) -> tuple[int, ...]:
         """Polynomial-basis coordinate vector (length s, lowest power first)."""

@@ -6,17 +6,21 @@ its cyclotomic pieces Phi_d(b), d | k (Brillhart et al., *Factorizations of
 b^n +- 1*).  A prime factor of Phi_d(b) divides d or is 1 mod d, so once the
 primes of 2d are divided out, trial division steps through 1 + lcm(2, d)*j.
 Any other x gets trial division over the 6k +- 1 wheel.  Both go up to
-``TRIAL_LIMIT`` and hand a composite that is left to one finisher: a short
-pass of Brent's variant of Pollard rho, then Lenstra's elliptic-curve method
-(ECM) on Montgomery curves with fixed parameters, stage 1 and a stage-2
-continuation.  One budget bounds the work of rho and of ECM; a composite
-cofactor that survives it is reported, never mislabeled as prime.
+``TRIAL_LIMIT``; a leftover below the square of the next candidate is prime
+by the division itself, so x < TRIAL_LIMIT**2 needs no Miller-Rabin.  A
+larger leftover goes to one finisher: Miller-Rabin (a proof below
+``PROVEN_PRIME_BOUND``), a short pass of Brent's variant of Pollard rho,
+then Lenstra's elliptic-curve method (ECM) on Montgomery curves with fixed
+parameters, stage 1 and a stage-2 continuation.  One budget bounds the work
+of rho and of ECM; a composite cofactor that survives it is reported, never
+mislabeled as prime.  ``mult_order`` factors its modulus e once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import combinations
 from math import exp, gcd, isqrt, log, prod
 
@@ -25,6 +29,7 @@ from .errors import FactorizationIncomplete, InternalError
 
 TRIAL_LIMIT = 1 << 20
 _RHO_PASS = 1 << 14  # rho iterations before ECM takes over
+_RHO_BUDGET = 1 << 22  # factorize's default bound on the finisher's work
 
 # The first 13 primes as strong Miller-Rabin bases.  Sorenson and Webster
 # (2015) proved that no composite below psi_13 = PROVEN_PRIME_BOUND passes
@@ -225,7 +230,10 @@ def _finish(x: int, factors: dict[int, int], budget: int):
 
 def _trial(x: int, factors: dict[int, int], d: int, step: int, wheel: int) -> int:
     """Divide out the candidates d, d + step, ... (steps alternate with wheel - step)
-    up to min(TRIAL_LIMIT, isqrt(x)), recording them in ``factors``; return what is left."""
+    up to min(TRIAL_LIMIT, isqrt(x)), recording them in ``factors``; return what is left.
+
+    Every prime factor of ``x`` must be a candidate, so a leftover 1 < x < d^2
+    at the first untried d is prime: it is recorded too and 1 is returned."""
     limit = min(TRIAL_LIMIT, isqrt(x))
     while d <= limit:
         if x % d == 0:
@@ -235,6 +243,9 @@ def _trial(x: int, factors: dict[int, int], d: int, step: int, wheel: int) -> in
             limit = min(TRIAL_LIMIT, isqrt(x))
         d += step
         step = wheel - step
+    if 1 < x < d * d:
+        factors[x] = factors.get(x, 0) + 1
+        return 1
     return x
 
 
@@ -290,7 +301,9 @@ def _cyclotomic_value(b: int, d: int) -> int:
 @lru_cache(maxsize=1024)
 def _piece_factors(b: int, d: int, budget: int) -> tuple[tuple[int, int], ...]:
     """The (prime, exponent) pairs of Phi_d(b): the primes of 2d first, then
-    trial division over 1 + lcm(2, d)*j, then the finisher."""
+    trial division over 1 + lcm(2, d)*j, then the finisher.  A prime r of
+    Phi_d(b) not dividing 2d is odd, and b has order d mod r, so every prime
+    left is 1 mod lcm(2, d): a trial candidate, as ``_trial`` requires."""
     v = _cyclotomic_value(b, d)
     factors: dict[int, int] = {}
     for p in _factor_generic(2 * d, 0):
@@ -304,13 +317,15 @@ def _piece_factors(b: int, d: int, budget: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(factors.items()))
 
 
-def factorize(x: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
+def factorize(x: int, *, rho_budget: int = _RHO_BUDGET) -> dict[int, int]:
     """Factor ``x`` >= 2 into a {prime: exponent} map.
 
     Above TRIAL_LIMIT**2, an x with x + 1 = b^k, k >= 2, is factored
-    through its cyclotomic pieces; any other x directly.  Each reported
-    factor is proven prime when it is below PROVEN_PRIME_BOUND and only a
-    strong probable prime at or above it.  Raises FactorizationIncomplete if
+    through its cyclotomic pieces; any other x directly.  A factor that trial
+    division finds, or leaves below the square of its next candidate, is
+    proven prime by the division.  Any other factor is proven prime by
+    Miller-Rabin when it is below PROVEN_PRIME_BOUND and only a strong
+    probable prime at or above it.  Raises FactorizationIncomplete if
     a composite cofactor survives ``rho_budget``, which bounds the rho
     iterations and the ECM work on each cofactor.
     """
@@ -328,14 +343,23 @@ def factorize(x: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
     return _factor_generic(x, rho_budget)
 
 
+def divisors_ascending(x: int):
+    """The divisors of ``x`` >= 1, smallest first, lazily: a heap walk that
+    extends a divisor only by primes >= its largest, so each is pushed once."""
+    fac = sorted(factorize(x).items()) if x > 1 else []
+    heap = [(1, 0, 0)]  # (divisor, index of its largest prime, that prime's exponent)
+    while heap:
+        d, i, k = heappop(heap)
+        yield d
+        if i < len(fac) and k < fac[i][1]:
+            heappush(heap, (d * fac[i][0], i, k + 1))
+        for j in range(i + 1, len(fac)):
+            heappush(heap, (d * fac[j][0], j, 1))
+
+
 def divisors(x: int) -> list[int]:
     """All positive divisors of ``x``, sorted ascending."""
-    if x == 1:
-        return [1]
-    divs = [1]
-    for p, a in sorted(factorize(x).items()):
-        divs = [d * p**i for d in divs for i in range(a + 1)]
-    return sorted(divs)
+    return list(divisors_ascending(x))
 
 
 def euler_phi(e: int) -> int:
@@ -350,18 +374,28 @@ def euler_phi(e: int) -> int:
     return out
 
 
+def _order(b: int, e: int, fac_e: dict[int, int]) -> int:
+    """The order of the unit ``b`` mod ``e``, given ``fac_e`` = factorize(e): phi(e)
+    and its primes come from each p^(a-1) and p - 1 (p is no power: no split)."""
+    l = 1
+    primes = set(fac_e)  # p divides phi(e) when a > 1; the l % r test skips the rest
+    for p, a in fac_e.items():
+        l *= p ** (a - 1) * (p - 1)
+        primes.update(_factor_generic(p - 1, _RHO_BUDGET))
+    for r in primes:
+        while l % r == 0 and pow(b, l // r, e) == 1:
+            l //= r
+    return l
+
+
 def mult_order(b: int, e: int) -> int:
-    """Least l >= 1 with b**l == 1 (mod e); b may be negative."""
+    """Least l >= 1 with b**l == 1 (mod e); b may be negative.  Factors e once."""
     if e < 2:
         raise ValueError(f"need modulus e >= 2, got {e}")
     b %= e
     if gcd(b, e) != 1:
         raise ValueError(f"gcd({b}, {e}) != 1")
-    l = euler_phi(e)
-    for r in factorize(l):
-        while l % r == 0 and pow(b, l // r, e) == 1:
-            l //= r
-    return l
+    return _order(b, e, factorize(e))
 
 
 @dataclass(frozen=True)
@@ -389,7 +423,8 @@ def odd_order_test(b: int, e: int) -> OddOrderResult:
         raise ValueError(f"gcd({b}, {e}) != 1")
     steps = []
     is_odd = True
-    for p, a in sorted(factorize(e).items()):
+    fac_e = factorize(e)
+    for p, a in sorted(fac_e.items()):
         pa = p**a
         if p == 2:
             part = b % pa == 1
@@ -406,7 +441,7 @@ def odd_order_test(b: int, e: int) -> OddOrderResult:
             )
         if not part:
             is_odd = False
-    direct = mult_order(b, e) % 2 == 1
+    direct = _order(b, e, fac_e) % 2 == 1
     if direct != is_odd:
         raise InternalError(
             f"structural odd-order answer {is_odd} != direct parity {direct} for b={b}, e={e}"

@@ -1,5 +1,7 @@
+import hashlib
 import random
-from math import comb, gcd
+from functools import lru_cache
+from math import comb, gcd, prod
 
 import pytest
 
@@ -115,6 +117,24 @@ class TestFactorize:
         assert nt._ecm(cofactor, 1 << 22) in (166003607842448777, 2192537062271178641)
         assert nt._ecm(cofactor, nt._ecm_cost(2_000) - 1) == 0
 
+    def test_every_small_and_seeded_x(self):
+        for x, fac in factorized_samples():
+            assert all(nt.is_probable_prime(p) for p in fac), x
+            assert prod(p**a for p, a in fac.items()) == x
+
+    def test_small_and_seeded_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for x, fac in factorized_samples():
+            assert fac == sympy.factorint(x), x
+
+
+@lru_cache(maxsize=None)
+def factorized_samples():
+    """(x, factorize(x)) for every x in [2, 2^16] and 10^4 seeded x < 2^40."""
+    rng = random.Random(53)
+    xs = [*range(2, (1 << 16) + 1), *(rng.randrange(2, 1 << 40) for _ in range(10_000))]
+    return [(x, nt.factorize(x)) for x in xs]
+
 
 FORMER_STALLS = {
     (2, 122): {3: 1, 768614336404564651: 1, 2305843009213693951: 1},
@@ -142,6 +162,65 @@ class TestPrimality:
         sympy = pytest.importorskip("sympy")
         for n in range(100_000):
             assert nt.is_probable_prime(n) == sympy.isprime(n), n
+
+
+class TestTrialDivisionProof:
+    """A leftover is prime by trial division only below the next candidate squared."""
+
+    # the two least primes above TRIAL_LIMIT = 2^20; the wheel stops at 2^20 + 1
+    P, Q = 1_048_583, 1_048_589
+
+    def test_two_primes_above_the_limit(self):
+        assert nt.TRIAL_LIMIT < self.P < self.Q
+        assert nt.factorize(self.P * self.Q) == {self.P: 1, self.Q: 1}
+
+    def test_square_of_a_prime_above_the_limit(self):
+        assert nt.factorize(self.P**2) == {self.P: 2}
+
+    def test_cyclotomic_leftover_of_two_primes(self):
+        # Phi_67(2) = 2^67 - 1 (Cole, 1903); both primes are 1 mod lcm(2, 67)
+        r, s = 193_707_721, 761_838_257_287
+        assert nt.TRIAL_LIMIT < r < s and r % 134 == s % 134 == 1
+        assert nt.factorize(2**67 - 1) == {r: 1, s: 1}
+
+    def test_small_x_needs_no_miller_rabin(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"is_probable_prime({n}) called")
+
+        monkeypatch.setattr(nt, "is_probable_prime", refuse)
+        for x in (*range(2, 5000), 7 * self.P, 1_000_003 * 1_000_033, (1 << 40) - 87):
+            nt.factorize(x)
+        for e in range(3, 2000, 7):
+            nt.odd_order_test(2, e | 1)
+
+
+class TestDivisorWalk:
+    @staticmethod
+    def product_list(x):
+        divs = [1]
+        for p, a in nt.factorize(x).items():
+            divs = [d * p**i for d in divs for i in range(a + 1)]
+        return sorted(divs)
+
+    def test_every_x_below_3000(self):
+        assert list(nt.divisors_ascending(1)) == [1]
+        for x in range(2, 3000):
+            assert list(nt.divisors_ascending(x)) == self.product_list(x), x
+
+    def test_certify_moduli(self):
+        # the 7 largest m with q^m - 1 <= 2^128 for every prime power q <= 32
+        moduli = []
+        for q in filter(nt.is_prime_power, range(2, 33)):
+            ms = [m for m in range(2, 129) if q**m - 1 <= 1 << 128]
+            moduli += [q**m - 1 for m in ms[-7:]]
+        assert len(moduli) == 126
+        for x in moduli:
+            assert nt.divisors(x) == self.product_list(x), x
+
+    def test_prefix_of_a_large_walk(self):
+        # 19^30 - 1 has 393,216 divisors; certify needs only the first 16
+        walk = nt.divisors_ascending(19**30 - 1)
+        assert [next(walk) for _ in range(16)] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 15, 18, 20]
 
 
 class TestPhiAndOrder:
@@ -172,6 +251,33 @@ class TestPhiAndOrder:
                 x = x * b % e
                 l += 1
             assert nt.mult_order(b, e) == l
+
+    def test_order_brute_every_pair_below_300(self):
+        for e in range(2, 300):
+            for b in range(1, e):
+                if gcd(b, e) != 1:
+                    continue
+                x, l = b, 1
+                while x != 1:
+                    x = x * b % e
+                    l += 1
+                assert nt.mult_order(b, e) == l, (b, e)
+
+    def test_order_matches_phi_then_factor(self):
+        # the former route as oracle: factor e inside euler_phi, then factor phi(e)
+        rng = random.Random(59)
+        checked = 0
+        while checked < 10_000:
+            e = rng.randrange(3, 10**6)
+            b = rng.randrange(1, e)
+            if gcd(b, e) != 1:
+                continue
+            l = nt.euler_phi(e)
+            for r in nt.factorize(l):
+                while l % r == 0 and pow(b, l // r, e) == 1:
+                    l //= r
+            assert nt.mult_order(b, e) == l, (b, e)
+            checked += 1
 
     def test_order_divides_phi(self):
         rng = random.Random(29)
@@ -207,6 +313,21 @@ class TestOddOrder:
             if gcd(b, e) != 1:
                 continue
             assert nt.odd_order_test(b, e).is_odd == (nt.mult_order(b, e) % 2 == 1)
+
+    def test_steps_on_quadratic_residue_pairs(self):
+        # sha256 of every (b, p, is_odd, steps) of verify check 7.d, recorded
+        # while mult_order still factored phi(e) afresh
+        digest = hashlib.sha256()
+        pairs = 0
+        for p in filter(nt.is_probable_prime, range(3, 500, 4)):
+            for b in range(2, p):
+                r = nt.odd_order_test(b, p)
+                digest.update(repr((b, p, r.is_odd, r.steps)).encode())
+                pairs += 1
+        assert pairs == 11470
+        assert digest.hexdigest() == (
+            "98246c035c1fc8dfb8dd8795b31768e05003f44a8af07b63c831882d35b45ac2"
+        )
 
 
 class TestGenericBounds:

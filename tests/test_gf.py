@@ -394,3 +394,23 @@ def test_small_tables_match_raw_arithmetic(p, s):
     for a, b in pairs:
         assert F._add_table[a * q + b] == F._raw_add(a, b), (a, b)
         assert F._mul_table[a * q + b] == F._raw_mul(a, b), (a, b)
+
+
+def _least_primitive_brute(F):
+    """The least index of order q - 1, by walking powers from index 1."""
+    for x in range(1, F.order):
+        y, k = x, 1
+        while y != 1:
+            y = F.mul(y, x)
+            k += 1
+        if k == F.order - 1:
+            return x
+
+
+def test_least_primitive_matches_brute_force():
+    # the search skips the prime subfield for s >= 2 and factors q - 1 once
+    for p, s in _prime_powers(1 << 12):
+        F = build_field(p, s)
+        assert F.primitive_elem == _least_primitive_brute(F), (p, s)
+    # the primitive element does not depend on the tables, which would hold 1021^2 entries
+    assert build_field(1021, 2, table_threshold=0).primitive_elem == 1035
