@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import gf
 from .cyclotomy import (
@@ -81,15 +81,13 @@ class CodeSpec:
 
 @dataclass(frozen=True)
 class Codeword:
-    """A length-n coefficient vector over F_q with its Hamming weight."""
+    """A length-n coefficient vector over F_q; its Hamming weight is derived from it."""
 
     coeffs: tuple[int, ...]
-    weight: int
 
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "Codeword":
-        coeffs = tuple(coeffs)
-        return cls(coeffs, sum(1 for c in coeffs if c))
+    @cached_property
+    def weight(self) -> int:
+        return sum(1 for c in self.coeffs if c)
 
 
 class CodeInstance:
@@ -254,8 +252,7 @@ def encode(inst: CodeInstance, msg) -> Codeword:
     if any(not 0 <= c < q for c in msg):
         raise ValueError("message entries must be field element indices")
     prod = gf.poly_mul(inst.small, gf.poly_normalize(msg), inst.gen_poly)
-    coeffs = prod + (0,) * (inst.n - len(prod))
-    return Codeword.from_coeffs(coeffs)
+    return Codeword(prod + (0,) * (inst.n - len(prod)))
 
 
 def is_member(inst: CodeInstance, word) -> bool:
@@ -324,7 +321,7 @@ def quotient_codeword(
     else:
         for j in range(e):
             coeffs[j * F] = 1
-    return Codeword.from_coeffs(coeffs)
+    return Codeword(tuple(coeffs))
 
 
 def code_to_json(inst: CodeInstance) -> dict:

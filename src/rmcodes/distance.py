@@ -177,12 +177,14 @@ def exhaustive_distance(inst: CodeInstance, budget: SearchBudget | None = None) 
 
 
 def witness_upper_bound(inst: CodeInstance, candidates) -> DistanceResult:
-    """Upper bound from explicit candidate codewords; every candidate must be a member."""
+    """Upper bound from explicit candidate codewords, each a nonzero member of the code."""
     candidates = list(candidates)
     if not candidates:
         raise ValueError("no candidate codewords supplied")
     best = None
     for cand in candidates:
+        if cand.weight == 0:
+            raise ValueError("candidate is the zero word, which bounds no distance")
         if not is_member(inst, cand.coeffs):
             raise ValueError(f"candidate of weight {cand.weight} is not in the code")
         if best is None or cand.weight < best.weight:
@@ -271,7 +273,7 @@ def find_weight_witness(
                 dense = [0] * n
                 for pos, c in zip(positions, coeffs):
                     dense[pos] = c
-                return Codeword(tuple(dense), weight)
+                return Codeword(tuple(dense))
     return None
 
 

@@ -13,8 +13,10 @@ primitive element is the least index generating the multiplicative group,
 found with one factorization of p^s - 1 and, for s >= 2, from index p on.
 The characteristic p must be below ``ntheory.PROVEN_PRIME_BOUND``, where
 the primality test is a proof.  Fields of at most
-``DEFAULT_TABLE_THRESHOLD`` elements carry discrete exp/log tables; larger
-fields fall back to direct polynomial arithmetic.
+``DEFAULT_TABLE_THRESHOLD`` elements carry discrete exp/log tables and, for
+odd p, a Zech table zech[i] = log(1 + alpha^i), so that x + y is
+x * (1 + y/x) in three lookups (for p = 2 it is XOR); larger fields fall
+back to direct polynomial arithmetic.
 
 A subfield F_q of F_{q^m} is embedded by matching the powers of a primitive
 element of F_q with the powers of beta = alpha^((q^m-1)/(q-1)).  Such a map
@@ -50,9 +52,6 @@ from .errors import InternalError, TooLarge
 from .ntheory import PROVEN_PRIME_BOUND, factorize, is_probable_prime
 
 DEFAULT_TABLE_THRESHOLD = 1 << 20
-# full q*q add/mul tables, for the scalar arithmetic of the small coefficient
-# fields: minimal polynomials, the distance kernels' scalars, evaluation
-SMALL_TABLE_MAX = 256
 EXPONENT_LIMIT = 1 << 128
 
 
@@ -75,8 +74,7 @@ class FieldCtx:
         self._group_primes = tuple(factorize(self.order - 1)) if self.order > 2 else ()
         self.exp: list[int] | None = None
         self.log: list[int] | None = None
-        self._add_table: list[int] | None = None
-        self._mul_table: list[int] | None = None
+        self.zech: list[int] | None = None
 
         if primitive is None:
             primitive = next(self.primitives())
@@ -86,8 +84,6 @@ class FieldCtx:
 
         if self.order <= table_threshold:
             self._build_log_tables()
-            if self.order <= SMALL_TABLE_MAX:
-                self._build_small_tables()
 
     # -- raw arithmetic on indices (no tables) ------------------------------
 
@@ -150,7 +146,7 @@ class FieldCtx:
         return result
 
     def _build_log_tables(self):
-        q = self.order
+        q, p = self.order, self.p
         exp = [0] * (q - 1)
         log = [-1] * q
         t = 1
@@ -161,26 +157,22 @@ class FieldCtx:
         if t != 1:
             raise InternalError("primitive element order check failed")
         self.exp, self.log = exp, log
-
-    def _build_small_tables(self):
-        """q*q add and mul tables from exp/log: a*b = exp[log a + log b], and
-        a + b = a * (1 + b/a), where adding 1 steps the lowest base-p digit."""
-        q, p, log, exp = self.order, self.p, self.log, self.exp * 2
-        self._mul_table = mul = [exp[i + j] if i >= 0 and j >= 0 else 0 for i in log for j in log]
-        if p == 2:
-            self._add_table = [a ^ b for a in range(q) for b in range(q)]
-            return
-        one_plus = [x - x % p + (x + 1) % p for x in range(q)]
-        self._add_table = add = list(range(q))  # row 0, then row a from row 1/a
-        for a, la in enumerate(log[1:], 1):
-            add += [mul[a * q + one_plus[c]] for c in mul[exp[-la] * q : exp[-la] * q + q]]
+        if p > 2:
+            # Zech logarithms: zech[i] = log(1 + alpha^i), -1 where 1 + alpha^i = 0;
+            # adding 1 steps the lowest base-p digit
+            self.zech = [log[x - x % p + (x + 1) % p] for x in exp]
 
     # -- public ops ----------------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[x * self.order + y]
-        return self._raw_add(x, y)
+        """x + y; on a tabled odd field x * (1 + y/x) by the Zech table."""
+        if self.zech is None:
+            return self._raw_add(x, y)
+        if x == 0 or y == 0:
+            return x or y
+        n, lx = self.order - 1, self.log[x]
+        z = self.zech[(self.log[y] - lx) % n]
+        return 0 if z < 0 else self.exp[(lx + z) % n]
 
     def neg(self, x: int) -> int:
         if self.p == 2:
@@ -198,8 +190,6 @@ class FieldCtx:
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[x * self.order + y]
         if self.log is not None:
             if x == 0 or y == 0:
                 return 0

@@ -79,6 +79,12 @@ class CheckResult:
     seconds: float
 
 
+def _require(condition, *msg) -> None:
+    """A check that ``python -O`` keeps: raise AssertionError(*msg) unless condition."""
+    if not condition:
+        raise AssertionError(*msg)
+
+
 def _build(q, m, h, variant="omega"):
     return cd.build_code(cd.CodeSpec(q, m, h, variant))
 
@@ -88,13 +94,13 @@ def _build(q, m, h, variant="omega"):
 
 def check_representatives_342():
     got = coset_partition(QadicParams(3, 4), 2).representatives
-    assert got == (1, 2, 4, 5, 7, 8, 10, 11, 20), got
+    _require(got == (1, 2, 4, 5, 7, 8, 10, 11, 20), got)
     return f"representatives(3,4,2) = {list(got)}"
 
 
 def check_maximal_342():
     got = coset_partition(QadicParams(3, 4), 2).maximal
-    assert got == (7, 8, 11, 20), got
+    _require(got == (7, 8, 11, 20), got)
     return f"maximal(3,4,2) = {list(got)}"
 
 
@@ -102,11 +108,11 @@ def check_maximal_362():
     params = QadicParams(3, 6)
     part = coset_partition(params, 2)
     got = part.maximal
-    assert got == (11, 19, 20, 29, 56), got
+    _require(got == (11, 19, 20, 29, 56), got)
     sizes = sum(len(c) for c in part.classes)
-    assert sizes == len(index_set(params, 2)) == 72, sizes
-    assert q_weight(params, 58) == 3  # the misprinted element cannot occur
-    assert 19 in part.representatives
+    _require(sizes == len(index_set(params, 2)) == 72, sizes)
+    _require(q_weight(params, 58) == 3)  # the misprinted element cannot occur
+    _require(19 in part.representatives)
     return f"maximal(3,6,2) = {list(got)}; ERRATUM: {REFERENCE_ERRATA['maximal-set-362']}"
 
 
@@ -119,7 +125,7 @@ def check_table_reference_cells():
     for q, cells in REFERENCE_TABLE_CELLS.items():
         rows = {(r.a, r.l, r.e) for r in blocks[q].rows}
         for cell in cells:
-            assert cell in rows, f"reference cell q={q}, (a,l,e)={cell} not reproduced"
+            _require(cell in rows, f"reference cell q={q}, (a,l,e)={cell} not reproduced")
             matched += 1
     return f"all {matched} verified reference cells reproduced"
 
@@ -128,7 +134,7 @@ def check_table_bound_rows():
     blocks = {b.q: b for b in bd.table_rows(7, 32)}
     for q in REFERENCE_TABLE_CELLS:
         b = blocks[q]
-        assert (b.d_lower, b.d_upper) == (q + 1, 2 * q - 1), (q, b.d_lower, b.d_upper)
+        _require((b.d_lower, b.d_upper) == (q + 1, 2 * q - 1), (q, b.d_lower, b.d_upper))
     return "bound rows q+1 and 2q-1 match for all 12 reference q"
 
 
@@ -137,16 +143,16 @@ def check_table_rows_verified():
     n_rows = 0
     for b in blocks:
         for r in b.rows:
-            assert gcd(r.a, r.q) == 1 and 2 <= r.a <= r.q - 2
-            assert r.e == r.q + r.a
-            assert r.l % 2 == 1
-            assert pow(-r.a, r.l, r.e) == 1
+            _require(gcd(r.a, r.q) == 1 and 2 <= r.a <= r.q - 2)
+            _require(r.e == r.q + r.a)
+            _require(r.l % 2 == 1)
+            _require(pow(-r.a, r.l, r.e) == 1)
             for p in nt.factorize(r.l):
-                assert pow(-r.a, r.l // p, r.e) != 1
+                _require(pow(-r.a, r.l // p, r.e) != 1)
             n_rows += 1
     rows19 = {(r.a, r.l, r.e) for b in blocks if b.q == 19 for r in b.rows}
-    assert (4, 11, 23) not in rows19
-    assert nt.mult_order(-4, 23) == 22
+    _require((4, 11, 23) not in rows19)
+    _require(nt.mult_order(-4, 23) == 22)
     return (
         f"all {n_rows} generated rows pass direct order verification; "
         f"ERRATUM: {REFERENCE_ERRATA['order-table-19']}"
@@ -159,12 +165,12 @@ def check_table_rows_verified():
 def _distance_check(q, m, h, variant, expected, method):
     inst = _build(q, m, h, variant)
     result = ds.exact_distance(inst)
-    assert result.exact
-    assert result.method == method, result.method
-    assert result.value == expected, f"d = {result.value}, expected {expected}"
+    _require(result.exact)
+    _require(result.method == method, result.method)
+    _require(result.value == expected, f"d = {result.value}, expected {expected}")
     if result.witness is not None:
-        assert result.witness.weight == result.value
-        assert cd.is_member(inst, result.witness.coeffs)
+        _require(result.witness.weight == result.value)
+        _require(cd.is_member(inst, result.witness.coeffs))
     return f"d({variant}(q={q},m={m},h={h})) = {result.value} [{result.method}]"
 
 
@@ -196,7 +202,7 @@ def check_distance_repunit_family():
     inst = _build(3, 2, 1)
     result = ds.exact_distance(inst)
     e, _ = bd.repunit_certificate(3, 1)
-    assert result.value == e == 4
+    _require(result.value == e == 4)
     return f"d(omega(3,2,1)) = {result.value} = (q^(h+1)-1)/(q-1), the certified divisor"
 
 
@@ -207,24 +213,24 @@ def _assert_zero_at_all_zeros(inst, word):
     coeffs = gf.poly_normalize(word)
     for a in inst.zero_exponents:
         value = gf.poly_eval_lifted(inst.emb, coeffs, inst.big.alpha_pow(a))
-        assert value == 0, f"nonzero value at exponent {a}"
+        _require(value == 0, f"nonzero value at exponent {a}")
 
 
 def check_witness_342():
     w = cd.quotient_codeword(3, 4, 2, 16)
-    assert w.weight == 16, w.weight
+    _require(w.weight == 16, w.weight)
     inst = _build(3, 4, 2)
     _assert_zero_at_all_zeros(inst, w.coeffs)
-    assert cd.is_member(inst, w.coeffs)
+    _require(cd.is_member(inst, w.coeffs))
     return f"weight-16 quotient word vanishes at all {len(inst.zero_exponents)} zeros of omega(3,4,2)"
 
 
 def check_witness_362_bar():
     w = cd.quotient_codeword(3, 6, 2, 13, barred=True)
-    assert w.weight <= 26, w.weight
+    _require(w.weight <= 26, w.weight)
     inst = _build(3, 6, 2, "omega_bar")
     _assert_zero_at_all_zeros(inst, w.coeffs)
-    assert cd.is_member(inst, w.coeffs)
+    _require(cd.is_member(inst, w.coeffs))
     return (
         f"weight-{w.weight} mirrored quotient word vanishes at all "
         f"{len(inst.zero_exponents)} zeros of omega_bar(3,6,2)"
@@ -236,25 +242,25 @@ def check_witness_362_bar():
 
 def check_packing_binary_bar():
     inst = _build(2, 4, 1, "omega_bar")
-    assert (inst.n, inst.k) == (15, 6)
-    assert not bd.sphere_packing_ok(15, 6, 2, 7)
-    assert bd.distance_optimal(15, 6, 2, 6)
+    _require((inst.n, inst.k) == (15, 6))
+    _require(not bd.sphere_packing_ok(15, 6, 2, 7))
+    _require(bd.distance_optimal(15, 6, 2, 6))
     return "(15,6) binary: d = 7 excluded, d = 6 distance-optimal"
 
 
 def check_packing_ternary():
     inst = _build(3, 2, 1)
-    assert (inst.n, inst.k) == (8, 4)
-    assert not bd.sphere_packing_ok(8, 4, 3, 5)
-    assert bd.distance_optimal(8, 4, 3, 4)
+    _require((inst.n, inst.k) == (8, 4))
+    _require(not bd.sphere_packing_ok(8, 4, 3, 5))
+    _require(bd.distance_optimal(8, 4, 3, 4))
     return "(8,4) ternary: d = 5 excluded, d = 4 distance-optimal"
 
 
 def check_packing_positivity():
     report = bd.positivity_certificates()
-    assert report.cubic_values == (384, 296, 66, 6), report.cubic_values
-    assert report.quintic_value == 11579850, report.quintic_value
-    assert report.all_positive
+    _require(report.cubic_values == (384, 296, 66, 6), report.cubic_values)
+    _require(report.quintic_value == 11579850, report.quintic_value)
+    _require(report.all_positive)
     return f"cubic chain at 15: {report.cubic_values}; quintic at 26: {report.quintic_value}"
 
 
@@ -266,7 +272,7 @@ def check_dimension_grid():
         inst = _build(q, m, h)
         expected = index_set_size(QadicParams(q, m), h)
         got = gf.poly_degree(inst.gen_poly)
-        assert got == expected, f"(q,m,h)=({q},{m},{h}): deg = {got}, formula = {expected}"
+        _require(got == expected, f"(q,m,h)=({q},{m},{h}): deg = {got}, formula = {expected}")
     return f"deg(gen) matches the count formula on all {len(GRID)} grid points"
 
 
@@ -276,8 +282,8 @@ def check_dimension_grid_barred():
         mirrored = _build(q, m, h, "omega_bar")
         deg_g = gf.poly_degree(plain.gen_poly)
         deg_bar = gf.poly_degree(mirrored.gen_poly)
-        assert deg_bar == 1 + 2 * deg_g, f"(q,m,h)=({q},{m},{h})"
-        assert mirrored.k == mirrored.n - 1 - 2 * index_set_size(QadicParams(q, m), h)
+        _require(deg_bar == 1 + 2 * deg_g, f"(q,m,h)=({q},{m},{h})")
+        _require(mirrored.k == mirrored.n - 1 - 2 * index_set_size(QadicParams(q, m), h))
     return f"deg(gen_bar) = 1 + 2 deg(gen) on all {len(BARRED_GRID)} mirrored grid points"
 
 
@@ -290,7 +296,7 @@ def check_weight_constant_on_classes():
         params = QadicParams(q, m)
         for cls in coset_partition(params, h).classes:
             weights = {q_weight(params, x) for x in cls}
-            assert len(weights) == 1, f"(q,m,h)=({q},{m},{h}), class {cls}"
+            _require(len(weights) == 1, f"(q,m,h)=({q},{m},{h}), class {cls}")
             count += 1
     return f"q-weight constant on all {count} cosets of the grid"
 
@@ -305,7 +311,7 @@ def check_condition_equivalence():
                 continue
             via_maximal = cd.condition_star_holds(q, m, h, e)
             via_full = all(a % e for a in full)
-            assert via_maximal == via_full, f"(q,m,h,e)=({q},{m},{h},{e})"
+            _require(via_maximal == via_full, f"(q,m,h,e)=({q},{m},{h},{e})")
             checked += 1
     return f"maximal-set condition agrees with the full index set on {checked} divisors"
 
@@ -320,7 +326,7 @@ def check_odd_order_parity(seed=DEFAULT_SEED):
             continue
         structural = nt.odd_order_test(b, e).is_odd
         direct = nt.mult_order(b, e) % 2 == 1
-        assert structural == direct, (b, e)
+        _require(structural == direct, (b, e))
         count += 1
     return "structural odd-order test matches direct order parity on 10^4 seeded coprime pairs"
 
@@ -332,7 +338,7 @@ def check_quadratic_residue_rule():
             continue
         residues = {b * b % p for b in range(1, p)}
         for b in range(2, p):
-            assert nt.odd_order_test(b, p).is_odd == (b in residues), (b, p)
+            _require(nt.odd_order_test(b, p).is_odd == (b in residues), (b, p))
             checked += 1
     return f"odd order iff quadratic residue verified for {checked} pairs (p = 3 mod 4, p < 500)"
 
@@ -344,7 +350,7 @@ def check_generator_divides():
                 continue
             inst = _build(q, m, h, variant)
             quotient = gf.poly_xn_minus_1_quotient(inst.small, inst.n, inst.gen_poly)
-            assert quotient is not None, f"(q,m,h)=({q},{m},{h}), {variant}"
+            _require(quotient is not None, f"(q,m,h)=({q},{m},{h}), {variant}")
     return "generator divides x^n - 1 for every constructed grid instance"
 
 
@@ -355,7 +361,7 @@ def check_scope_note():
     # the per-instance evaluator stays exact far beyond construction scale
     n = 5**9 - 1
     k = n - 1 - 2 * (5 - 1) * 9
-    assert isinstance(bd.sphere_packing_ok(n, k, 5, 19), bool)
+    _require(isinstance(bd.sphere_packing_ok(n, k, 5, 19), bool))
     return (
         "asymptotic distance claims for growing m are out of scope; they are "
         "covered only by the exact per-instance sphere-packing evaluator"
@@ -393,11 +399,15 @@ CHECKS = [
 
 
 def run_checks(only: str | None = None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run the verification suite; ``only`` filters by group number or name."""
+    """Run the verification suite; ``only`` filters by group number or name
+    (a check id such as 3.5 selects its group); ValueError for an unknown group."""
     group_filter = None
     if only:
         by_name = {v: k for k, v in GROUP_NAMES.items()}
         group_filter = by_name.get(only, only.split(".")[0])
+        if group_filter not in GROUP_NAMES:
+            groups = ", ".join(f"{k} {v}" for k, v in GROUP_NAMES.items())
+            raise ValueError(f"unknown check group {only!r}; groups: {groups}")
     results = []
     group_time: dict[str, float] = {}
     for cid, fn in CHECKS:

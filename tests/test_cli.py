@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rmcodes
 from rmcodes import codes as cd
 from rmcodes import ntheory as nt
 from rmcodes.cli import main
@@ -206,6 +211,32 @@ class TestVerifyPaper:
         code, out, _ = run(capsys, "verify-paper", "--only", "tables")
         assert code == 1
         assert "FAIL" in out and "(3, 3, 10)" in out
+        # python -O strips assert statements; the checks must fail there too
+        script = (
+            "import sys\n"
+            "from rmcodes import cli, verify\n"
+            "verify.REFERENCE_TABLE_CELLS[7] = [(99, 99, 99)]\n"
+            "sys.exit(cli.main(['verify-paper', '--only', 'tables']))\n"
+        )
+        src = str(Path(rmcodes.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "FAIL" in proc.stdout and "(99, 99, 99)" in proc.stdout
+
+    @pytest.mark.parametrize("only", ["bogus", "9", "9.1"])
+    def test_unknown_group_is_a_usage_error(self, capsys, only):
+        code, out, err = run(capsys, "verify-paper", "--only", only)
+        assert code == 2
+        assert "unknown check group" in err and "checks passed" not in out
+
+    def test_check_id_selects_its_group(self, capsys):
+        code, out, _ = run(capsys, "verify-paper", "--only", "3.5")
+        assert code == 0
+        assert "3.1" in out and "3.7" in out and "2.1" not in out
 
 
 def test_deterministic_output(capsys):

@@ -193,9 +193,25 @@ class TestWitnessUpperBound:
 
     def test_not_a_member(self):
         inst = build_code(CodeSpec(3, 2, 1))
-        bad = Codeword.from_coeffs([1] + [0] * (inst.n - 1))
+        bad = Codeword((1,) + (0,) * (inst.n - 1))
         with pytest.raises(ValueError, match="candidate of weight 1 is not in the code"):
             witness_upper_bound(inst, [bad])
+
+    def test_zero_word_rejected(self):
+        """e = n gives F = 1, and the mirrored quotient word is then zero."""
+        inst = build_code(CodeSpec(2, 4, 1, "omega_bar"))
+        zero = quotient_codeword(2, 4, 1, 15, barred=True)
+        assert zero.weight == 0
+        with pytest.raises(ValueError, match="zero word"):
+            witness_upper_bound(inst, [zero])
+
+    def test_weight_is_derived_from_coeffs(self):
+        inst = build_code(CodeSpec(2, 4, 1, "omega_bar"))
+        w = quotient_codeword(2, 4, 1, 3, barred=True)
+        with pytest.raises(TypeError):
+            Codeword(w.coeffs, 1)
+        assert Codeword(w.coeffs).weight == 6
+        assert witness_upper_bound(inst, [Codeword(w.coeffs)]).value == 6
 
 
 class TestDualTransform:

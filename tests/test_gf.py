@@ -7,7 +7,6 @@ import pytest
 from rmcodes import gf
 from rmcodes.errors import TooLarge
 from rmcodes.gf import (
-    SMALL_TABLE_MAX,
     build_field,
     embed_subfield,
     poly_degree,
@@ -381,19 +380,22 @@ class TestPolyMul:
                 assert poly_mul(F, a, b) == want, p
 
 
-@pytest.mark.parametrize("p,s", _prime_powers(SMALL_TABLE_MAX))
-def test_small_tables_match_raw_arithmetic(p, s):
-    """The exp/log-built q*q tables against the table-free arithmetic."""
+@pytest.mark.parametrize("p,s", _prime_powers(256) + [(17, 2), (7, 3), (5, 4), (3, 6), (3, 7)])
+def test_tabled_arithmetic_matches_raw(p, s):
+    """exp/log multiplication and Zech addition against the table-free
+    arithmetic; the pairs (x, -x) hit the Zech table's -1 entry."""
     F = build_field(p, s)
     q = F.order
+    assert (F.zech is None) == (p == 2)
     if q <= 64:
         pairs = product(range(q), repeat=2)
     else:
         rng = random.Random(q)
         pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(10_000)]
+        pairs += [(x, F.neg(x)) for x in range(q)]
     for a, b in pairs:
-        assert F._add_table[a * q + b] == F._raw_add(a, b), (a, b)
-        assert F._mul_table[a * q + b] == F._raw_mul(a, b), (a, b)
+        assert F.add(a, b) == F._raw_add(a, b), (a, b)
+        assert F.mul(a, b) == F._raw_mul(a, b), (a, b)
 
 
 def _least_primitive_brute(F):
