@@ -51,4 +51,4 @@ for spec in [CodeSpec(3, 2, 1), CodeSpec(3, 3, 1), CodeSpec(2, 4, 1, "omega_bar"
     inst = build_code(spec)
     result = exact_distance(inst)
     print(f"{spec.variant}(q={spec.q}, m={spec.m}, h={spec.h}): "
-          f"[n={inst.n}, k={inst.k}, d={result.value}] via {result.method}")
+          f"[n={inst.n}, k={inst.k}, d={result.value}] via {result.via}")

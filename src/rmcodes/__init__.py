@@ -50,7 +50,6 @@ from .codes import (
     verify_roots,
 )
 from .bounds import (
-    Bound,
     BoundReport,
     OrderSearchRow,
     bounded_divisor_check,
@@ -66,7 +65,7 @@ from .bounds import (
 )
 from .ntheory import euler_phi, factorize, mult_order, odd_order_test
 from .distance import (
-    DistanceResult,
+    Bound,
     SearchBudget,
     dual_transform_distance,
     exact_distance,

@@ -1,8 +1,9 @@
 """Distance-bound certifiers: generic bounds, divisor conditions, sphere packing.
 
 Every certificate here is exact integer arithmetic.  A BoundReport carries
-lower/upper/exact values, each tagged with the rule that produced it, and
-``certify`` is the one place that merges every source into it:
+lower/upper/exact values, each a ``distance.Bound`` tagged with the rule that
+produced it, and ``certify`` is the one place that merges every source into
+it.  An enumerated bound keeps its witness codeword and word count:
 
   generic-lower / generic-upper    the always-valid envelope
   generic-lower-doubled            mirrored BCH bound 2(1 + q + ... + q^h)
@@ -30,7 +31,7 @@ from math import comb, gcd
 
 from .cyclotomy import QadicParams, q_weight
 from .codes import CodeSpec, build_code, condition_star_holds
-from .distance import SearchBudget, exact_distance
+from .distance import Bound, SearchBudget, exact_distance
 from .errors import InternalError, TooLarge
 from .ntheory import divisors_ascending, is_prime_power, mult_order, prime_power_split
 
@@ -51,12 +52,6 @@ __all__ = [
     "bounded_divisor_check",
     "table_rows",
 ]
-
-
-@dataclass(frozen=True)
-class Bound:
-    value: int
-    via: str
 
 
 @dataclass
@@ -82,7 +77,7 @@ class BoundReport:
 
     def to_json(self) -> dict:
         def enc(b):
-            return None if b is None else {"value": b.value, "via": b.via}
+            return None if b is None else b.to_json()
 
         return {
             "q": self.q,
@@ -162,8 +157,7 @@ def certify(spec: CodeSpec, *, budget: SearchBudget | None = None, max_n: int | 
         except TooLarge as exc:
             report.notes.append(f"exact distance skipped: {exc}")
         else:
-            enumerated = Bound(result.value, f"enumeration:{result.method}")
-            _merge(report, enumerated, "enumeration", ("distance_method", result.method))
+            _merge(report, result, "enumeration")
     report.validate()
     return report
 

@@ -63,6 +63,8 @@ class CodeSpec:
     variant: str = "omega"
 
     def __post_init__(self):
+        if any(type(v) is not int for v in (self.q, self.m, self.h)):
+            raise ValueError(f"q, m and h must be integers, got {(self.q, self.m, self.h)!r}")
         # (q, m) and h first: they are O(1), and reject q^m - 1 beyond 128 bits
         # before q is factored
         check_h(self.params, self.h)
@@ -260,6 +262,8 @@ def is_member(inst: CodeInstance, word) -> bool:
     word = tuple(word)
     if len(word) != inst.n:
         raise ValueError(f"word length {len(word)} != n = {inst.n}")
+    if min(word) < 0 or max(word) >= inst.q:
+        raise ValueError("word entries must be field element indices")
     return all(
         gf.poly_eval_lifted(inst.emb, word, inst.big.alpha_pow(a)) == 0
         for a in inst.zero_representatives
@@ -340,14 +344,12 @@ def code_to_json(inst: CodeInstance) -> dict:
 
 
 def code_from_json(doc: dict) -> CodeInstance:
-    """Rebuild from the serialized parameters and verify the stored fields match."""
-    spec = CodeSpec(doc["q"], doc["m"], doc["h"], doc["variant"])
+    """Rebuild from the serialized parameters; a missing, malformed or mismatched field is a ValueError."""
+    try:
+        spec = CodeSpec(doc["q"], doc["m"], doc["h"], doc["variant"])
+    except KeyError as exc:
+        raise ValueError(f"serialized code lacks the field {exc}") from None
     inst = build_code(spec)
-    if (
-        inst.n != doc["n"]
-        or inst.k != doc["k"]
-        or list(inst.gen_poly) != list(doc["gen_poly"])
-        or list(inst.zero_exponents) != list(doc["zero_exponents"])
-    ):
+    if any(doc.get(key) != value for key, value in code_to_json(inst).items()):
         raise ValueError("serialized code does not match its parameters")
     return inst

@@ -20,6 +20,10 @@ against each other in the tests:
 
 The second route exists because dimension grows fast: already (q, m, h) =
 (3, 3, 1) has q^k = 3^20 information words but only 3^6 dual words.
+
+Every route returns a ``Bound``: the value, its ``via`` (``enumeration:<route>``
+or ``candidate-witnesses``), the witness codeword when one is known and the
+number of words walked.  ``bounds`` reports hold the same type.
 """
 
 from __future__ import annotations
@@ -42,25 +46,24 @@ class SearchBudget:
 
 
 @dataclass(frozen=True)
-class DistanceResult:
-    """A distance value and how it was obtained.
+class Bound:
+    """A distance bound, the rule or route that gave it, and its evidence.
 
-    ``enumerated`` counts the nonzero words walked on either exact route,
-    q^k - 1 by messages and q^(n-k) - 1 by the dual, or the candidates checked.
+    ``witness``, when set, is a codeword of weight ``value``.  ``enumerated``
+    counts the nonzero words walked on either exact route, q^k - 1 by
+    messages and q^(n-k) - 1 by the dual, or the candidates checked.
     """
 
     value: int
-    exact: bool
-    witness: Codeword | None
-    method: str
-    enumerated: int
+    via: str
+    witness: Codeword | None = None
+    enumerated: int = 0
 
     def to_json(self) -> dict:
         return {
             "value": self.value,
-            "exact": self.exact,
+            "via": self.via,
             "witness": None if self.witness is None else list(self.witness.coeffs),
-            "method": self.method,
             "enumerated": self.enumerated,
         }
 
@@ -154,7 +157,7 @@ def _multiples(ctx, g, n, dim, q) -> tuple[list[int], list[int] | None]:
     return hist, best_rev[::-1]
 
 
-def exhaustive_distance(inst: CodeInstance, budget: SearchBudget | None = None) -> DistanceResult:
+def exhaustive_distance(inst: CodeInstance, budget: SearchBudget | None = None) -> Bound:
     """Minimum weight over all q^k - 1 nonzero information words.
 
     One pass of the shared Gray-order kernel over the multiples of the
@@ -173,10 +176,10 @@ def exhaustive_distance(inst: CodeInstance, budget: SearchBudget | None = None) 
     witness = encode(inst, msg)
     if witness.weight != value:
         raise InternalError("internal: the witness weight differs from the enumerated minimum")
-    return DistanceResult(value, True, witness, "message-enumeration", total - 1)
+    return Bound(value, "enumeration:message-enumeration", witness, total - 1)
 
 
-def witness_upper_bound(inst: CodeInstance, candidates) -> DistanceResult:
+def witness_upper_bound(inst: CodeInstance, candidates) -> Bound:
     """Upper bound from explicit candidate codewords, each a nonzero member of the code."""
     candidates = list(candidates)
     if not candidates:
@@ -189,7 +192,7 @@ def witness_upper_bound(inst: CodeInstance, candidates) -> DistanceResult:
             raise ValueError(f"candidate of weight {cand.weight} is not in the code")
         if best is None or cand.weight < best.weight:
             best = cand
-    return DistanceResult(best.weight, False, best, "candidate-witnesses", len(candidates))
+    return Bound(best.weight, "candidate-witnesses", best, len(candidates))
 
 
 def dual_generator(inst: CodeInstance) -> tuple[int, ...]:
@@ -277,7 +280,7 @@ def find_weight_witness(
     return None
 
 
-def dual_transform_distance(inst: CodeInstance, budget: SearchBudget | None = None) -> DistanceResult:
+def dual_transform_distance(inst: CodeInstance, budget: SearchBudget | None = None) -> Bound:
     """Exact distance from the dual weight distribution; exact but witness-optional."""
     budget = budget or SearchBudget()
     n, k, q = inst.n, inst.k, inst.q
@@ -289,10 +292,10 @@ def dual_transform_distance(inst: CodeInstance, budget: SearchBudget | None = No
     dist = weight_distribution_from_dual(inst)
     value = next(j for j in range(1, n + 1) if dist[j])
     witness = find_weight_witness(inst, value)
-    return DistanceResult(value, True, witness, "dual-transform", size - 1)
+    return Bound(value, "enumeration:dual-transform", witness, size - 1)
 
 
-def exact_distance(inst: CodeInstance, budget: SearchBudget | None = None) -> DistanceResult:
+def exact_distance(inst: CodeInstance, budget: SearchBudget | None = None) -> Bound:
     """Exact distance via whichever side of the code fits the budget."""
     budget = budget or SearchBudget()
     q, n, k = inst.q, inst.n, inst.k

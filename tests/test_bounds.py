@@ -10,7 +10,7 @@ from rmcodes import codes as cd
 from rmcodes import ntheory as nt
 from rmcodes.codes import CodeSpec, build_code
 from rmcodes.cyclotomy import QadicParams, index_set, index_set_negated
-from rmcodes.distance import DistanceResult, SearchBudget, exact_distance
+from rmcodes.distance import SearchBudget, exact_distance
 from rmcodes.errors import InternalError, TooLarge
 from rmcodes.verify import GRID
 
@@ -588,9 +588,8 @@ def cli_merge(spec, budget=None, max_n=None):
             report.notes.append(f"exact distance skipped: {exc}")
         else:
             assert report.exact is None or report.exact.value == result.value
-            report.exact = bd.Bound(result.value, f"enumeration:{result.method}")
+            report.exact = result
             report.upper = report.exact
-            report.witnesses.append(("distance_method", result.method))
     report.validate()
     return report
 
@@ -602,6 +601,18 @@ def nonzero_grid_specs():
                 yield CodeSpec(q, m, h, variant)
 
 
+def budgeted_grid_specs(budget):
+    """The nonzero GRID codes with a side (message or dual) that fits the budget."""
+    specs = []
+    for spec in nonzero_grid_specs():
+        k = dimension(spec.q, spec.m, spec.h, spec.variant)
+        n = spec.q**spec.m - 1
+        if min(spec.q**k, spec.q ** (n - k)) <= budget.max_messages:
+            specs.append(spec)
+    return specs
+
+
+BUDGET = SearchBudget(1 << 16)
 MEET = CodeSpec(2, 6, 2, "omega_bar")
 
 
@@ -619,15 +630,22 @@ class TestCertify:
             self.assert_matches_cli_merge(spec)
 
     def test_matches_cli_merge_with_budget(self):
-        budget = SearchBudget(1 << 16)
-        checked = 0
-        for spec in nonzero_grid_specs():
-            k = dimension(spec.q, spec.m, spec.h, spec.variant)
-            n = spec.q**spec.m - 1
-            if min(spec.q**k, spec.q ** (n - k)) <= budget.max_messages:
-                self.assert_matches_cli_merge(spec, budget)
-                checked += 1
-        assert checked == 29
+        specs = budgeted_grid_specs(BUDGET)
+        assert len(specs) == 29
+        for spec in specs:
+            self.assert_matches_cli_merge(spec, BUDGET)
+
+    def test_enumerated_exact_keeps_its_witness(self):
+        routes = []
+        for spec in budgeted_grid_specs(BUDGET):
+            exact = bd.certify(spec, budget=BUDGET).exact
+            assert exact.via.startswith("enumeration:") and exact.enumerated > 0, spec
+            if exact.via == "enumeration:message-enumeration":
+                assert exact.witness is not None, spec
+                assert exact.witness.weight == exact.value, spec
+                assert cd.is_member(build_code(spec), exact.witness.coeffs), spec
+            routes.append(exact.via)
+        assert routes.count("enumeration:message-enumeration") == 21
 
     def test_meet_is_exact(self):
         report = bd.certify(MEET)
@@ -636,7 +654,7 @@ class TestCertify:
         assert report.exact == bd.Bound(14, "generic-lower-doubled+divisor-witness")
 
     def test_contradicting_enumeration_raises(self, monkeypatch):
-        wrong = DistanceResult(5, True, None, "message-enumeration", 8)
+        wrong = bd.Bound(5, "enumeration:message-enumeration", None, 8)
         monkeypatch.setattr(bd, "exact_distance", lambda inst, budget: wrong)
         with pytest.raises(InternalError, match="value 5 contradicts max-h-exact value 4"):
             bd.certify(CodeSpec(3, 2, 1), budget=SearchBudget())

@@ -62,7 +62,7 @@ class TestBounds:
         assert code == 0
         doc = json.loads(out)
         assert doc["lower"]["value"] == 13
-        assert doc["upper"] == {"value": 16, "via": "divisor-witness"}
+        assert doc["upper"] == {"value": 16, "via": "divisor-witness", "witness": None, "enumerated": 0}
         assert ["divisor_e", 16] in doc["witnesses"]
 
     def test_mirrored_binary_exact(self, capsys):
@@ -79,9 +79,14 @@ class TestBounds:
     def test_with_distance(self, capsys):
         code, out, _ = run(capsys, "bounds", "3", "2", "1", "--distance", "--format", "json")
         assert code == 0
-        doc = json.loads(out)
-        assert doc["exact"]["value"] == 4
-        assert doc["exact"]["via"].startswith("enumeration:")
+        exact = json.loads(out)["exact"]
+        assert exact["value"] == 4
+        assert exact["via"] == "enumeration:message-enumeration"
+        assert exact["enumerated"] == 3**4 - 1
+        inst = cd.build_code(cd.CodeSpec(3, 2, 1))
+        assert len(exact["witness"]) == inst.n
+        assert sum(1 for c in exact["witness"] if c) == 4
+        assert cd.is_member(inst, exact["witness"])
 
     def test_distance_budget_note(self, capsys):
         code, out, _ = run(

@@ -35,6 +35,11 @@ class TestCodeSpec:
     def test_n(self):
         assert CodeSpec(3, 4, 2).n == 80
 
+    @pytest.mark.parametrize("args", [(3, 2.0, 1), (3.0, 2, 1), (3, 2, 1.0), ("3", 2, 1), (3, 2, True)])
+    def test_non_integer_parameters(self, args):
+        with pytest.raises(ValueError, match="q, m and h must be integers"):
+            CodeSpec(*args)
+
 
 class TestMinimalPoly:
     def test_alpha_over_gf2(self):
@@ -262,6 +267,13 @@ class TestEncodeAndMembership:
             _, rem = poly_divmod(inst.small, poly_normalize(word), inst.gen_poly)
             assert is_member(inst, word) == (rem == ())
 
+    @pytest.mark.parametrize("word", [(-2, 0) * 4, (3,) + (0,) * 7], ids=["negative", "q"])
+    def test_out_of_range_entries_rejected(self, word):
+        """(-2, 0) * 4 would wrap to a member through the embedding table; 3 would index past it."""
+        inst = build_code(CodeSpec(3, 2, 1))
+        with pytest.raises(ValueError, match="word entries must be field element indices"):
+            is_member(inst, word)
+
     def test_single_coordinate_not_member(self):
         inst = build_code(CodeSpec(3, 2, 1))
         word = [0] * inst.n
@@ -344,6 +356,22 @@ class TestSerialization:
     def test_detects_corruption(self):
         doc = cd.code_to_json(build_code(CodeSpec(3, 2, 1)))
         doc["k"] += 1
+        with pytest.raises(ValueError):
+            cd.code_from_json(doc)
+
+    @pytest.mark.parametrize("field", ["q", "variant", "n", "gen_poly"])
+    def test_missing_field(self, field):
+        doc = cd.code_to_json(build_code(CodeSpec(3, 2, 1)))
+        del doc[field]
+        with pytest.raises(ValueError):
+            cd.code_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "field,value", [("q", "3"), ("m", 2.0), ("h", None), ("variant", None), ("k", "4"), ("gen_poly", 5)]
+    )
+    def test_malformed_field(self, field, value):
+        doc = cd.code_to_json(build_code(CodeSpec(3, 2, 1)))
+        doc[field] = value
         with pytest.raises(ValueError):
             cd.code_from_json(doc)
 

@@ -38,7 +38,7 @@ class TestExhaustive:
         inst = build_code(spec)
         result = exhaustive_distance(inst)
         assert result.value == expected
-        assert result.exact
+        assert result.via == "enumeration:message-enumeration"
         assert result.enumerated == spec.q**inst.k - 1
         assert dual_transform_distance(inst).enumerated == spec.q ** (inst.n - inst.k) - 1
         assert result.witness.weight == expected
@@ -179,7 +179,7 @@ class TestWitnessUpperBound:
         inst = build_code(CodeSpec(3, 4, 2))
         result = witness_upper_bound(inst, [quotient_codeword(3, 4, 2, 16)])
         assert result.value == 16
-        assert not result.exact
+        assert result.via == "candidate-witnesses"
 
     def test_witness_at_least_exhaustive(self):
         inst = build_code(CodeSpec(3, 2, 1))
@@ -196,6 +196,12 @@ class TestWitnessUpperBound:
         bad = Codeword((1,) + (0,) * (inst.n - 1))
         with pytest.raises(ValueError, match="candidate of weight 1 is not in the code"):
             witness_upper_bound(inst, [bad])
+
+    def test_out_of_range_entries_rejected(self):
+        """A negative index must not wrap around to a field element and pass as a member."""
+        inst = build_code(CodeSpec(3, 2, 1))
+        with pytest.raises(ValueError, match="field element indices"):
+            witness_upper_bound(inst, [Codeword((-2, 0) * 4)])
 
     def test_zero_word_rejected(self):
         """e = n gives F = 1, and the mirrored quotient word is then zero."""
@@ -226,8 +232,7 @@ class TestDualTransform:
         inst = build_code(CodeSpec(3, 3, 1))
         result = dual_transform_distance(inst)
         assert result.value == 4
-        assert result.exact
-        assert result.method == "dual-transform"
+        assert result.via == "enumeration:dual-transform"
         assert result.witness is not None
         assert result.witness.weight == 4
         assert is_member(inst, result.witness.coeffs)
@@ -282,11 +287,11 @@ class TestWeightWitness:
 class TestExactDispatch:
     def test_message_side(self):
         result = exact_distance(build_code(CodeSpec(3, 2, 1)))
-        assert result.method == "message-enumeration"
+        assert result.via == "enumeration:message-enumeration"
 
     def test_dual_side(self):
         result = exact_distance(build_code(CodeSpec(3, 3, 1)))
-        assert result.method == "dual-transform"
+        assert result.via == "enumeration:dual-transform"
         assert result.value == 4
 
     def test_neither_fits(self):
@@ -297,4 +302,4 @@ class TestExactDispatch:
     def test_json(self):
         result = exact_distance(build_code(CodeSpec(2, 3, 1)))
         doc = result.to_json()
-        assert doc["value"] == 3 and doc["exact"] is True
+        assert doc["value"] == 3 and doc["via"] == "enumeration:message-enumeration"
