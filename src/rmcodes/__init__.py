@@ -16,8 +16,6 @@ from .gf import (
     embed_subfield,
     poly_degree,
     poly_divmod,
-    poly_eval,
-    poly_eval_lifted,
     poly_gcd,
     poly_mul,
     poly_reciprocal,

@@ -213,7 +213,8 @@ def distance_optimal(n: int, k: int, q: int, d: int) -> bool:
     return sphere_packing_ok(n, k, q, d) and not sphere_packing_ok(n, k, q, d + 1)
 
 
-def _int_poly_eval(coeffs, x):
+def _int_value(coeffs, x):
+    """The integer polynomial with these coefficients, lowest first, at the integer x."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -243,10 +244,10 @@ def positivity_certificates() -> PositivityReport:
     values = []
     poly = cubic
     for _ in range(4):
-        values.append(_int_poly_eval(poly, 15))
+        values.append(_int_value(poly, 15))
         poly = _int_poly_deriv(poly)
     quintic = [-30, -104, -390, -80, -75, 4]
-    qv = _int_poly_eval(quintic, 26)
+    qv = _int_value(quintic, 26)
     ok = all(v > 0 for v in values) and qv > 0
     return PositivityReport(tuple(values), qv, ok)
 

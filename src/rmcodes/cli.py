@@ -200,7 +200,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FactorizationIncomplete) as exc:
+    except (ValueError, FactorizationIncomplete, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

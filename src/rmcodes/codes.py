@@ -12,7 +12,11 @@ polynomials of the q-cyclotomic cosets of the zero set: I for the plain
 variant, {0} u I u -I for the mirrored one.  A zero set closed under
 negation is what makes a cyclic code LCD (Yang-Massey, 1994).
 
-Dimensions follow from the generator degree.  The module also constructs
+Dimensions follow from the generator degree.  A word is a member exactly
+when it vanishes at the least exponent a of each coset of the zero set;
+``is_member`` sums its nonzero terms at alpha^a through
+``SubfieldEmbedding.evaluate``, so the test costs time in proportion to the
+weight of the word times the number of cosets.  The module also constructs
 the explicit low-weight quotient codewords (x^N - 1)/(x^F - 1) that
 certify distance upper bounds whenever a divisor e of q^m - 1 divides no
 bounded-weight exponent.
@@ -232,17 +236,23 @@ def verify_roots(inst: CodeInstance, *, exhaustive_limit: int = 1 << 16, samples
     Exhaustive over all n exponents when n <= exhaustive_limit, otherwise
     all zeros plus a deterministic sample of non-zeros.
     """
-    big, emb, n = inst.big, inst.emb, inst.n
+    n = inst.n
     zeros = set(inst.zero_exponents)
     if n <= exhaustive_limit:
         exponents = range(n)
     else:
         step = max(1, n // samples)
         exponents = sorted(zeros | set(range(0, n, step)))
+    terms = [(j, c) for j, c in enumerate(inst.gen_poly) if c]
     for a in exponents:
-        value = gf.poly_eval_lifted(emb, inst.gen_poly, big.alpha_pow(a))
-        if (value == 0) != (a in zeros):
+        if (inst.emb.evaluate(terms, a) == 0) != (a in zeros):
             raise InternalError(f"root test failed at exponent {a}")
+
+
+def _check_indices(entries: tuple, q: int, what: str) -> None:
+    """ValueError unless every entry is an int index in [0, q); a bool is not an int."""
+    if entries and (set(map(type, entries)) != {int} or min(entries) < 0 or max(entries) >= q):
+        raise ValueError(f"{what} entries must be field element indices")
 
 
 def encode(inst: CodeInstance, msg) -> Codeword:
@@ -250,24 +260,19 @@ def encode(inst: CodeInstance, msg) -> Codeword:
     msg = tuple(msg)
     if len(msg) != inst.k:
         raise ValueError(f"message length {len(msg)} != k = {inst.k}")
-    q = inst.small.order
-    if any(not 0 <= c < q for c in msg):
-        raise ValueError("message entries must be field element indices")
+    _check_indices(msg, inst.q, "message")
     prod = gf.poly_mul(inst.small, gf.poly_normalize(msg), inst.gen_poly)
     return Codeword(prod + (0,) * (inst.n - len(prod)))
 
 
 def is_member(inst: CodeInstance, word) -> bool:
-    """Membership via evaluation at one exponent per zero coset."""
+    """Membership: the word's nonzero terms sum to 0 at one exponent per zero coset."""
     word = tuple(word)
     if len(word) != inst.n:
         raise ValueError(f"word length {len(word)} != n = {inst.n}")
-    if min(word) < 0 or max(word) >= inst.q:
-        raise ValueError("word entries must be field element indices")
-    return all(
-        gf.poly_eval_lifted(inst.emb, word, inst.big.alpha_pow(a)) == 0
-        for a in inst.zero_representatives
-    )
+    _check_indices(word, inst.q, "word")
+    terms = [(j, c) for j, c in enumerate(word) if c]
+    return not any(inst.emb.evaluate(terms, a) for a in inst.zero_representatives)
 
 
 def condition_star_holds(q: int, m: int, h: int, e: int) -> bool:
@@ -345,6 +350,8 @@ def code_to_json(inst: CodeInstance) -> dict:
 
 def code_from_json(doc: dict) -> CodeInstance:
     """Rebuild from the serialized parameters; a missing, malformed or mismatched field is a ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a serialized code is a JSON object, got {type(doc).__name__}")
     try:
         spec = CodeSpec(doc["q"], doc["m"], doc["h"], doc["variant"])
     except KeyError as exc:

@@ -259,23 +259,15 @@ def find_weight_witness(
     slots = weight - 1
     if comb(n - 1, slots) * (q - 1) ** slots > max_candidates:
         return None
-    big, lift = inst.big, inst.emb.to_big
-    reps = inst.zero_representatives
-    add, mul, apow = big.add, big.mul, big.alpha_pow
+    evaluate, reps = inst.emb.evaluate, inst.zero_representatives
     for support in combinations(range(1, n), slots):
         positions = (0, *support)
         for rest in product(range(1, q), repeat=slots):
-            coeffs = (1, *rest)
-            for a in reps:
-                acc = 0
-                for pos, c in zip(positions, coeffs):
-                    acc = add(acc, mul(lift[c], apow(a * pos)))
-                if acc:
-                    break
-            else:
+            terms = tuple(zip(positions, (1, *rest)))
+            if not any(evaluate(terms, a) for a in reps):
                 dense = [0] * n
-                for pos, c in zip(positions, coeffs):
-                    dense[pos] = c
+                for j, c in terms:
+                    dense[j] = c
                 return Codeword(tuple(dense))
     return None
 

@@ -23,6 +23,10 @@ element of F_q with the powers of beta = alpha^((q^m-1)/(q-1)).  Such a map
 phi is multiplicative with phi(1) = 1, so it is additive exactly when
 phi(1 + c) = 1 + phi(c) for every c in F_q, because
 phi(a + b) = phi(a) * phi(1 + b/a); that test of q values is exact.
+``SubfieldEmbedding.evaluate`` is the one evaluation of a small-field word
+at a power alpha^a: it sums c * alpha^(a*j) over the word's nonzero terms
+(j, c), one ``alpha_pow``, ``mul`` and ``add`` each, so it costs time in
+proportion to the weight of the word, not its length.
 
 Polynomials over a field are tuples of element indices, lowest degree
 first, with no trailing zeros; the zero polynomial is the empty tuple.
@@ -175,16 +179,8 @@ class FieldCtx:
         return 0 if z < 0 else self.exp[(lx + z) % n]
 
     def neg(self, x: int) -> int:
-        if self.p == 2:
-            return x
-        p = self.p
-        out = 0
-        mult = 1
-        while x:
-            out += (p - x % p) % p * mult
-            x //= p
-            mult *= p
-        return out
+        """-x, as x times the index p - 1 of -1."""
+        return x if self.p == 2 else self.mul(x, self.p - 1)
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -295,6 +291,15 @@ class SubfieldEmbedding:
     def to_subfield(self, x: int) -> int:
         """Big-field element index -> small-field index; KeyError if outside."""
         return self.to_small[x]
+
+    def evaluate(self, terms, a: int) -> int:
+        """The word sum c * x^j, given as its (position j, small-field c) terms, at x = alpha^a."""
+        big, lift = self.big, self.to_big
+        add, mul, apow = big.add, big.mul, big.alpha_pow
+        acc = 0
+        for j, c in terms:
+            acc = add(acc, mul(lift[c], apow(a * j)))
+        return acc
 
     def __repr__(self):
         return f"SubfieldEmbedding(GF({self.small.order}) -> GF({self.big.order}))"
@@ -484,24 +489,6 @@ def poly_reciprocal(ctx: FieldCtx, f) -> tuple[int, ...]:
     if not f or f[0] == 0:
         raise ValueError("reciprocal needs a nonzero constant term")
     return poly_monic(ctx, tuple(reversed(f)))
-
-
-def poly_eval(ctx: FieldCtx, f, x: int) -> int:
-    """Horner evaluation within one field."""
-    acc = 0
-    for c in reversed(f):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
-
-
-def poly_eval_lifted(emb: SubfieldEmbedding, f, x: int) -> int:
-    """Evaluate a small-field polynomial at a big-field point."""
-    big = emb.big
-    lift = emb.to_big
-    acc = 0
-    for c in reversed(f):
-        acc = big.add(big.mul(acc, x), lift[c])
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from rmcodes import codes as cd
 from rmcodes import ntheory as nt
 from rmcodes.codes import CodeSpec, build_code
 from rmcodes.cyclotomy import QadicParams, index_set, index_set_negated
-from rmcodes.distance import SearchBudget, exact_distance
+from rmcodes.distance import SearchBudget, exact_distance, find_weight_witness
 from rmcodes.errors import InternalError, TooLarge
 from rmcodes.verify import GRID
 
@@ -614,6 +614,60 @@ def budgeted_grid_specs(budget):
 
 BUDGET = SearchBudget(1 << 16)
 MEET = CodeSpec(2, 6, 2, "omega_bar")
+
+
+def _ones(n):
+    return tuple((j, 1) for j in range(n))
+
+
+# (q, m, h, variant) -> (d, the nonzero terms (j, c) of the witness that
+# find_weight_witness returns at weight d, or None when its candidate cap
+# stops the search), on every budgeted spec
+WITNESS_PINS = {
+    (2, 2, 1, "omega"): (3, _ones(3)),
+    (2, 3, 1, "omega"): (3, ((0, 1), (1, 1), (3, 1))),
+    (2, 3, 2, "omega"): (7, _ones(7)),
+    (2, 4, 1, "omega"): (3, ((0, 1), (1, 1), (4, 1))),
+    (2, 4, 1, "omega_bar"): (6, ((0, 1), (1, 1), (3, 1), (9, 1), (11, 1), (12, 1))),
+    (2, 4, 2, "omega"): (7, ((0, 1), (1, 1), (2, 1), (4, 1), (5, 1), (8, 1), (10, 1))),
+    (2, 4, 3, "omega"): (15, _ones(15)),
+    (2, 5, 1, "omega"): (3, ((0, 1), (1, 1), (18, 1))),
+    (2, 5, 1, "omega_bar"): (6, ((0, 1), (1, 1), (2, 1), (3, 1), (10, 1), (24, 1))),
+    (2, 5, 2, "omega"): (7, ((0, 1), (1, 1), (2, 1), (5, 1), (11, 1), (18, 1), (19, 1))),
+    (2, 5, 3, "omega"): (15, None),
+    (2, 5, 4, "omega"): (31, _ones(31)),
+    (2, 6, 1, "omega"): (3, ((0, 1), (1, 1), (6, 1))),
+    (2, 6, 1, "omega_bar"): (6, None),
+    (2, 6, 4, "omega"): (31, None),
+    (2, 6, 5, "omega"): (63, _ones(63)),
+    (3, 2, 1, "omega"): (4, ((0, 1), (1, 2), (3, 2), (4, 2))),
+    (3, 2, 1, "omega_bar"): (8, ((0, 1), (1, 2), (2, 1), (3, 2), (4, 1), (5, 2), (6, 1), (7, 2))),
+    (3, 3, 1, "omega"): (4, ((0, 1), (1, 1), (5, 1), (23, 2))),
+    (3, 3, 2, "omega"): (13, None),
+    (3, 3, 2, "omega_bar"): (26, None),
+    (3, 4, 1, "omega"): (4, ((0, 1), (1, 1), (35, 2), (68, 1))),
+    (3, 4, 3, "omega_bar"): (80, None),
+    (3, 5, 1, "omega"): (4, None),
+    (3, 5, 4, "omega_bar"): (242, None),
+    (3, 6, 5, "omega_bar"): (728, None),
+    (4, 2, 1, "omega"): (5, ((0, 1), (1, 3), (2, 2), (4, 3), (8, 2))),
+    (4, 2, 1, "omega_bar"): (10, None),
+    (4, 3, 2, "omega_bar"): (42, None),
+}
+
+
+@pytest.mark.parametrize("key", WITNESS_PINS, ids=lambda key: "-".join(map(str, key)))
+def test_find_weight_witness_pins(key):
+    d, want = WITNESS_PINS[key]
+    witness = find_weight_witness(build_code(CodeSpec(*key)), d)
+    got = None if witness is None else tuple((j, c) for j, c in enumerate(witness.coeffs) if c)
+    assert got == want
+
+
+def test_witness_pins_cover_the_budgeted_specs():
+    specs = budgeted_grid_specs(BUDGET)
+    assert [(s.q, s.m, s.h, s.variant) for s in specs] == list(WITNESS_PINS)
+    assert sum(want is not None for _, want in WITNESS_PINS.values()) == 18
 
 
 class TestCertify:

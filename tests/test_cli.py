@@ -43,6 +43,12 @@ class TestCode:
         inst = cd.code_from_json(doc)
         assert inst.k == 4
 
+    def test_emit_to_a_missing_directory(self, capsys, tmp_path):
+        path = str(tmp_path / "absent" / "x.json")
+        code, _, err = run(capsys, "code", "3", "2", "1", "--emit", path)
+        assert code == 2
+        assert err.startswith("error: ") and path in err and "Traceback" not in err
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "code", "3", "2", "1", "--format", "csv")
         assert code == 0

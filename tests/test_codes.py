@@ -7,7 +7,8 @@ from rmcodes import codes as cd
 from rmcodes import gf
 from rmcodes.codes import CodeSpec, build_code, encode, is_member, quotient_codeword
 from rmcodes.cyclotomy import QadicParams, coset_of, coset_partition
-from rmcodes.errors import TooLarge
+from rmcodes.bounds import search_condition_divisors
+from rmcodes.errors import InternalError, TooLarge
 from rmcodes.gf import (
     poly_degree,
     poly_divmod,
@@ -135,6 +136,19 @@ class TestBuildCode:
 
     def test_roots_sampled_large(self):
         cd.verify_roots(build_code(CodeSpec(4, 6, 1)), exhaustive_limit=256)
+
+    @pytest.mark.parametrize("spec", [CodeSpec(3, 4, 2), CodeSpec(2, 4, 1, "omega_bar")])
+    def test_roots_catch_a_dropped_factor(self, spec):
+        inst = build_code(spec)
+        last = inst.zero_representatives[-1]
+        factor = cd.minimal_poly(inst.emb, spec.params, last)
+        gen, rem = poly_divmod(inst.small, inst.gen_poly, factor)
+        assert rem == ()
+        broken = cd.CodeInstance(
+            spec, inst.zero_exponents, gen, inst.small, inst.big, inst.emb, inst.zero_representatives
+        )
+        with pytest.raises(InternalError, match="root test failed"):
+            cd.verify_roots(broken)
 
     def test_mirrored_zero_set(self):
         inst = build_code(CodeSpec(3, 4, 2, "omega_bar"))
@@ -267,12 +281,35 @@ class TestEncodeAndMembership:
             _, rem = poly_divmod(inst.small, poly_normalize(word), inst.gen_poly)
             assert is_member(inst, word) == (rem == ())
 
-    @pytest.mark.parametrize("word", [(-2, 0) * 4, (3,) + (0,) * 7], ids=["negative", "q"])
+    @pytest.mark.parametrize(
+        "word",
+        [(-2, 0) * 4, (3,) + (0,) * 7, (1.0,) + (0,) * 7, (True,) + (0,) * 7],
+        ids=["negative", "q", "float", "bool"],
+    )
     def test_out_of_range_entries_rejected(self, word):
-        """(-2, 0) * 4 would wrap to a member through the embedding table; 3 would index past it."""
+        """(-2, 0) * 4 would wrap to a member through the embedding table; 3 would index past it;
+        a float or a bool is not an element index, though 1.0 == True == 1."""
         inst = build_code(CodeSpec(3, 2, 1))
         with pytest.raises(ValueError, match="word entries must be field element indices"):
             is_member(inst, word)
+        with pytest.raises(ValueError, match="message entries must be field element indices"):
+            encode(inst, word[: inst.k])
+
+    @pytest.mark.parametrize(
+        "q,m,h,barred", [(4, 6, 1, False), (3, 6, 2, True)], ids=["omega", "omega_bar"]
+    )
+    def test_quotient_codewords_and_their_neighbours(self, q, m, h, barred):
+        """Every quotient codeword is a member; changing one entry leaves the code, whose d > 1."""
+        inst = build_code(CodeSpec(q, m, h, "omega_bar" if barred else "omega"))
+        divisors = search_condition_divisors(q, m, h)
+        assert len(divisors) == (7 if barred else 21)
+        for e in divisors:
+            word = list(quotient_codeword(q, m, h, e, barred=barred).coeffs)
+            assert is_member(inst, word), e
+            for j in (0, 1, inst.n - 1):
+                changed = list(word)
+                changed[j] = (changed[j] + 1) % q
+                assert not is_member(inst, changed), (e, j)
 
     def test_single_coordinate_not_member(self):
         inst = build_code(CodeSpec(3, 2, 1))
@@ -373,6 +410,11 @@ class TestSerialization:
         doc = cd.code_to_json(build_code(CodeSpec(3, 2, 1)))
         doc[field] = value
         with pytest.raises(ValueError):
+            cd.code_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [[1, 2], None, "{}"], ids=["list", "null", "string"])
+    def test_non_object_document(self, doc):
+        with pytest.raises(ValueError, match="a serialized code is a JSON object"):
             cd.code_from_json(doc)
 
     def test_element_ordering_documented(self):

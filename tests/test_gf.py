@@ -11,8 +11,6 @@ from rmcodes.gf import (
     embed_subfield,
     poly_degree,
     poly_divmod,
-    poly_eval,
-    poly_eval_lifted,
     poly_gcd,
     poly_mul,
     poly_normalize,
@@ -275,14 +273,46 @@ class TestPolys:
             assert poly_reciprocal(F, r) == poly_monic(F, f)
 
     def test_eval(self):
-        F = build_field(3, 1)
-        assert poly_eval(F, (2, 1), 1) == 0  # x - 1 at 1
         big = build_field(3, 2)
         emb = embed_subfield(big, build_field(3, 1))
-        n = 8
-        xn1 = tuple([2] + [0] * (n - 1) + [1])
-        for a in range(n):
-            assert poly_eval_lifted(emb, xn1, big.alpha_pow(a)) == 0
+        xn1 = [(0, 2), (8, 1)]  # x^8 - 1 vanishes at every power of alpha
+        assert all(emb.evaluate(xn1, a) == 0 for a in range(8))
+        assert emb.evaluate([(0, 2), (1, 1)], 0) == 0  # x - 1 at 1
+
+
+def _horner_lifted(emb, f, x):
+    """Horner's rule for the small-field polynomial f at the big-field point x; the oracle."""
+    big, acc = emb.big, 0
+    for c in reversed(f):
+        acc = big.add(big.mul(acc, x), emb.lift(c))
+    return acc
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize(
+        "p,s,m,threshold",
+        [(2, 1, 4, gf.DEFAULT_TABLE_THRESHOLD), (3, 1, 4, gf.DEFAULT_TABLE_THRESHOLD),
+         (2, 2, 3, gf.DEFAULT_TABLE_THRESHOLD), (3, 1, 4, 0)],
+        ids=["GF2-in-GF16", "GF3-in-GF81", "GF4-in-GF64", "GF3-in-untabled-GF81"],
+    )
+    def test_matches_horner(self, p, s, m, threshold):
+        small = build_field(p, s)
+        big = build_field(p, s * m, table_threshold=threshold)
+        assert (big.exp is None) == (threshold == 0)
+        emb = embed_subfield(big, small)
+        n, q = big.order - 1, small.order
+        rng = random.Random(big.order)
+        words = [(), (small.neg(1),) + (0,) * (n - 1) + (1,)]  # the zero word and x^n - 1
+        for _ in range(3):
+            words.append(_random_poly(rng, q, n))  # dense
+            sparse = [0] * n
+            for j in rng.sample(range(n), 4):
+                sparse[j] = rng.randrange(1, q)
+            words.append(tuple(sparse))
+        for f in words:
+            terms = [(j, c) for j, c in enumerate(f) if c]
+            for a in range(n):
+                assert emb.evaluate(terms, a) == _horner_lifted(emb, f, big.alpha_pow(a)), (f, a)
 
 
 def _poly_add(F, a, b):
@@ -396,6 +426,15 @@ def test_tabled_arithmetic_matches_raw(p, s):
     for a, b in pairs:
         assert F.add(a, b) == F._raw_add(a, b), (a, b)
         assert F.mul(a, b) == F._raw_mul(a, b), (a, b)
+
+
+@pytest.mark.parametrize("p,s", _prime_powers(256))
+def test_neg_matches_digitwise(p, s):
+    """-x negates each base-p digit, with and without the tables."""
+    for F in (build_field(p, s), build_field(p, s, table_threshold=0)):
+        for x in range(F.order):
+            assert F.neg(x) == F.element_from_coeffs((-d) % p for d in F.element_coeffs(x)), x
+            assert F.add(x, F.neg(x)) == 0, x
 
 
 def _least_primitive_brute(F):
