@@ -1,19 +1,19 @@
 """Exact minimum distances for small instances, plus low-weight witness checks.
 
 Both exact routes walk every multiple of a generator polynomial with one
-kernel, ``_multiples``, which visits the messages in modular q-ary Gray
-order so that each word differs from the last by one scaled, shifted row of
-the generator.  Words are bit-packed: one int holds the s base-p coordinate
-planes of a word over F_{p^s}, one lane per code position, so a step is a
-few whole-word integer operations (an XOR for p = 2, a lane-wise add mod p
-for odd p) and the weight is a popcount.  The routes are cross-checked
-against each other in the tests:
+kernel, ``_multiples``, which is transposed and bit-sliced: a Python int
+holds one bit per message for a chunk of up to 2^12 messages that share
+their high digits, so each big-int operation acts on the whole chunk.  For
+each code position the kernel picks a precomputed mask of the messages whose
+word is nonzero there, adds the n masks lane-wise into binary counter
+planes, and splits the planes into the chunk's weight histogram.  The
+routes are cross-checked against each other in the tests:
 
   * message enumeration: walk the q^k multiples of the code's generator
     (exact when q^k fits the budget); the witness is the codeword of the
     least message, read as the integer sum m_i q^i, among those of
     minimum weight;
-  * dual transform: when q^(n-k) is small instead, walk the q^(n-k)
+  * dual transform: when only q^(n-k) fits the budget, walk the q^(n-k)
     multiples of the dual generator and recover the code's own weight
     distribution through the exact integer MacWilliams transform, with
     divisibility and total-count checks at every step.
@@ -68,6 +68,10 @@ class Bound:
         }
 
 
+_CHUNK = 1 << 12  # low messages per pass: the lanes of one mask
+_MASK_BITS = 1 << 25  # cap on the n * q * chunk bits of the mask table
+
+
 def _multiples(ctx, g, n, dim, q) -> tuple[list[int], list[int] | None]:
     """Walk all q^dim multiples m(x) * g(x) with deg m < dim and deg(m g) < n.
 
@@ -75,94 +79,112 @@ def _multiples(ctx, g, n, dim, q) -> tuple[list[int], list[int] | None]:
     read as the integer sum m_i q^i, among the nonzero words of least weight
     (None when dim = 0).
 
-    The messages run in modular q-ary Gray order on element indices: a
-    base-q counter names the changed digit i (its number of trailing q-1
-    digits), and message digit i steps from d to (d+1) mod q.  So each word
-    adds exactly one row, (new - old) * x^i * g, to the running word.
+    The lo low digits name C = q^lo messages x, one bit lane each, with
+    C <= _CHUNK and n q C <= _MASK_BITS.  ``masks[j][v]`` is the C-bit mask
+    of the x whose low part of the word is not v at position j.  It is
+    built digit by digit: digit i with value c moves x to x + c q^i and adds
+    c a, a = g_(j-i), at position j, so the new mask for v is the sum of the
+    old masks for v - c a, each shifted by c q^i into its own block of
+    lanes.  The table ``minus[t][v] = v - t`` keeps field calls out of the
+    loops; for a code, n = q^m - 1 with m >= 2, so it has at most n + 1
+    entries.
 
-    The running word is one int holding the s base-p coordinate planes of
-    F_{p^s} (the base-p digits of the element indices) side by side, plane t
-    at bit t*n*w; code position j is the w-bit lane j of every plane.  The
-    rows are packed the same way once, before the walk, indexed by digit i
-    and the old digit d.  Two lane classes:
-
-      * p = 2, w = 1: a step XORs the row into the word;
-      * odd p, w = bit_length(p) + 1: a step adds the row lane-wise and
-        subtracts p from every lane that reached p, found as the lane top
-        bit of word + (2^(w-1) - p).  A reduced lane holds at most
-        p - 1 < 2^(w-1), and a sum at most 2p - 2 < 2^w, so no carry
-        crosses a lane.
-
-    The weight is the number of lanes of the OR of the planes whose top bit
-    is set by adding 2^(w-1) - 1 to every lane (which adds 0 when w = 1).
+    The high digits H run in integer order.  They reach only positions
+    lo and up, whose ``neg`` entry is minus the high part of the word there,
+    updated by one scaled row of g per changed digit.  Position j of word
+    x + H C is zero exactly when the low part equals that entry (0 below
+    lo), so one mask per position marks the nonzero positions of the whole
+    chunk, and ``tally`` counts them lane-wise with carry-save adders:
+    ``planes[t]`` ends as bit t of every weight.  Splitting the lanes by
+    plane from the top gives the weight classes of the chunk.  The least
+    message of the least weight is the lowest lane of that class in the
+    first chunk that has it; weight 0 is the zero message alone, so it is
+    left out.
     """
-    hist = [0] * (n + 1)
-    hist[0] = 1
     if dim == 0:
-        return hist, None
+        return [1] + [0] * n, None
     if len(g) + dim - 1 > n:
         raise ValueError(f"deg g + dim = {len(g) - 1 + dim} exceeds the length {n}")
-    p, s, mul = ctx.p, ctx.s, ctx.mul
-    odd = p != 2
-    w = p.bit_length() + 1 if odd else 1
-    stride = n * w
-    lanes = sum(1 << (j * w) for j in range(n))
-    shift = w - 1
-    hi = lanes << shift
-    probe = lanes * ((1 << shift) - 1)
-    all_lanes = sum(lanes << (t * stride) for t in range(s))
-    all_hi = all_lanes << shift
-    bias = all_lanes * ((1 << shift) - p)
-    folds = [t * stride for t in range(1, s)]
-    scaled = [
-        sum(
-            (mul(c, a) // p**t % p) << (t * stride + j * w)
-            for j, a in enumerate(g)
-            for t in range(s)
-        )
-        for c in range(q)
-    ]
-    top = q - 1
-    rows = [
-        [scaled[ctx.sub(d + 1 if d < top else 0, d)] << (i * w) for d in range(q)]
-        for i in range(dim)
-    ]
-    word = 0
-    counter = [0] * dim
-    digits = [0] * dim
-    best = n + 1
-    best_rev = None
-    for _ in range(q**dim - 1):
+    lo = 0
+    while lo < dim and q ** (lo + 1) <= _CHUNK and n * q ** (lo + 2) <= _MASK_BITS:
+        lo += 1
+    size = q**lo
+    full = (1 << size) - 1
+    minus = [[ctx.sub(v, t) for v in range(q)] for t in range(q)]
+    shifts = {a: [minus[ctx.mul(c, a)] for c in range(q)] for a in {0, *g}}
+    masks = [[0] + [1] * (q - 1) for _ in range(n)]
+    for i in range(lo):
+        step = q**i
+        for j, old in enumerate(masks):
+            rows = shifts[g[j - i] if 0 <= j - i < len(g) else 0]
+            masks[j] = [sum(old[r[v]] << c * step for c, r in enumerate(rows)) for v in range(q)]
+
+    def tally(planes, ones):
+        # Each plane holds back one input; the next one meets it and the plane
+        # in a full adder, whose carry goes up a plane.  Then ripple the rest in.
+        held = [0] * len(planes)
+        for x in ones:
+            t = 0
+            while x:
+                a = held[t]
+                if not a:
+                    held[t] = x
+                    break
+                held[t], b = 0, planes[t]
+                u = a ^ b
+                planes[t] = u ^ x
+                x = (a & b) | (u & x)
+                t += 1
+        for t, carry in enumerate(held):
+            while carry:
+                b = planes[t]
+                planes[t] = b ^ carry
+                carry &= b
+                t += 1
+        return planes
+
+    base = tally([0] * n.bit_length(), [masks[j][0] for j in range(lo)])
+    # when high digit i steps from index d to d + 1 (or q - 1 to 0), the word
+    # gains (new - old) g_t at position lo + i + t; steps[d][t] subtracts it from neg
+    top, width, tail = q - 1, len(g), masks[lo:]
+    steps = [[minus[ctx.mul(ctx.sub(d + 1 if d < top else 0, d), a)] for a in g] for d in range(q)]
+    neg = [0] * (n - lo)
+    digits = [0] * (dim - lo)
+    hist = [0] * (n + 1)
+    best, best_msg = n + 1, 0
+    for h in range(q ** (dim - lo)):
         i = 0
-        while counter[i] == top:
-            counter[i] = 0
+        while h:  # step the high digits from h - 1 to h
+            d = digits[i]
+            digits[i] = d + 1 if d < top else 0
+            neg[i : i + width] = map(list.__getitem__, steps[d], neg[i : i + width])
+            if d < top:
+                break
             i += 1
-        counter[i] += 1
-        old = digits[i]
-        digits[i] = old + 1 if old < top else 0
-        if odd:
-            word += rows[i][old]
-            word -= (((word + bias) & all_hi) >> shift) * p
-        else:
-            word ^= rows[i][old]
-        planes = word
-        for f in folds:
-            planes |= word >> f
-        weight = ((planes + probe) & hi).bit_count()
-        hist[weight] += 1
-        if weight <= best:
-            rev = digits[::-1]
-            if weight < best or rev < best_rev:
-                best, best_rev = weight, rev
-    return hist, best_rev[::-1]
+        planes = tally(base[:], map(list.__getitem__, tail, neg))
+        classes = [(0, full)]
+        for t in range(len(planes) - 1, -1, -1):
+            plane, split = planes[t], []
+            for w, lanes in classes:
+                ones = lanes & plane
+                if ones:
+                    split.append((w | 1 << t, ones))
+                if ones != lanes:
+                    split.append((w, lanes ^ ones))
+            classes = split
+        for w, lanes in classes:
+            hist[w] += lanes.bit_count()
+            if 0 < w < best:
+                best, best_msg = w, h * size + (lanes & -lanes).bit_length() - 1
+    return hist, [best_msg // q**i % q for i in range(dim)]
 
 
 def exhaustive_distance(inst: CodeInstance, budget: SearchBudget | None = None) -> Bound:
     """Minimum weight over all q^k - 1 nonzero information words.
 
-    One pass of the shared Gray-order kernel over the multiples of the
-    generator.  The witness is ``encode`` of the least message (as the
-    integer sum m_i q^i) among the words of minimum weight.
+    One pass of the shared kernel over the multiples of the generator.  The
+    witness is ``encode`` of the least message (as the integer sum m_i q^i)
+    among the words of minimum weight.
     """
     budget = budget or SearchBudget()
     q, n, k = inst.q, inst.n, inst.k

@@ -1,4 +1,5 @@
 import random
+from functools import cache
 from itertools import product
 
 import pytest
@@ -93,7 +94,11 @@ def _grid_dimensions():
 
 SMALL = 1 << 12
 MESSAGE_SIDE = [(s, k) for s, k in _grid_dimensions() if k and s.q**k <= SMALL]
-BOTH_SIDES = [s for s, k in MESSAGE_SIDE if s.q ** (s.n - k) <= SMALL]
+BOTH_SIDES = [s for s, k in _grid_dimensions() if k and max(s.q**k, s.q ** (s.n - k)) <= 1 << 20]
+
+# _CHUNK bounds the messages that one pass of the kernel covers: a single
+# word, one low digit, 32 messages, and the default
+CHUNKS = {"word": lambda q: 1, "digit": lambda q: q, "32": lambda q: 32, "default": lambda q: ds._CHUNK}
 
 
 def _brute_force(q, n, dim, weight_of):
@@ -113,11 +118,38 @@ def _spec_id(spec):
     return f"{spec.q}-{spec.m}-{spec.h}-{spec.variant}"
 
 
-class TestKernel:
-    """The shared Gray-order kernel against independent enumerations."""
+@cache
+def _arbitrary_cases(q):
+    """Seeded random g with their brute-force answers: (g, n, dim, hist, least)."""
+    ctx = build_field(*prime_power_split(q))
+    rng = random.Random(q)
+    max_dim = max(d for d in range(1, 13) if q**d <= SMALL)
+    cases = []
+    for _ in range(40):
+        deg = rng.randrange(1, 6) if rng.random() < 0.5 else rng.randrange(6, 71)
+        dim = rng.randrange(1, max_dim + 1)
+        g = tuple(rng.randrange(q) for _ in range(deg)) + (rng.randrange(1, q),)
+        n = deg + dim
 
+        def weight(msg):
+            return sum(1 for c in poly_mul(ctx, poly_normalize(msg), g) if c)
+
+        cases.append((g, n, dim, *_brute_force(q, n, dim, weight)))
+    return ctx, cases
+
+
+class TestKernel:
+    """The bit-sliced kernel against independent enumerations.
+
+    The kernel walks the messages in chunks that share their high digits.
+    Each brute-force case runs with several chunk sizes, so the histogram is
+    summed across chunks and the least message is chosen across them.
+    """
+
+    @pytest.mark.parametrize("chunk", CHUNKS.values(), ids=CHUNKS.keys())
     @pytest.mark.parametrize("spec,k", MESSAGE_SIDE, ids=[_spec_id(s) for s, _ in MESSAGE_SIDE])
-    def test_matches_brute_force(self, spec, k):
+    def test_matches_brute_force(self, spec, k, chunk, monkeypatch):
+        monkeypatch.setattr(ds, "_CHUNK", chunk(spec.q))
         inst = build_code(spec)
         assert inst.k == k
         q, n = spec.q, inst.n
@@ -130,25 +162,17 @@ class TestKernel:
         assert result.witness == encode(inst, got_msg)
 
     # p = 2 with s = 1, 2, 3; odd p with s = 1 and s = 2
+    @pytest.mark.parametrize("chunk", CHUNKS.values(), ids=CHUNKS.keys())
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 31])
-    def test_arbitrary_polynomials(self, q):
+    def test_arbitrary_polynomials(self, q, chunk, monkeypatch):
         """Seeded random g, whose lightest multiples are mostly not g itself.
 
-        Degrees reach 70, so a packed plane spans more than one 64-bit limb.
+        Degrees reach 70, so n reaches 82 and the weight counter needs 7 bit
+        planes.
         """
-        ctx = build_field(*prime_power_split(q))
-        rng = random.Random(q)
-        max_dim = max(d for d in range(1, 13) if q**d <= SMALL)
-        for _ in range(40):
-            deg = rng.randrange(1, 6) if rng.random() < 0.5 else rng.randrange(6, 71)
-            dim = rng.randrange(1, max_dim + 1)
-            g = tuple(rng.randrange(q) for _ in range(deg)) + (rng.randrange(1, q),)
-            n = deg + dim
-
-            def weight(msg):
-                return sum(1 for c in poly_mul(ctx, poly_normalize(msg), g) if c)
-
-            hist, least = _brute_force(q, n, dim, weight)
+        monkeypatch.setattr(ds, "_CHUNK", chunk(q))
+        ctx, cases = _arbitrary_cases(q)
+        for g, n, dim, hist, least in cases:
             got_hist, got_msg = ds._multiples(ctx, g, n, dim, q)
             assert got_hist == hist
             assert tuple(got_msg) == least[1]
