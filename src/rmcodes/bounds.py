@@ -292,11 +292,13 @@ def bounded_divisor_check(q: int, m: int, e: int) -> bool:
     because e exceeds every h = 1 coset representative 1..q-1.
     """
     prime_power_split(q)  # raises if q is not a prime power
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     if m % 2 == 0:
         raise ValueError(f"need odd m, got {m}")
     if not q + 1 <= e <= 2 * q - 1:
         return False
-    return (q**m - 1) % e == 0
+    return pow(q, m, e) == 1
 
 
 @dataclass(frozen=True)

@@ -312,8 +312,10 @@ def quotient_codeword(
         raise ValueError(f"need l >= 1, got {l}")
     if e != spec.n and not condition_star_holds(q, m, h, e):
         raise ValueError(f"{e} divides a maximal bounded-weight exponent for (q={q}, m={m}, h={h})")
-    N = q ** (m * l) - 1
     bound = construction_bound(max_n)
+    if m * l > bound.bit_length():  # q >= 2, so N >= 2^(m*l) - 1 > bound
+        raise TooLarge(f"target length q^(m*l) - 1 = {q}^{m * l} - 1 exceeds the construction bound {bound}")
+    N = q ** (m * l) - 1
     if N > bound:
         raise TooLarge(f"target length {N} exceeds the construction bound {bound}")
     F = N // e

@@ -16,7 +16,7 @@ class InternalError(RuntimeError):
 
 
 class FactorizationIncomplete(RuntimeError):
-    """A composite cofactor survived the rho and ECM budget; it is ``.cofactor``."""
+    """A composite cofactor survived the ECM budget; it is ``.cofactor``."""
 
     def __init__(self, cofactor: int):
         super().__init__(f"composite cofactor {cofactor} not factored within budget")

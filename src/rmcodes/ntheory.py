@@ -9,11 +9,11 @@ Any other x gets trial division over the 6k +- 1 wheel.  Both go up to
 ``TRIAL_LIMIT``; a leftover below the square of the next candidate is prime
 by the division itself, so x < TRIAL_LIMIT**2 needs no Miller-Rabin.  A
 larger leftover goes to one finisher: Miller-Rabin (a proof below
-``PROVEN_PRIME_BOUND``), a short pass of Brent's variant of Pollard rho,
-then Lenstra's elliptic-curve method (ECM) on Montgomery curves with fixed
-parameters, stage 1 and a stage-2 continuation.  One budget bounds the work
-of rho and of ECM; a composite cofactor that survives it is reported, never
-mislabeled as prime.  ``mult_order`` factors its modulus e once.
+``PROVEN_PRIME_BOUND``), then Lenstra's elliptic-curve method (ECM) on
+Montgomery curves with fixed parameters, stage 1 and a stage-2
+continuation.  ``_BUDGET`` bounds the ECM work on each composite; a
+composite cofactor that survives it is reported, never mislabeled as
+prime.  ``mult_order`` factors its modulus e once.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .errors import FactorizationIncomplete, InternalError
 
 
 TRIAL_LIMIT = 1 << 20
-_RHO_PASS = 1 << 14  # rho iterations before ECM takes over
-_RHO_BUDGET = 1 << 22  # factorize's default bound on the finisher's work
+_BUDGET = 1 << 22  # bound on the ECM work spent on each composite cofactor
 
 # The first 13 primes as strong Miller-Rabin bases.  Sorenson and Webster
 # (2015) proved that no composite below psi_13 = PROVEN_PRIME_BOUND passes
@@ -64,43 +63,6 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _brent_rho(n: int, max_iters: int) -> int:
-    """Brent's rho on x^2 + c, c = 1, 2, ..., for about ``max_iters`` iterations in all.
-
-    Returns a proper factor of ``n``, or 0 if none was found.
-    """
-    if n % 2 == 0:
-        return 2
-    iters = 0
-    for c in range(1, 20):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
-        while g == 1 and iters < max_iters:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += m
-            r *= 2
-            iters += r
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if 1 < g < n:
-            return g
-        if iters >= max_iters:
-            return 0
-    return 0
 
 
 # ECM: (B1, curves) per round, the usual choice for factors of 15, 20 and 25
@@ -213,15 +175,15 @@ def _ecm(n: int, budget: int) -> int:
     return 0
 
 
-def _finish(x: int, factors: dict[int, int], budget: int):
-    """Add the prime factors of ``x`` >= 2 to ``factors``: a rho pass, then ECM."""
+def _finish(x: int, factors: dict[int, int]):
+    """Add the prime factors of ``x`` >= 2 to ``factors``, splitting composites by ECM."""
     stack = [x]
     while stack:
         y = stack.pop()
         if is_probable_prime(y):
             factors[y] = factors.get(y, 0) + 1
             continue
-        g = _brent_rho(y, min(budget, _RHO_PASS)) or _ecm(y, budget)
+        g = _ecm(y, _BUDGET)
         if g == 0:
             raise FactorizationIncomplete(y)
         stack.append(g)
@@ -249,7 +211,7 @@ def _trial(x: int, factors: dict[int, int], d: int, step: int, wheel: int) -> in
     return x
 
 
-def _factor_generic(x: int, budget: int) -> dict[int, int]:
+def _factor_generic(x: int) -> dict[int, int]:
     """Trial division over the 6k +- 1 wheel, then the finisher."""
     factors: dict[int, int] = {}
     for p in (2, 3, 5):
@@ -258,7 +220,7 @@ def _factor_generic(x: int, budget: int) -> dict[int, int]:
             x //= p
     x = _trial(x, factors, 7, 4, 6)
     if x > 1:
-        _finish(x, factors, budget)
+        _finish(x, factors)
     return factors
 
 
@@ -287,7 +249,7 @@ def _power_base(y: int) -> tuple[int, int]:
 
 def _cyclotomic_value(b: int, d: int) -> int:
     """Phi_d(b), the Moebius product of the b^e - 1 over the divisors e of d."""
-    primes = list(_factor_generic(d, 0))
+    primes = list(_factor_generic(d))
     num = den = 1
     for r in range(len(primes) + 1):
         for subset in combinations(primes, r):
@@ -299,25 +261,25 @@ def _cyclotomic_value(b: int, d: int) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _piece_factors(b: int, d: int, budget: int) -> tuple[tuple[int, int], ...]:
+def _piece_factors(b: int, d: int) -> tuple[tuple[int, int], ...]:
     """The (prime, exponent) pairs of Phi_d(b): the primes of 2d first, then
     trial division over 1 + lcm(2, d)*j, then the finisher.  A prime r of
     Phi_d(b) not dividing 2d is odd, and b has order d mod r, so every prime
     left is 1 mod lcm(2, d): a trial candidate, as ``_trial`` requires."""
     v = _cyclotomic_value(b, d)
     factors: dict[int, int] = {}
-    for p in _factor_generic(2 * d, 0):
+    for p in _factor_generic(2 * d):
         while v % p == 0:
             factors[p] = factors.get(p, 0) + 1
             v //= p
     step = d if d % 2 == 0 else 2 * d
     v = _trial(v, factors, 1 + step, step, 2 * step)
     if v > 1:
-        _finish(v, factors, budget)
+        _finish(v, factors)
     return tuple(sorted(factors.items()))
 
 
-def factorize(x: int, *, rho_budget: int = _RHO_BUDGET) -> dict[int, int]:
+def factorize(x: int) -> dict[int, int]:
     """Factor ``x`` >= 2 into a {prime: exponent} map.
 
     Above TRIAL_LIMIT**2, an x with x + 1 = b^k, k >= 2, is factored
@@ -326,8 +288,8 @@ def factorize(x: int, *, rho_budget: int = _RHO_BUDGET) -> dict[int, int]:
     proven prime by the division.  Any other factor is proven prime by
     Miller-Rabin when it is below PROVEN_PRIME_BOUND and only a strong
     probable prime at or above it.  Raises FactorizationIncomplete if
-    a composite cofactor survives ``rho_budget``, which bounds the rho
-    iterations and the ECM work on each cofactor.
+    a composite cofactor survives ``_BUDGET``, which bounds the ECM work on
+    each cofactor.
     """
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
@@ -337,10 +299,10 @@ def factorize(x: int, *, rho_budget: int = _RHO_BUDGET) -> dict[int, int]:
             factors: dict[int, int] = {}
             for d in range(1, k + 1):
                 if k % d == 0:
-                    for p, a in _piece_factors(b, d, rho_budget):
+                    for p, a in _piece_factors(b, d):
                         factors[p] = factors.get(p, 0) + a
             return dict(sorted(factors.items()))
-    return _factor_generic(x, rho_budget)
+    return _factor_generic(x)
 
 
 def divisors_ascending(x: int):
@@ -381,7 +343,7 @@ def _order(b: int, e: int, fac_e: dict[int, int]) -> int:
     primes = set(fac_e)  # p divides phi(e) when a > 1; the l % r test skips the rest
     for p, a in fac_e.items():
         l *= p ** (a - 1) * (p - 1)
-        primes.update(_factor_generic(p - 1, _RHO_BUDGET))
+        primes.update(_factor_generic(p - 1))
     for r in primes:
         while l % r == 0 and pow(b, l // r, e) == 1:
             l //= r

@@ -41,18 +41,25 @@ class TestFactorize:
                 prod *= p**a
             assert prod == x
 
-    def test_large_semiprime_via_rho(self):
+    def test_large_semiprime_via_ecm(self):
         p, q = 1_000_003, 1_000_033
         assert nt.factorize(p * q) == {p: 1, q: 1}
         # both beyond TRIAL_LIMIT, so trial division finds neither
         p, q = 16_777_259, 33_554_467
-        assert nt._brent_rho(p * q, nt._RHO_PASS) == p
         assert nt.factorize(p * q) == {p: 1, q: 1}
 
-    def test_incomplete_budget(self):
+    def test_ecm_alone_splits_mersenne_products(self):
+        # beyond TRIAL_LIMIT**2 and not of the form b^k - 1, so these reach
+        # the finisher whole
+        m31, m61 = 2**31 - 1, 2**61 - 1
+        assert nt.factorize(m31**2) == {m31: 2}
+        assert nt.factorize(m31 * m61) == {m31: 1, m61: 1}
+
+    def test_incomplete_budget(self, monkeypatch):
         mersenne = 2**61 - 1
+        monkeypatch.setattr(nt, "_BUDGET", 1)
         with pytest.raises(nt.FactorizationIncomplete) as exc:
-            nt.factorize(mersenne**2, rho_budget=1)
+            nt.factorize(mersenne**2)
         assert exc.value.cofactor == mersenne**2
 
     def test_rejects_small(self):
@@ -87,7 +94,7 @@ class TestFactorize:
             m = 2
             while q**m - 1 <= 1 << 64:
                 n = q**m - 1
-                assert nt.factorize(n) == nt._factor_generic(n, 1 << 22), (q, m)
+                assert nt.factorize(n) == nt._factor_generic(n), (q, m)
                 checked += 1
                 m += 1
         assert checked == 366
@@ -100,7 +107,7 @@ class TestFactorize:
             assert nt.factorize(q**m - 1) == sympy.factorint(q**m - 1), (q, m)
 
     def test_former_stalls(self):
-        # q^m - 1 that trial division and rho alone did not factor in 69-83 s
+        # q^m - 1 that trial division alone did not factor in 69-83 s
         # (19^29 - 1: 12 s); every prime is below the proof bound
         for (q, m), want in FORMER_STALLS.items():
             product = 1
@@ -110,10 +117,9 @@ class TestFactorize:
             assert product == q**m - 1
             assert nt.factorize(q**m - 1) == want, (q, m)
 
-    def test_ecm_splits_what_rho_does_not(self):
+    def test_ecm_splits_phi_43_of_7(self):
         # Phi_43(7) = (7^43 - 1)/6, 119 bits, is a product of two primes near 2^57 and 2^61
         cofactor = (7**43 - 1) // 6
-        assert nt._brent_rho(cofactor, nt._RHO_PASS) == 0
         assert nt._ecm(cofactor, 1 << 22) in (166003607842448777, 2192537062271178641)
         assert nt._ecm(cofactor, nt._ecm_cost(2_000) - 1) == 0
 
@@ -551,6 +557,11 @@ class TestDivisorCheckAndTables:
                 assert not bd.bounded_divisor_check(q, m, q + 1)
         with pytest.raises(ValueError, match="need odd m, got 4"):
             bd.bounded_divisor_check(7, 4, 9)
+        with pytest.raises(ValueError, match="need m >= 1, got -1"):
+            bd.bounded_divisor_check(7, -1, 9)
+        # 7 has order 3 mod 9; q^m is never built
+        assert bd.bounded_divisor_check(7, 3 * (10**18 + 1), 9)
+        assert not bd.bounded_divisor_check(7, 10**18 + 1, 9)
         with pytest.raises(ValueError, match="6 is not a prime power"):
             bd.bounded_divisor_check(6, 3, 11)
 

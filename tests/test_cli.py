@@ -125,6 +125,19 @@ class TestBounds:
         assert "4^4077" in note and "4^18" in note
         assert len(note) < 200
 
+    def test_factoring_budget_exhausted(self, capsys, monkeypatch):
+        # Phi_43(7) = (7^43 - 1)/6 is a 119-bit product of two primes, which
+        # no ECM curve within a budget of 1 splits; the piece cache would
+        # otherwise answer from an earlier, full-budget factorization
+        monkeypatch.setattr(nt, "_BUDGET", 1)
+        nt._piece_factors.cache_clear()
+        try:
+            code, out, err = run(capsys, "bounds", "7", "43", "1")
+        finally:
+            nt._piece_factors.cache_clear()
+        assert code == 2 and out == ""
+        assert f"composite cofactor {(7**43 - 1) // 6} " in err
+
     def test_zero_code_is_an_error(self, capsys):
         code, out, err = run(capsys, "bounds", "2", "2", "1", "--variant", "omega_bar")
         assert code == 2

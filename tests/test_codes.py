@@ -380,6 +380,9 @@ class TestQuotientCodeword:
     def test_too_large_target(self):
         with pytest.raises(TooLarge, match="target length 3486784400 exceeds the construction bound"):
             quotient_codeword(3, 4, 2, 16, l=5)
+        # 3^200000 - 1 is never computed, nor printed
+        with pytest.raises(TooLarge, match=r"target length q\^\(m\*l\) - 1 = 3\^200000 - 1 exceeds"):
+            quotient_codeword(3, 2, 1, 4, l=10**5)
 
 
 class TestSerialization:
