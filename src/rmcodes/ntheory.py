@@ -1,19 +1,26 @@
 """Exact integer number theory: factorization, Euler phi, multiplicative orders.
 
 Everything here is deterministic and uses arbitrary-precision integers only.
-``factorize`` splits an x = b^k - 1 beyond the reach of trial division into
-its cyclotomic pieces Phi_d(b), d | k (Brillhart et al., *Factorizations of
-b^n +- 1*).  A prime factor of Phi_d(b) divides d or is 1 mod d, so once the
-primes of 2d are divided out, trial division steps through 1 + lcm(2, d)*j.
-Any other x gets trial division over the 6k +- 1 wheel.  Both go up to
-``TRIAL_LIMIT``; a leftover below the square of the next candidate is prime
-by the division itself, so x < TRIAL_LIMIT**2 needs no Miller-Rabin.  A
-larger leftover goes to one finisher: Miller-Rabin (a proof below
-``PROVEN_PRIME_BOUND``), then Lenstra's elliptic-curve method (ECM) on
-Montgomery curves with fixed parameters, stage 1 and a stage-2
-continuation.  ``_BUDGET`` bounds the ECM work on each composite; a
-composite cofactor that survives it is reported, never mislabeled as
-prime.  ``mult_order`` factors its modulus e once.
+Factoring runs in two stages.  Stage 1 is trial division, then Miller-Rabin
+on what is left.  An x = b^k - 1 beyond the reach of trial division is split
+into its cyclotomic pieces Phi_d(b), d | k (Brillhart et al., *Factorizations
+of b^n +- 1*).  A prime factor of Phi_d(b) divides d or is 1 mod d, so once
+the primes of 2d are divided out, trial division steps through
+1 + lcm(2, d)*j.  Any other x gets trial division over the 6k +- 1 wheel.
+Both go up to ``TRIAL_LIMIT``; a leftover below the square of the next
+candidate is prime by the division itself, so x < TRIAL_LIMIT**2 needs no
+Miller-Rabin.  A larger leftover is a prime by Miller-Rabin (a proof below
+``PROVEN_PRIME_BOUND``) or a composite cofactor, every prime of which
+exceeds ``TRIAL_LIMIT``.  Stage 2, the finisher, splits each composite
+cofactor by Lenstra's elliptic-curve method (ECM) on Montgomery curves with
+fixed parameters, stage 1 and a stage-2 continuation.  ``_BUDGET`` bounds
+the ECM work on each composite; a composite cofactor that survives it is
+reported, never mislabeled as prime.
+
+``factorize`` runs both stages.  ``divisors_ascending`` runs the finisher
+only when its walk gets past ``TRIAL_LIMIT`` or past the divisors stage 1
+knows: a divisor <= TRIAL_LIMIT has no prime above it, so stage 1 has found
+all of its primes.  ``mult_order`` factors its modulus e once.
 """
 
 from __future__ import annotations
@@ -175,19 +182,36 @@ def _ecm(n: int, budget: int) -> int:
     return 0
 
 
-def _finish(x: int, factors: dict[int, int]):
-    """Add the prime factors of ``x`` >= 2 to ``factors``, splitting composites by ECM."""
-    stack = [x]
+@lru_cache(maxsize=256)
+def _finish(y: int) -> tuple[tuple[int, int], ...]:
+    """Stage 2: the (prime, exponent) pairs of the composite ``y``, split by ECM."""
+    factors: dict[int, int] = {}
+    stack = [y]
     while stack:
         y = stack.pop()
-        if is_probable_prime(y):
-            factors[y] = factors.get(y, 0) + 1
-            continue
         g = _ecm(y, _BUDGET)
         if g == 0:
             raise FactorizationIncomplete(y)
-        stack.append(g)
-        stack.append(y // g)
+        for z in (g, y // g):
+            if is_probable_prime(z):
+                factors[z] = factors.get(z, 0) + 1
+            else:
+                stack.append(z)
+    return tuple(sorted(factors.items()))
+
+
+def _add(factors: dict[int, int], pairs) -> None:
+    for p, a in pairs:
+        factors[p] = factors.get(p, 0) + a
+
+
+def _settle(y: int, factors: dict[int, int]) -> int:
+    """Stage 1's last step on a trial leftover ``y`` >= 2: record it in ``factors``
+    if it is a prime (Miller-Rabin) and return 1, or return it as a composite cofactor."""
+    if is_probable_prime(y):
+        factors[y] = factors.get(y, 0) + 1
+        return 1
+    return y
 
 
 def _trial(x: int, factors: dict[int, int], d: int, step: int, wheel: int) -> int:
@@ -195,7 +219,8 @@ def _trial(x: int, factors: dict[int, int], d: int, step: int, wheel: int) -> in
     up to min(TRIAL_LIMIT, isqrt(x)), recording them in ``factors``; return what is left.
 
     Every prime factor of ``x`` must be a candidate, so a leftover 1 < x < d^2
-    at the first untried d is prime: it is recorded too and 1 is returned."""
+    at the first untried d is prime: it is recorded too and 1 is returned.
+    Any other leftover has only prime factors above TRIAL_LIMIT."""
     limit = min(TRIAL_LIMIT, isqrt(x))
     while d <= limit:
         if x % d == 0:
@@ -211,16 +236,21 @@ def _trial(x: int, factors: dict[int, int], d: int, step: int, wheel: int) -> in
     return x
 
 
-def _factor_generic(x: int) -> dict[int, int]:
-    """Trial division over the 6k +- 1 wheel, then the finisher."""
-    factors: dict[int, int] = {}
+def _wheel(x: int, factors: dict[int, int]) -> int:
+    """Trial division by 2, 3, 5 and then over the 6k +- 1 wheel; the leftover of ``_trial``."""
     for p in (2, 3, 5):
         while x % p == 0:
             factors[p] = factors.get(p, 0) + 1
             x //= p
-    x = _trial(x, factors, 7, 4, 6)
-    if x > 1:
-        _finish(x, factors)
+    return _trial(x, factors, 7, 4, 6)
+
+
+def _factor_generic(x: int) -> dict[int, int]:
+    """Both stages over the 6k +- 1 wheel; below TRIAL_LIMIT**2 trial division alone."""
+    factors: dict[int, int] = {}
+    y = _wheel(x, factors)
+    if y > 1 and _settle(y, factors) > 1:
+        _add(factors, _finish(y))
     return factors
 
 
@@ -261,11 +291,12 @@ def _cyclotomic_value(b: int, d: int) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _piece_factors(b: int, d: int) -> tuple[tuple[int, int], ...]:
-    """The (prime, exponent) pairs of Phi_d(b): the primes of 2d first, then
-    trial division over 1 + lcm(2, d)*j, then the finisher.  A prime r of
-    Phi_d(b) not dividing 2d is odd, and b has order d mod r, so every prime
-    left is 1 mod lcm(2, d): a trial candidate, as ``_trial`` requires."""
+def _piece_factors(b: int, d: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Stage 1 on Phi_d(b): its known (prime, exponent) pairs and its composite
+    cofactor (1 if none).  The primes of 2d come first, then trial division
+    over 1 + lcm(2, d)*j.  A prime r of Phi_d(b) not dividing 2d is odd, and
+    b has order d mod r, so every prime left is 1 mod lcm(2, d): a trial
+    candidate, as ``_trial`` requires."""
     v = _cyclotomic_value(b, d)
     factors: dict[int, int] = {}
     for p in _factor_generic(2 * d):
@@ -275,40 +306,54 @@ def _piece_factors(b: int, d: int) -> tuple[tuple[int, int], ...]:
     step = d if d % 2 == 0 else 2 * d
     v = _trial(v, factors, 1 + step, step, 2 * step)
     if v > 1:
-        _finish(v, factors)
-    return tuple(sorted(factors.items()))
+        v = _settle(v, factors)
+    return tuple(sorted(factors.items())), v
 
 
-def factorize(x: int) -> dict[int, int]:
-    """Factor ``x`` >= 2 into a {prime: exponent} map.
-
-    Above TRIAL_LIMIT**2, an x with x + 1 = b^k, k >= 2, is factored
-    through its cyclotomic pieces; any other x directly.  A factor that trial
-    division finds, or leaves below the square of its next candidate, is
-    proven prime by the division.  Any other factor is proven prime by
-    Miller-Rabin when it is below PROVEN_PRIME_BOUND and only a strong
-    probable prime at or above it.  Raises FactorizationIncomplete if
-    a composite cofactor survives ``_BUDGET``, which bounds the ECM work on
-    each cofactor.
-    """
-    if x < 2:
-        raise ValueError(f"need x >= 2, got {x}")
+def _known_factors(x: int) -> tuple[dict[int, int], list[int]]:
+    """Stage 1 on ``x`` >= 2: the primes that trial division and Miller-Rabin
+    find, as {prime: exponent}, and the composite cofactors left, whose prime
+    factors all exceed TRIAL_LIMIT.  Above TRIAL_LIMIT**2, an x with
+    x + 1 = b^k, k >= 2, goes through its cyclotomic pieces."""
+    factors: dict[int, int] = {}
     if x > TRIAL_LIMIT * TRIAL_LIMIT:
         b, k = _power_base(x + 1)
         if k > 1:
-            factors: dict[int, int] = {}
+            cofactors = []
             for d in range(1, k + 1):
                 if k % d == 0:
-                    for p, a in _piece_factors(b, d):
-                        factors[p] = factors.get(p, 0) + a
-            return dict(sorted(factors.items()))
-    return _factor_generic(x)
+                    pairs, y = _piece_factors(b, d)
+                    _add(factors, pairs)
+                    if y > 1:
+                        cofactors.append(y)
+            return dict(sorted(factors.items())), cofactors
+    y = _wheel(x, factors)
+    return factors, [y] if y > 1 and _settle(y, factors) > 1 else []
 
 
-def divisors_ascending(x: int):
-    """The divisors of ``x`` >= 1, smallest first, lazily: a heap walk that
-    extends a divisor only by primes >= its largest, so each is pushed once."""
-    fac = sorted(factorize(x).items()) if x > 1 else []
+def factorize(x: int) -> dict[int, int]:
+    """Factor ``x`` >= 2 into a {prime: exponent} map: stage 1, then the
+    finisher on each composite cofactor.
+
+    A factor that trial division finds, or leaves below the square of its
+    next candidate, is proven prime by the division.  Any other factor is
+    proven prime by Miller-Rabin when it is below PROVEN_PRIME_BOUND and only
+    a strong probable prime at or above it.  Raises FactorizationIncomplete
+    if a composite cofactor survives ``_BUDGET``, which bounds the ECM work
+    on each cofactor.
+    """
+    if x < 2:
+        raise ValueError(f"need x >= 2, got {x}")
+    factors, cofactors = _known_factors(x)
+    for y in cofactors:
+        _add(factors, _finish(y))
+    return dict(sorted(factors.items())) if cofactors else factors
+
+
+def _walk(factors: dict[int, int]):
+    """The divisors of the product of p^a over ``factors``, smallest first: a heap
+    walk that extends a divisor only by primes >= its largest, so each is pushed once."""
+    fac = sorted(factors.items())
     heap = [(1, 0, 0)]  # (divisor, index of its largest prime, that prime's exponent)
     while heap:
         d, i, k = heappop(heap)
@@ -317,6 +362,32 @@ def divisors_ascending(x: int):
             heappush(heap, (d * fac[i][0], i, k + 1))
         for j in range(i + 1, len(fac)):
             heappush(heap, (d * fac[j][0], j, 1))
+
+
+def divisors_ascending(x: int):
+    """The divisors of ``x`` >= 1, smallest first, lazily; ``x`` is factored only
+    as far as the walk goes.
+
+    The walk starts on the primes of stage 1.  Every prime of a composite
+    cofactor exceeds TRIAL_LIMIT, so a divisor <= TRIAL_LIMIT is a product of
+    those primes and needs no finisher.  The finisher splits the cofactors
+    only when the walk asks for more: at the first divisor above TRIAL_LIMIT,
+    or when the stage-1 divisors run out (7^43 - 1 has only 1, 2, 3, 6).  The
+    walk then goes on over the full factorization, past what it has yielded.
+    """
+    factors, cofactors = _known_factors(x) if x > 1 else ({}, [])
+    last = 0
+    if cofactors:
+        for d in _walk(factors):
+            if d > TRIAL_LIMIT:
+                break
+            yield d
+            last = d
+        for y in cofactors:
+            _add(factors, _finish(y))
+    for d in _walk(factors):
+        if d > last:
+            yield d
 
 
 def divisors(x: int) -> list[int]:

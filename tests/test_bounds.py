@@ -202,10 +202,13 @@ class TestTrialDivisionProof:
 
 class TestDivisorWalk:
     @staticmethod
-    def product_list(x):
+    def product_list(x, bound=None):
+        """The divisors of x, or those <= bound, sorted: the products over factorize(x)."""
         divs = [1]
         for p, a in nt.factorize(x).items():
             divs = [d * p**i for d in divs for i in range(a + 1)]
+            if bound is not None:
+                divs = [d for d in divs if d <= bound]
         return sorted(divs)
 
     def test_every_x_below_3000(self):
@@ -213,15 +216,48 @@ class TestDivisorWalk:
         for x in range(2, 3000):
             assert list(nt.divisors_ascending(x)) == self.product_list(x), x
 
-    def test_certify_moduli(self):
-        # the 7 largest m with q^m - 1 <= 2^128 for every prime power q <= 32
+    @staticmethod
+    def certify_moduli():
+        """(q, m) for the 7 largest m with q^m - 1 <= 2^128, every prime power q <= 32."""
         moduli = []
         for q in filter(nt.is_prime_power, range(2, 33)):
             ms = [m for m in range(2, 129) if q**m - 1 <= 1 << 128]
-            moduli += [q**m - 1 for m in ms[-7:]]
+            moduli += [(q, m) for m in ms[-7:]]
+        return moduli
+
+    def test_certify_moduli(self):
+        moduli = self.certify_moduli()
         assert len(moduli) == 126
-        for x in moduli:
+        for q, m in moduli:
+            x = q**m - 1
             assert nt.divisors(x) == self.product_list(x), x
+
+    def test_lazy_prefix_matches_full_walk(self):
+        # the lazy walk finishes a cofactor only past TRIAL_LIMIT; its first 300
+        # divisors must be those of the full factorization, whether or not it
+        # got that far
+        rng = random.Random(61)
+        xs = [q**m - 1 for q, m in self.certify_moduli()]
+        xs += [rng.randrange(1 << 41, 1 << 90) for _ in range(12)]
+        for x in xs:
+            prefix = [d for d, _ in zip(nt.divisors_ascending(x), range(300))]
+            assert prefix == self.product_list(x, prefix[-1])[:300], x
+
+    def test_finisher_runs_only_past_the_trial_bound(self, monkeypatch):
+        # certify reads the least divisor passing the condition; only these five
+        # moduli need one above TRIAL_LIMIT or beyond the stage-1 divisors
+        calls = []
+        finish = nt._finish
+        monkeypatch.setattr(nt, "_finish", lambda y: calls.append(y) or finish(y))
+        needs = {}
+        for q, m in self.certify_moduli():
+            calls.clear()
+            e = next(bd._condition_divisors(q, m, 1), None)
+            if calls:
+                needs[q**m - 1] = e
+        assert needs == {3**79 - 1: 432853009, 5**53 - 1: 5960555749,
+                         7**43 - 1: 166003607842448777, 29**23 - 1: 131327761273,
+                         31**23 - 1: 1509997}
 
     def test_prefix_of_a_large_walk(self):
         # 19^30 - 1 has 393,216 divisors; certify needs only the first 16

@@ -127,16 +127,39 @@ class TestBounds:
 
     def test_factoring_budget_exhausted(self, capsys, monkeypatch):
         # Phi_43(7) = (7^43 - 1)/6 is a 119-bit product of two primes, which
-        # no ECM curve within a budget of 1 splits; the piece cache would
+        # no ECM curve within a budget of 1 splits; the finisher cache would
         # otherwise answer from an earlier, full-budget factorization
         monkeypatch.setattr(nt, "_BUDGET", 1)
-        nt._piece_factors.cache_clear()
+        nt._finish.cache_clear()
         try:
             code, out, err = run(capsys, "bounds", "7", "43", "1")
         finally:
-            nt._piece_factors.cache_clear()
+            nt._finish.cache_clear()
         assert code == 2 and out == ""
         assert f"composite cofactor {(7**43 - 1) // 6} " in err
+
+    @pytest.mark.parametrize("q, m, e", [(3, 79, 432853009), (5, 53, 5960555749),
+                                         (7, 43, 166003607842448777), (29, 23, 131327761273),
+                                         (31, 23, 1509997)])
+    def test_divisor_witness_past_the_trial_bound(self, capsys, q, m, e):
+        # the five certify moduli whose least divisor needs the finisher; for
+        # 7^43 - 1 the stage-1 divisors 1, 2, 3, 6 run out below TRIAL_LIMIT
+        code, out, _ = run(capsys, "bounds", str(q), str(m), "1", "--format", "json")
+        assert code == 0
+        assert ["divisor_e", e] in json.loads(out)["witnesses"]
+
+    @pytest.mark.parametrize("q, m, e", [(19, 29, 59), (11, 31, 50159)])
+    def test_divisor_walk_skips_the_finisher(self, capsys, monkeypatch, q, m, e):
+        # q^m - 1 has a composite cofactor no ECM curve within a budget of 1
+        # splits, but its least passing divisor is below TRIAL_LIMIT
+        monkeypatch.setattr(nt, "_BUDGET", 1)
+        nt._finish.cache_clear()
+        try:
+            code, out, err = run(capsys, "bounds", str(q), str(m), "1", "--format", "json")
+        finally:
+            nt._finish.cache_clear()
+        assert code == 0, err
+        assert ["divisor_e", e] in json.loads(out)["witnesses"]
 
     def test_zero_code_is_an_error(self, capsys):
         code, out, err = run(capsys, "bounds", "2", "2", "1", "--variant", "omega_bar")
