@@ -13,6 +13,7 @@ from rmcodes import (
     exact_distance,
     generic_bounds,
     is_member,
+    maximal_representatives,
     quotient_codeword,
     search_condition_divisors,
 )
@@ -21,7 +22,7 @@ from rmcodes import (
 params, h = QadicParams(3, 4), 2
 part = coset_partition(params, h)
 print("coset representatives:", list(part.representatives))
-print("maximal under divisibility:", list(part.maximal))
+print("maximal under divisibility:", list(maximal_representatives(params, h)))
 
 # The divisor condition only needs the maximal set: e = 16 divides none of
 # 7, 8, 11, 20, so a weight-16 codeword exists (d <= 16 < 17, the generic

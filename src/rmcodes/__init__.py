@@ -27,7 +27,6 @@ from .cyclotomy import (
     coset_representatives,
     fold_exponent,
     index_set,
-    index_set_negated,
     index_set_size,
     maximal_representatives,
     q_digits,

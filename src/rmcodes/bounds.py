@@ -144,10 +144,15 @@ def generic_bounds(q: int, m: int, h: int, variant: str = "omega") -> BoundRepor
 def certify(spec: CodeSpec, *, budget: SearchBudget | None = None, max_n: int | None = None) -> BoundReport:
     """Every distance bound for ``spec`` in one report: the closed forms, the least
     divisor passing the divisor condition (d <= e, or 2e for omega_bar) and, given
-    a budget, the enumerated distance (else a note).  Without one nothing is built.
+    a budget, the enumerated distance.  A search or enumeration too large to run
+    leaves a note instead.  Without a budget nothing is built.
     """
     report = generic_bounds(spec.q, spec.m, spec.h, spec.variant)
-    e = next(_condition_divisors(spec.q, spec.m, spec.h), None)
+    try:
+        e = next(_condition_divisors(spec.q, spec.m, spec.h), None)
+    except TooLarge as exc:
+        report.notes.append(f"divisor search skipped: {exc}")
+        e = None
     if e is not None:
         value = e if spec.variant == "omega" else 2 * e
         _merge(report, Bound(value, "divisor-witness"), witness=("divisor_e", e))

@@ -2,8 +2,8 @@
 
 Subcommands: code, bounds, search-e, tables, verify-paper.  Output is
 text by default; --format json/csv selects machine-readable forms (no csv
-for verify-paper).  Each subcommand takes only the flags it reads.  The
-environment variable RMCODES_MAX_N (or --max-n) bounds construction size.
+for verify-paper).  Each subcommand takes only the flags it reads; --max-n
+bounds the construction size of code and bounds (default 2^20).
 """
 
 from __future__ import annotations

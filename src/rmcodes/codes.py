@@ -24,21 +24,12 @@ bounded-weight exponent.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import gf
-from .cyclotomy import (
-    QadicParams,
-    check_h,
-    coset_of,
-    coset_partition,
-    index_set,
-    index_set_negated,
-    index_set_size,
-    maximal_representatives,
-)
+from .cyclotomy import (QadicParams, check_h, coset_of, coset_partition, index_set_size,
+                        maximal_representatives)
 from .errors import InternalError, TooLarge
 from .gf import FieldCtx, SubfieldEmbedding, build_field, embed_subfield
 from .ntheory import prime_power_split
@@ -46,15 +37,6 @@ from .ntheory import prime_power_split
 VARIANTS = ("omega", "omega_bar")
 
 DEFAULT_MAX_N = 1 << 20
-MAX_N_ENV = "RMCODES_MAX_N"
-
-
-def construction_bound(override: int | None = None) -> int:
-    """Largest permitted code length: explicit override > env var > default."""
-    if override is not None:
-        return override
-    env = os.environ.get(MAX_N_ENV)
-    return int(env) if env else DEFAULT_MAX_N
 
 
 @dataclass(frozen=True)
@@ -140,9 +122,6 @@ def minimal_poly(emb: SubfieldEmbedding, params: QadicParams, a: int) -> tuple[i
     broken embedding and raises InternalError.
     """
     big, small = emb.big, emb.small
-    n = params.n
-    if a % n == 0:
-        return (small.neg(1), 1)
     poly = [1]
     for i in coset_of(params, a):
         root_neg = big.neg(big.alpha_pow(i))
@@ -169,23 +148,23 @@ def _minimal_poly_cached(emb, params, a):
 
 
 @lru_cache(maxsize=128)
-def _build_cached(spec: CodeSpec, max_n: int, primitive) -> CodeInstance:
+def _build_cached(spec: CodeSpec, max_n: int) -> CodeInstance:
     n = spec.n
     if n > max_n:
         raise TooLarge(f"n = {n} exceeds the construction bound {max_n}")
     p, s = prime_power_split(spec.q)
     small = build_field(p, s)
-    big = build_field(p, s * spec.m, primitive=primitive)
+    big = build_field(p, s * spec.m)
     emb = embed_subfield(big, small)
-    params, h = spec.params, spec.h
-    reps = coset_partition(params, h).representatives
-    zeros = index_set(params, h)
+    classes = coset_partition(spec.params, spec.h).classes
     if spec.variant == "omega_bar":
-        reps = tuple(sorted({0, *reps, *(coset_of(params, params.n - r)[0] for r in reps)}))
-        zeros = tuple(sorted({0, *zeros, *index_set_negated(params, h)}))
+        # {0} u I u -I: the negation of a coset is a coset, which may be one of I's
+        classes = {(0,), *classes, *(tuple(sorted(n - a for a in c)) for c in classes)}
+    reps = tuple(sorted(c[0] for c in classes))
+    zeros = tuple(sorted(a for c in classes for a in c))
 
     # a balanced product tree: Karatsuba gains most on equal-sized operands
-    factors = [_minimal_poly_cached(emb, params, a) for a in reps]
+    factors = [_minimal_poly_cached(emb, spec.params, a) for a in reps]
     while len(factors) > 1:
         pairs = zip(factors[::2], factors[1::2])
         factors = [gf.poly_mul(small, f, g) for f, g in pairs] + factors[len(factors) & ~1 :]
@@ -196,19 +175,10 @@ def _build_cached(spec: CodeSpec, max_n: int, primitive) -> CodeInstance:
     return inst
 
 
-def build_code(
-    spec: CodeSpec,
-    *,
-    max_n: int | None = None,
-    primitive: int | None = None,
-) -> CodeInstance:
-    """Build the code for ``spec``.
-
-    ``max_n`` bounds the length (default from RMCODES_MAX_N or 2^20);
-    ``primitive`` optionally forces a specific primitive element of the big
-    field, which must leave every reported parameter unchanged.
-    """
-    return _build_cached(spec, construction_bound(max_n), primitive)
+def build_code(spec: CodeSpec, *, max_n: int | None = None) -> CodeInstance:
+    """Build the code for ``spec`` over the least primitive element of F_{q^m}
+    (cached).  ``max_n`` bounds the length n, by default ``DEFAULT_MAX_N`` = 2^20."""
+    return _build_cached(spec, DEFAULT_MAX_N if max_n is None else max_n)
 
 
 def _check_instance(inst: CodeInstance):
@@ -230,18 +200,22 @@ def _check_instance(inst: CodeInstance):
             raise InternalError("internal: mirrored dimension disagrees with the count formula")
 
 
-def verify_roots(inst: CodeInstance, *, exhaustive_limit: int = 1 << 16, samples: int = 64) -> None:
+_EXHAUSTIVE_LIMIT = 1 << 16  # verify_roots: longest n whose every exponent is tested
+_SAMPLES = 64  # verify_roots: exponents sampled, besides the zeros, above that
+
+
+def verify_roots(inst: CodeInstance) -> None:
     """Check gen(alpha^a) = 0 exactly for a in the zero set, both directions.
 
-    Exhaustive over all n exponents when n <= exhaustive_limit, otherwise
-    all zeros plus a deterministic sample of non-zeros.
+    Exhaustive over all n exponents when n <= ``_EXHAUSTIVE_LIMIT``, otherwise
+    all zeros plus a deterministic sample of ``_SAMPLES`` non-zeros.
     """
     n = inst.n
     zeros = set(inst.zero_exponents)
-    if n <= exhaustive_limit:
+    if n <= _EXHAUSTIVE_LIMIT:
         exponents = range(n)
     else:
-        step = max(1, n // samples)
+        step = max(1, n // _SAMPLES)
         exponents = sorted(zeros | set(range(0, n, step)))
     terms = [(j, c) for j, c in enumerate(inst.gen_poly) if c]
     for a in exponents:
@@ -282,12 +256,13 @@ def condition_star_holds(q: int, m: int, h: int, e: int) -> bool:
     When true, the quotient codeword certifies distance <= e (and <= 2e for
     the mirrored code) at every extension length m*l.
     """
-    n = q**m - 1
+    params = QadicParams(q, m)  # rejects q^m - 1 beyond 128 bits before building it
+    n = params.n
     if not 2 <= e < n:
         raise ValueError(f"need 2 <= e < n = {n}, got {e}")
     if n % e:
         raise ValueError(f"{e} does not divide {n}")
-    return all(a % e for a in maximal_representatives(QadicParams(q, m), h))
+    return all(a % e for a in maximal_representatives(params, h))
 
 
 def quotient_codeword(
@@ -312,7 +287,7 @@ def quotient_codeword(
         raise ValueError(f"need l >= 1, got {l}")
     if e != spec.n and not condition_star_holds(q, m, h, e):
         raise ValueError(f"{e} divides a maximal bounded-weight exponent for (q={q}, m={m}, h={h})")
-    bound = construction_bound(max_n)
+    bound = DEFAULT_MAX_N if max_n is None else max_n
     if m * l > bound.bit_length():  # q >= 2, so N >= 2^(m*l) - 1 > bound
         raise TooLarge(f"target length q^(m*l) - 1 = {q}^{m * l} - 1 exceeds the construction bound {bound}")
     N = q ** (m * l) - 1

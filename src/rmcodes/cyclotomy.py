@@ -20,6 +20,7 @@ from .errors import InternalError, TooLarge
 from .gf import EXPONENT_LIMIT
 
 MATERIALIZE_LIMIT = 1 << 26
+_MAXIMAL_LIMIT = 1 << 16  # largest index set with a maximal set; (2, 17, 8) takes 1.3 s
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,8 @@ class QadicParams:
             raise ValueError(f"need q >= 2, got {self.q}")
         if self.m < 2:
             raise ValueError(f"need m >= 2, got {self.m}")
-        if self.q**self.m - 1 > EXPONENT_LIMIT:
+        # q >= 2, so q^m >= 2^m: a long m is rejected before the power
+        if self.m > EXPONENT_LIMIT.bit_length() or self.q**self.m - 1 > EXPONENT_LIMIT:
             raise TooLarge(f"{self.q}^{self.m} - 1 exceeds the supported 128-bit range")
 
     @property
@@ -96,12 +98,6 @@ def index_set(params: QadicParams, h: int) -> tuple[int, ...]:
     return tuple(sorted(_iter_index_set(params, h)))
 
 
-def index_set_negated(params: QadicParams, h: int) -> tuple[int, ...]:
-    """The mirror set {n - a : a in the index set}."""
-    n = params.n
-    return tuple(sorted(n - a for a in index_set(params, h)))
-
-
 def coset_of(params: QadicParams, a: int) -> tuple[int, ...]:
     """The q-cyclotomic coset of a mod n, sorted ascending."""
     n = params.n
@@ -118,17 +114,13 @@ def coset_of(params: QadicParams, a: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CosetPartition:
-    """The bounded-weight exponent set split into q-cyclotomic cosets."""
+    """The bounded-weight exponent set split into q-cyclotomic cosets: the
+    sorted ``classes``, in the order of their least elements, ``representatives``."""
 
     params: QadicParams
     h: int
     classes: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]
-    maximal: tuple[int, ...]
-
-
-def _maximal_of(reps) -> tuple[int, ...]:
-    return tuple(r for r in reps if not any(r != s and s % r == 0 for s in reps))
 
 
 @lru_cache(maxsize=256)
@@ -138,7 +130,7 @@ def coset_partition(params: QadicParams, h: int) -> CosetPartition:
     classes = tuple(coset_of(params, r) for r in reps)
     if sum(map(len, classes)) != index_set_size(params, h):
         raise InternalError(f"internal: the cosets of {params} at h={h} do not cover the index set")
-    return CosetPartition(params, h, classes, reps, _maximal_of(reps))
+    return CosetPartition(params, h, classes, reps)
 
 
 def coset_representatives(params: QadicParams, h: int) -> tuple[int, ...]:
@@ -161,8 +153,18 @@ def coset_representatives(params: QadicParams, h: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=256)
 def maximal_representatives(params: QadicParams, h: int) -> tuple[int, ...]:
-    """Representatives that properly divide no other representative."""
-    return _maximal_of(coset_representatives(params, h))
+    """Representatives that properly divide no other representative.
+
+    The orbit walks stream the whole index set and the divisibility scan is
+    quadratic in the representatives, so a set above ``_MAXIMAL_LIMIT``
+    exponents raises TooLarge before either starts.
+    """
+    size = index_set_size(params, h)
+    if size > _MAXIMAL_LIMIT:
+        raise TooLarge(f"the index set of (q={params.q}, m={params.m}, h={h}) has {size} exponents, "
+                       f"more than the maximal-set limit {_MAXIMAL_LIMIT}")
+    reps = coset_representatives(params, h)
+    return tuple(r for r in reps if not any(r != s and s % r == 0 for s in reps))
 
 
 def fold_exponent(params: QadicParams, a: int) -> int:

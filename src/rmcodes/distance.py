@@ -70,6 +70,7 @@ class Bound:
 
 _CHUNK = 1 << 12  # low messages per pass: the lanes of one mask
 _MASK_BITS = 1 << 25  # cap on the n * q * chunk bits of the mask table
+_MAX_CANDIDATES = 1 << 22  # find_weight_witness: most words one search tries
 
 
 def _multiples(ctx, g, n, dim, q) -> tuple[list[int], list[int] | None]:
@@ -266,10 +267,9 @@ def weight_distribution_from_dual(inst: CodeInstance) -> list[int]:
     return dist
 
 
-def find_weight_witness(
-    inst: CodeInstance, weight: int, *, max_candidates: int = 1 << 22
-) -> Codeword | None:
-    """Search for a member of the given weight, or None if the search is too large.
+def find_weight_witness(inst: CodeInstance, weight: int) -> Codeword | None:
+    """Search for a member of the given weight, or None if the search would
+    try more than ``_MAX_CANDIDATES`` words.
 
     Cyclic shifts and scalar multiples preserve membership and weight, so
     the support may be anchored at position 0 with leading coefficient 1;
@@ -279,7 +279,7 @@ def find_weight_witness(
     if weight < 1 or weight > n:
         raise ValueError(f"need 1 <= weight <= n, got {weight}")
     slots = weight - 1
-    if comb(n - 1, slots) * (q - 1) ** slots > max_candidates:
+    if comb(n - 1, slots) * (q - 1) ** slots > _MAX_CANDIDATES:
         return None
     evaluate, reps = inst.emb.evaluate, inst.zero_representatives
     for support in combinations(range(1, n), slots):

@@ -12,8 +12,9 @@ irreducible polynomial of its degree in ascending index order, and the
 primitive element is the least index generating the multiplicative group,
 found with one factorization of p^s - 1 and, for s >= 2, from index p on.
 The characteristic p must be below ``ntheory.PROVEN_PRIME_BOUND``, where
-the primality test is a proof.  Fields of at most
-``DEFAULT_TABLE_THRESHOLD`` elements carry discrete exp/log tables and, for
+the primality test is a proof.  ``build_field(p, s)`` is the one cached
+constructor.  Fields of at most ``TABLE_THRESHOLD`` elements, a constant
+read when the field is constructed, carry discrete exp/log tables and, for
 odd p, a Zech table zech[i] = log(1 + alpha^i), so that x + y is
 x * (1 + y/x) in three lookups (for p = 2 it is XOR); larger fields fall
 back to direct polynomial arithmetic.
@@ -55,21 +56,22 @@ from sys import byteorder
 from .errors import InternalError, TooLarge
 from .ntheory import PROVEN_PRIME_BOUND, factorize, is_probable_prime
 
-DEFAULT_TABLE_THRESHOLD = 1 << 20
+TABLE_THRESHOLD = 1 << 20
 EXPONENT_LIMIT = 1 << 128
 
 
 class FieldCtx:
     """Immutable arithmetic context for F_{p^s}; safe to share freely."""
 
-    def __init__(self, p: int, s: int, *, table_threshold: int, primitive: int | None):
+    def __init__(self, p: int, s: int):
         if p >= PROVEN_PRIME_BOUND:
             raise TooLarge(f"primality of {p} cannot be proven (needs p < {PROVEN_PRIME_BOUND})")
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
         if s < 1:
             raise ValueError(f"need exponent s >= 1, got {s}")
-        if p**s > EXPONENT_LIMIT:
+        # p >= 2, so p^s >= 2^s: a long exponent is rejected before the power
+        if s > EXPONENT_LIMIT.bit_length() or p**s > EXPONENT_LIMIT:
             raise TooLarge(f"{p}^{s} exceeds the supported 128-bit range")
         self.p = p
         self.s = s
@@ -80,13 +82,8 @@ class FieldCtx:
         self.log: list[int] | None = None
         self.zech: list[int] | None = None
 
-        if primitive is None:
-            primitive = next(self.primitives())
-        elif not 1 <= primitive < self.order or self.order_of(primitive) != self.order - 1:
-            raise ValueError(f"{primitive} is not a primitive element of F_{self.order}")
-        self.primitive_elem = primitive
-
-        if self.order <= table_threshold:
+        self.primitive_elem = next(self.primitives())
+        if self.order <= TABLE_THRESHOLD:
             self._build_log_tables()
 
     # -- raw arithmetic on indices (no tables) ------------------------------
@@ -247,19 +244,9 @@ class FieldCtx:
 
 
 @lru_cache(maxsize=32)
-def _build_field_cached(p, s, table_threshold, primitive):
-    return FieldCtx(p, s, table_threshold=table_threshold, primitive=primitive)
-
-
-def build_field(
-    p: int,
-    s: int,
-    *,
-    table_threshold: int = DEFAULT_TABLE_THRESHOLD,
-    primitive: int | None = None,
-) -> FieldCtx:
+def build_field(p: int, s: int) -> FieldCtx:
     """Construct F_{p^s} deterministically (cached; the result is immutable)."""
-    return _build_field_cached(p, s, table_threshold, primitive)
+    return FieldCtx(p, s)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +293,8 @@ class SubfieldEmbedding:
 
 
 @lru_cache(maxsize=32)
-def _embed_cached(big: FieldCtx, small: FieldCtx) -> SubfieldEmbedding:
+def embed_subfield(big: FieldCtx, small: FieldCtx) -> SubfieldEmbedding:
+    """Embed the small field into the big one; big.order must be a power of small.order."""
     if big.p != small.p:
         raise ValueError(f"characteristics differ: {big.p} vs {small.p}")
     q = small.order
@@ -337,11 +325,6 @@ def _embed_cached(big: FieldCtx, small: FieldCtx) -> SubfieldEmbedding:
     raise InternalError(
         f"no multiplicative matching of GF({q}) into GF({big.order}) is additive"
     )
-
-
-def embed_subfield(big: FieldCtx, small: FieldCtx) -> SubfieldEmbedding:
-    """Embed the small field into the big one; big.order must be a power of small.order."""
-    return _embed_cached(big, small)
 
 
 # ---------------------------------------------------------------------------

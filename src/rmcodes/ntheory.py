@@ -17,7 +17,8 @@ fixed parameters, stage 1 and a stage-2 continuation.  ``_BUDGET`` bounds
 the ECM work on each composite; a composite cofactor that survives it is
 reported, never mislabeled as prime.
 
-``factorize`` runs both stages.  ``divisors_ascending`` runs the finisher
+``factorize`` runs both stages and is the one factoring entry point; the
+cyclotomic pieces and ``mult_order`` call it too.  ``divisors_ascending`` runs the finisher
 only when its walk gets past ``TRIAL_LIMIT`` or past the divisors stage 1
 knows: a divisor <= TRIAL_LIMIT has no prime above it, so stage 1 has found
 all of its primes.  ``mult_order`` factors its modulus e once.
@@ -245,15 +246,6 @@ def _wheel(x: int, factors: dict[int, int]) -> int:
     return _trial(x, factors, 7, 4, 6)
 
 
-def _factor_generic(x: int) -> dict[int, int]:
-    """Both stages over the 6k +- 1 wheel; below TRIAL_LIMIT**2 trial division alone."""
-    factors: dict[int, int] = {}
-    y = _wheel(x, factors)
-    if y > 1 and _settle(y, factors) > 1:
-        _add(factors, _finish(y))
-    return factors
-
-
 def _iroot(y: int, k: int) -> int:
     """floor(y ** (1/k)) for y >= 1, k >= 2, by Newton's method from a float guess."""
     r = max(1, int(exp(min(log(y) / k, 700.0))))
@@ -279,7 +271,7 @@ def _power_base(y: int) -> tuple[int, int]:
 
 def _cyclotomic_value(b: int, d: int) -> int:
     """Phi_d(b), the Moebius product of the b^e - 1 over the divisors e of d."""
-    primes = list(_factor_generic(d))
+    primes = list(factorize(d)) if d > 1 else []
     num = den = 1
     for r in range(len(primes) + 1):
         for subset in combinations(primes, r):
@@ -299,7 +291,7 @@ def _piece_factors(b: int, d: int) -> tuple[tuple[tuple[int, int], ...], int]:
     candidate, as ``_trial`` requires."""
     v = _cyclotomic_value(b, d)
     factors: dict[int, int] = {}
-    for p in _factor_generic(2 * d):
+    for p in factorize(2 * d):
         while v % p == 0:
             factors[p] = factors.get(p, 0) + 1
             v //= p
@@ -414,7 +406,7 @@ def _order(b: int, e: int, fac_e: dict[int, int]) -> int:
     primes = set(fac_e)  # p divides phi(e) when a > 1; the l % r test skips the rest
     for p, a in fac_e.items():
         l *= p ** (a - 1) * (p - 1)
-        primes.update(_factor_generic(p - 1))
+        primes.update(factorize(p - 1) if p > 2 else ())
     for r in primes:
         while l % r == 0 and pow(b, l // r, e) == 1:
             l //= r

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from functools import lru_cache
 from math import comb, gcd, prod
 
@@ -9,7 +10,7 @@ from rmcodes import bounds as bd
 from rmcodes import codes as cd
 from rmcodes import ntheory as nt
 from rmcodes.codes import CodeSpec, build_code
-from rmcodes.cyclotomy import QadicParams, index_set, index_set_negated
+from rmcodes.cyclotomy import QadicParams, index_set, maximal_representatives
 from rmcodes.distance import SearchBudget, exact_distance, find_weight_witness
 from rmcodes.errors import InternalError, TooLarge
 from rmcodes.verify import GRID
@@ -20,7 +21,7 @@ def dimension(q, m, h, variant):
     params = QadicParams(q, m)
     zeros = set(index_set(params, h))
     if variant == "omega_bar":
-        zeros |= {0, *index_set_negated(params, h)}
+        zeros |= {0, *(params.n - a for a in zeros)}
     return params.n - len(zeros)
 
 
@@ -88,13 +89,22 @@ class TestFactorize:
         assert nt._power_base(6**25) == (6, 25)
         assert nt._power_base(10**20 + 1) == (10**20 + 1, 1)
 
+    @staticmethod
+    def wheel_factors(x):
+        """Both stages over the 6k +- 1 wheel alone, without the cyclotomic split."""
+        factors = {}
+        y = nt._wheel(x, factors)
+        if y > 1 and nt._settle(y, factors) > 1:
+            nt._add(factors, nt._finish(y))
+        return factors
+
     def test_split_matches_generic(self):
         checked = 0
         for q in filter(nt.is_prime_power, range(2, 33)):
             m = 2
             while q**m - 1 <= 1 << 64:
                 n = q**m - 1
-                assert nt.factorize(n) == nt._factor_generic(n), (q, m)
+                assert nt.factorize(n) == self.wheel_factors(n), (q, m)
                 checked += 1
                 m += 1
         assert checked == 366
@@ -428,7 +438,8 @@ class TestGenericBounds:
             if dimension(q, m, h, "omega_bar") == 0:
                 continue
             params = QadicParams(q, m)
-            zeros = {0, *index_set(params, h), *index_set_negated(params, h)}
+            fwd = index_set(params, h)
+            zeros = {0, *fwd, *(params.n - a for a in fwd)}
             repunit = (q ** (h + 1) - 1) // (q - 1)
             assert all(a % params.n in zeros for a in range(1 - repunit, repunit)), (q, m, h)
             lower = bd.generic_bounds(q, m, h, "omega_bar").lower
@@ -464,6 +475,13 @@ class TestConditionStar:
         with pytest.raises(ValueError, match="6 does not divide 80"):
             cd.condition_star_holds(3, 4, 2, 6)
 
+    def test_long_m_rejected_promptly(self):
+        # n = 3^(4 * 10^7) - 1 is never built: m alone puts it past 128 bits
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=r"3\^40000000 - 1 exceeds the supported 128-bit range"):
+            cd.condition_star_holds(3, 4 * 10**7, 1, 2)
+        assert time.perf_counter() - start < 1.0
+
     def test_search_divisors(self):
         assert bd.search_condition_divisors(3, 4, 2) == [16, 40]
         assert 13 in bd.search_condition_divisors(3, 6, 2)
@@ -491,7 +509,7 @@ class TestConditionStar:
                     continue
                 via_full = all(a % e for a in full)
                 via_reps = all(a % e for a in part.representatives)
-                via_max = all(a % e for a in part.maximal)
+                via_max = all(a % e for a in maximal_representatives(params, h))
                 assert via_full == via_reps == via_max, (q, m, h, e)
 
 

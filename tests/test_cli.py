@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -49,17 +50,16 @@ class TestCode:
         assert code == 2
         assert err.startswith("error: ") and path in err and "Traceback" not in err
 
+    def test_max_n(self, capsys):
+        code, _, err = run(capsys, "code", "3", "2", "1", "--max-n", "5")
+        assert code == 2 and err == "error: n = 8 exceeds the construction bound 5\n"
+        code, _, _ = run(capsys, "code", "3", "2", "1", "--max-n", "100")
+        assert code == 0
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "code", "3", "2", "1", "--format", "csv")
         assert code == 0
         assert out.splitlines()[1] == "3,2,1,omega,8,4,4,4"
-
-    def test_env_bound(self, capsys, monkeypatch):
-        monkeypatch.setenv(cd.MAX_N_ENV, "5")
-        code, _, err = run(capsys, "code", "3", "2", "1")
-        assert code == 2 and "bound" in err
-        code, _, _ = run(capsys, "code", "3", "2", "1", "--max-n", "100")
-        assert code == 0
 
 
 class TestBounds:
@@ -161,6 +161,23 @@ class TestBounds:
         assert code == 0, err
         assert ["divisor_e", e] in json.loads(out)["witnesses"]
 
+    @pytest.mark.parametrize("q, m, h, size, lower, upper", [(2, 30, 10, 53009101, 2047, 2047),
+                                                          (3, 20, 8, 45235088, 9841, 13121)])
+    def test_divisor_search_skipped(self, capsys, q, m, h, size, lower, upper):
+        # the index set is too large for the maximal set: the closed forms
+        # are still printed, with a note instead of the divisor witness
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", str(q), str(m), str(h), "--format", "json")
+        assert time.perf_counter() - start < 5.0
+        assert code == 0, err
+        doc = json.loads(out)
+        assert (doc["lower"]["value"], doc["upper"]["value"]) == (lower, upper)
+        assert all(kind != "divisor_e" for kind, _ in doc["witnesses"])
+        assert doc["notes"] == [
+            f"divisor search skipped: the index set of (q={q}, m={m}, h={h}) has {size} "
+            "exponents, more than the maximal-set limit 65536"
+        ]
+
     def test_zero_code_is_an_error(self, capsys):
         code, out, err = run(capsys, "bounds", "2", "2", "1", "--variant", "omega_bar")
         assert code == 2
@@ -212,6 +229,26 @@ class TestSearchE:
         code, out, err = run(capsys, "search-e", "7", "46", "1")
         assert code == 2
         assert out == "" and err == "error: 7^46 - 1 exceeds the supported 128-bit range\n"
+
+    def test_maximal_set_too_large(self, capsys):
+        # the index set of (2, 40, 20) has about 6 * 10^11 exponents
+        start = time.perf_counter()
+        code, out, err = run(capsys, "search-e", "2", "40", "20")
+        assert time.perf_counter() - start < 5.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: the index set of (q=2, m=40, h=20) has ")
+        assert "more than the maximal-set limit 65536" in err
+
+
+@pytest.mark.parametrize("command", ["code", "bounds", "search-e"])
+@pytest.mark.parametrize("m", [10**7, 4 * 10**7])
+def test_long_m_rejected_promptly(capsys, command, m):
+    # q^m is never built: m alone puts 3^m - 1 past 128 bits
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "3", str(m), "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == f"error: 3^{m} - 1 exceeds the supported 128-bit range\n"
 
 
 class TestTables:

@@ -5,8 +5,8 @@ import pytest
 
 from rmcodes import codes as cd
 from rmcodes import gf
-from rmcodes.codes import CodeSpec, build_code, encode, is_member, quotient_codeword
-from rmcodes.cyclotomy import QadicParams, coset_of, coset_partition
+from rmcodes.codes import VARIANTS, CodeSpec, build_code, encode, is_member, quotient_codeword
+from rmcodes.cyclotomy import QadicParams, coset_of, coset_partition, index_set
 from rmcodes.bounds import search_condition_divisors
 from rmcodes.errors import InternalError, TooLarge
 from rmcodes.gf import (
@@ -101,11 +101,8 @@ class TestBuildCode:
     def test_too_large(self):
         with pytest.raises(TooLarge, match="n = 2097151 exceeds the construction bound 1048576"):
             build_code(CodeSpec(2, 21, 1))
-
-    def test_env_bound(self, monkeypatch):
-        monkeypatch.setenv(cd.MAX_N_ENV, "10")
         with pytest.raises(TooLarge, match="n = 31 exceeds the construction bound 10"):
-            build_code(CodeSpec(2, 5, 1))
+            build_code(CodeSpec(2, 5, 1), max_n=10)
         assert build_code(CodeSpec(2, 5, 1), max_n=100).n == 31
 
     def test_gen_divides_xn_minus_1(self):
@@ -134,8 +131,9 @@ class TestBuildCode:
     def test_roots_exhaustive(self, spec):
         cd.verify_roots(build_code(spec))
 
-    def test_roots_sampled_large(self):
-        cd.verify_roots(build_code(CodeSpec(4, 6, 1)), exhaustive_limit=256)
+    def test_roots_sampled_large(self, monkeypatch):
+        monkeypatch.setattr(cd, "_EXHAUSTIVE_LIMIT", 256)
+        cd.verify_roots(build_code(CodeSpec(4, 6, 1)))
 
     @pytest.mark.parametrize("spec", [CodeSpec(3, 4, 2), CodeSpec(2, 4, 1, "omega_bar")])
     def test_roots_catch_a_dropped_factor(self, spec):
@@ -155,6 +153,25 @@ class TestBuildCode:
         n = inst.n
         fwd = set(build_code(CodeSpec(3, 4, 2)).zero_exponents)
         assert set(inst.zero_exponents) == {0} | fwd | {n - a for a in fwd}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_zero_set_matches_the_index_set(self, variant):
+        # differential: the build takes its zeros from the coset classes, the
+        # test from the index set I: I for omega, {0} u I u (n - I) for omega_bar
+        built = 0
+        for q, m, h in GRID:
+            params = QadicParams(q, m)
+            zeros = set(index_set(params, h))
+            if variant == "omega_bar":
+                zeros |= {0, *(params.n - a for a in zeros)}
+            if len(zeros) == params.n:
+                continue  # the zero code
+            inst = build_code(CodeSpec(q, m, h, variant))
+            assert inst.zero_exponents == tuple(sorted(zeros)), (q, m, h)
+            minima = {min(coset_of(params, a)) for a in zeros}
+            assert inst.zero_representatives == tuple(sorted(minima)), (q, m, h)
+            built += 1
+        assert built == (45 if variant == "omega" else 34)  # 11 mirrored codes are zero
 
     @pytest.mark.parametrize(
         "spec", [CodeSpec(3, 4, 2), CodeSpec(4, 3, 2, "omega_bar")], ids=["omega", "omega_bar"]
@@ -224,7 +241,7 @@ class TestXnMinus1Quotient:
 
 
 def test_field_layer_caches_are_bounded():
-    for cache in (gf._build_field_cached, gf._embed_cached, cd._minimal_poly_cached):
+    for cache in (gf.build_field, gf.embed_subfield, cd._minimal_poly_cached):
         assert cache.cache_info().maxsize is not None
 
 

@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from rmcodes import cyclotomy
 from rmcodes.cyclotomy import (
     QadicParams,
     coset_of,
@@ -9,7 +11,6 @@ from rmcodes.cyclotomy import (
     coset_representatives,
     fold_exponent,
     index_set,
-    index_set_negated,
     index_set_size,
     maximal_representatives,
     q_digits,
@@ -57,6 +58,15 @@ class TestDigitsAndWeight:
         QadicParams(2, 128)
         with pytest.raises(TooLarge, match=r"7\^46 - 1 exceeds the supported 128-bit range"):
             QadicParams(7, 46)
+        with pytest.raises(TooLarge, match=r"2\^129 - 1 exceeds"):
+            QadicParams(2, 129)
+
+    def test_long_m_rejected_promptly(self):
+        # 3^(10^7) has about 16 million bits; m alone rules it out
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=r"3\^10000000 - 1 exceeds the supported 128-bit range"):
+            QadicParams(3, 10**7)
+        assert time.perf_counter() - start < 1.0
 
     def test_weight_examples(self):
         params = QadicParams(3, 4)
@@ -78,7 +88,6 @@ class TestIndexSets:
     def test_small_goldens(self):
         assert index_set(QadicParams(2, 3), 1) == (1, 2, 4)
         assert index_set(QadicParams(3, 2), 1) == (1, 2, 3, 6)
-        assert index_set_negated(QadicParams(2, 3), 1) == (3, 5, 6)
 
     def test_cardinality_formula_and_brute_force(self):
         for q, m, h in [(3, 4, 2), (2, 5, 3), (4, 3, 2), (3, 3, 1)]:
@@ -109,7 +118,7 @@ class TestIndexSets:
             for h in range(1, (m - 1) // 2 + 1):
                 params = QadicParams(q, m)
                 fwd = set(index_set(params, h))
-                back = set(index_set_negated(params, h))
+                back = {params.n - a for a in fwd}
                 assert not fwd & back
                 assert len(fwd | back | {0}) == 2 * len(fwd) + 1
 
@@ -118,7 +127,7 @@ class TestCosets:
     def test_representative_goldens(self):
         part = coset_partition(QadicParams(3, 4), 2)
         assert part.representatives == (1, 2, 4, 5, 7, 8, 10, 11, 20)
-        assert part.maximal == (7, 8, 11, 20)
+        assert maximal_representatives(QadicParams(3, 4), 2) == (7, 8, 11, 20)
 
     def test_maximal_362_corrected(self):
         # the printed reference {8, 11, 20, 28, 58} is impossible: 58 has
@@ -129,7 +138,7 @@ class TestCosets:
         assert q_weight(params, 58) == 3
         assert sum(len(c) for c in part.classes) == 72
         assert part.representatives == (1, 2, 4, 5, 7, 8, 10, 11, 19, 20, 28, 29, 56)
-        assert part.maximal == (11, 19, 20, 29, 56)
+        assert maximal_representatives(params, 2) == (11, 19, 20, 29, 56)
 
     def test_h1_representatives_are_1_to_q_minus_1(self):
         for q, m in [(3, 2), (3, 5), (4, 3), (5, 4), (7, 3)]:
@@ -157,16 +166,32 @@ class TestCosets:
             want = sorted({min(coset_of(params, a)) for a in index_set(params, h)})
             assert list(coset_representatives(params, h)) == want
             assert part.representatives == tuple(want)
-            assert maximal_representatives(params, h) == part.maximal
+            assert maximal_representatives(params, h) == tuple(
+                r for r in want if not any(r != s and s % r == 0 for s in want)
+            )
+
+    def test_maximal_set_size_limit(self, monkeypatch):
+        # (2, 30, 10) has 53,009,101 exponents: rejected from the size formula
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="has 53009101 exponents, more than the maximal-set limit 65536"):
+            maximal_representatives(QadicParams(2, 30), 10)
+        assert time.perf_counter() - start < 1.0
+        # the limit is on the index set: (3, 4, 2) has 32 exponents
+        maximal_representatives.cache_clear()
+        monkeypatch.setattr(cyclotomy, "_MAXIMAL_LIMIT", 31)
+        with pytest.raises(TooLarge, match="has 32 exponents, more than the maximal-set limit 31"):
+            maximal_representatives(QadicParams(3, 4), 2)
+        monkeypatch.setattr(cyclotomy, "_MAXIMAL_LIMIT", 32)
+        assert maximal_representatives(QadicParams(3, 4), 2) == (7, 8, 11, 20)
 
     def test_maximal_definition(self):
         for q, m, h in [(3, 4, 2), (3, 6, 2), (2, 6, 2)]:
-            part = coset_partition(QadicParams(q, m), h)
-            reps = part.representatives
+            params = QadicParams(q, m)
+            reps = coset_partition(params, h).representatives
             naive = tuple(
                 r for r in reps if not any(r != s and s % r == 0 for s in reps)
             )
-            assert part.maximal == naive
+            assert maximal_representatives(params, h) == naive
 
     def test_coset_of(self):
         assert coset_of(QadicParams(3, 4), 11) == (11, 19, 33, 57)

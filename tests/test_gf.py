@@ -18,6 +18,16 @@ from rmcodes.gf import (
 )
 
 
+def untabled(p, s):
+    """F_{p^s} built without exp/log tables, outside the field cache.  The prime
+    field, which the modulus search reads through build_field, is built
+    first, so the cache keeps the tabled one."""
+    build_field(p, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf, "TABLE_THRESHOLD", 0)
+        return gf.FieldCtx(p, s)
+
+
 class TestBuildField:
     def test_gf2(self):
         F = build_field(2, 1)
@@ -65,15 +75,20 @@ class TestBuildField:
     def test_cached(self):
         assert build_field(3, 2) is build_field(3, 2)
 
-    def test_forced_primitive_must_be_primitive(self):
-        with pytest.raises(ValueError):
-            build_field(3, 2, primitive=1)
-
     def test_pseudoprime_characteristic_rejected_promptly(self):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="318665857834031151167461 is not prime"):
             build_field(318665857834031151167461, 1)  # psi_12, composite
         assert time.perf_counter() - start < 1.0
+
+    def test_long_exponent_rejected_promptly(self):
+        # 3^(10^7) has about 16 million bits; the exponent alone rules it out
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="exceeds the supported 128-bit range"):
+            build_field(3, 10**7)
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(TooLarge, match=r"2\^129 exceeds"):
+            build_field(2, 129)
 
     def test_unprovable_characteristic_overflows(self):
         with pytest.raises(TooLarge, match="primality of 3317044064679887385961981 cannot be proven"):
@@ -95,7 +110,7 @@ MODULUS_INDEX = {
 def test_modulus_table(p, s):
     index = MODULUS_INDEX[p, s]
     want = tuple(index // p**i % p for i in range(s)) + (1,)
-    assert build_field(p, s, table_threshold=0).modulus == want
+    assert untabled(p, s).modulus == want
 
 
 @pytest.mark.parametrize("p,s", [(2, 3), (3, 2), (2, 4), (5, 2)])
@@ -144,7 +159,7 @@ def test_negative_exponent():
 
 def test_tableless_field_matches_table_field():
     ref = build_field(3, 4)
-    raw = build_field(3, 4, table_threshold=1)
+    raw = untabled(3, 4)
     assert raw.exp is None and raw.log is None
     assert raw.modulus == ref.modulus
     assert raw.primitive_elem == ref.primitive_elem
@@ -290,15 +305,14 @@ def _horner_lifted(emb, f, x):
 
 class TestEvaluate:
     @pytest.mark.parametrize(
-        "p,s,m,threshold",
-        [(2, 1, 4, gf.DEFAULT_TABLE_THRESHOLD), (3, 1, 4, gf.DEFAULT_TABLE_THRESHOLD),
-         (2, 2, 3, gf.DEFAULT_TABLE_THRESHOLD), (3, 1, 4, 0)],
+        "p,s,m,tabled",
+        [(2, 1, 4, True), (3, 1, 4, True), (2, 2, 3, True), (3, 1, 4, False)],
         ids=["GF2-in-GF16", "GF3-in-GF81", "GF4-in-GF64", "GF3-in-untabled-GF81"],
     )
-    def test_matches_horner(self, p, s, m, threshold):
+    def test_matches_horner(self, p, s, m, tabled):
         small = build_field(p, s)
-        big = build_field(p, s * m, table_threshold=threshold)
-        assert (big.exp is None) == (threshold == 0)
+        big = build_field(p, s * m) if tabled else untabled(p, s * m)
+        assert (big.exp is None) == (not tabled)
         emb = embed_subfield(big, small)
         n, q = big.order - 1, small.order
         rng = random.Random(big.order)
@@ -431,7 +445,7 @@ def test_tabled_arithmetic_matches_raw(p, s):
 @pytest.mark.parametrize("p,s", _prime_powers(256))
 def test_neg_matches_digitwise(p, s):
     """-x negates each base-p digit, with and without the tables."""
-    for F in (build_field(p, s), build_field(p, s, table_threshold=0)):
+    for F in (build_field(p, s), untabled(p, s)):
         for x in range(F.order):
             assert F.neg(x) == F.element_from_coeffs((-d) % p for d in F.element_coeffs(x)), x
             assert F.add(x, F.neg(x)) == 0, x
@@ -454,4 +468,4 @@ def test_least_primitive_matches_brute_force():
         F = build_field(p, s)
         assert F.primitive_elem == _least_primitive_brute(F), (p, s)
     # the primitive element does not depend on the tables, which would hold 1021^2 entries
-    assert build_field(1021, 2, table_threshold=0).primitive_elem == 1035
+    assert untabled(1021, 2).primitive_elem == 1035
