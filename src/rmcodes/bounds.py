@@ -25,6 +25,7 @@ extend the base-case exclusions to every larger length.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import takewhile
 from math import comb, gcd
@@ -33,7 +34,7 @@ from .cyclotomy import QadicParams, q_weight
 from .codes import CodeSpec, build_code, condition_star_holds
 from .distance import Bound, SearchBudget, exact_distance
 from .errors import InternalError, TooLarge
-from .ntheory import divisors_ascending, is_prime_power, mult_order, prime_power_split
+from .ntheory import UnitGroup, divisors_ascending, is_prime_power, prime_power_split
 
 __all__ = [
     "Bound",
@@ -279,15 +280,7 @@ def odd_order_search(q: int) -> list[OrderSearchRow]:
     """
     if q < 4 or not is_prime_power(q):
         raise ValueError(f"need a prime power q >= 4, got {q}")
-    rows = []
-    for a in range(2, q - 1):
-        if gcd(a, q) != 1:
-            continue
-        e = q + a
-        l = mult_order(-a, e)
-        if l % 2 == 1:
-            rows.append(OrderSearchRow(q, a, l, e))
-    return rows
+    return list(table_rows(q, q)[0].rows)
 
 
 def bounded_divisor_check(q: int, m: int, e: int) -> bool:
@@ -325,13 +318,30 @@ class TableBlock:
 
 
 def table_rows(q_min: int, q_max: int) -> list[TableBlock]:
-    """Order-search table over every prime power in [q_min, q_max]."""
-    blocks = []
-    for q in range(max(4, q_min), q_max + 1):
-        if not is_prime_power(q):
-            continue
-        blocks.append(TableBlock(q, tuple(odd_order_search(q)), q + 1, 2 * q - 1))
-    return blocks
+    """Order-search table over every prime power in [q_min, q_max]: for each
+    q, the rows of ``odd_order_search(q)``, and the generic h = 1 bounds.
+
+    The walk goes over the moduli e in ascending order instead of over q.
+    A pair (q, a = e - q) with 2 <= a <= q - 2 has (e + 3) // 2 <= q <= e - 2,
+    and gcd(a, q) = gcd(e, q).  Each e gets one ``UnitGroup``, which serves
+    every q of that window, so e and the p - 1 of its primes are factored
+    once per call.  The rows of each q come out in ascending a.
+    """
+    qs = [q for q in range(max(4, q_min), q_max + 1) if is_prime_power(q)]
+    if not qs:
+        return []
+    rows: dict[int, list[OrderSearchRow]] = {q: [] for q in qs}
+    for e in range(qs[0] + 2, 2 * qs[-1] - 1):
+        group = None
+        for q in qs[bisect_left(qs, (e + 3) // 2) : bisect_right(qs, e - 2)]:
+            if gcd(e, q) != 1:
+                continue
+            if group is None:
+                group = UnitGroup(e)
+            l = group.order(q - e)
+            if l % 2 == 1:
+                rows[q].append(OrderSearchRow(q, e - q, l, e))
+    return [TableBlock(q, tuple(rows[q]), q + 1, 2 * q - 1) for q in qs]
 
 
 def table_csv(blocks) -> str:

@@ -9,6 +9,7 @@ bounds the construction size of code and bounds (default 2^20).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -148,7 +149,9 @@ def cmd_verify_paper(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` does not change it."""
     parser = argparse.ArgumentParser(
         prog="rmcodes",
         description="bounded-weight-zero-set cyclic codes: construction, distances, certificates",

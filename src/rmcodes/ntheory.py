@@ -18,10 +18,15 @@ the ECM work on each composite; a composite cofactor that survives it is
 reported, never mislabeled as prime.
 
 ``factorize`` runs both stages and is the one factoring entry point; the
-cyclotomic pieces and ``mult_order`` call it too.  ``divisors_ascending`` runs the finisher
+cyclotomic pieces and ``UnitGroup`` call it too.  ``divisors_ascending`` runs the finisher
 only when its walk gets past ``TRIAL_LIMIT`` or past the divisors stage 1
 knows: a divisor <= TRIAL_LIMIT has no prime above it, so stage 1 has found
-all of its primes.  ``mult_order`` factors its modulus e once.
+all of its primes.
+
+``UnitGroup(e)`` factors a modulus e once per group, and each p - 1 once,
+and holds the Carmichael exponent lambda(e); orders reduce from lambda(e).
+``mult_order`` and ``odd_order_test`` each build one group for one unit, so a
+caller with many units mod the same e builds the group once and asks it.
 """
 
 from __future__ import annotations
@@ -399,79 +404,110 @@ def euler_phi(e: int) -> int:
     return out
 
 
-def _order(b: int, e: int, fac_e: dict[int, int]) -> int:
-    """The order of the unit ``b`` mod ``e``, given ``fac_e`` = factorize(e): phi(e)
-    and its primes come from each p^(a-1) and p - 1 (p is no power: no split)."""
-    l = 1
-    primes = set(fac_e)  # p divides phi(e) when a > 1; the l % r test skips the rest
-    for p, a in fac_e.items():
-        l *= p ** (a - 1) * (p - 1)
-        primes.update(factorize(p - 1) if p > 2 else ())
-    for r in primes:
-        while l % r == 0 and pow(b, l // r, e) == 1:
-            l //= r
-    return l
-
-
-def mult_order(b: int, e: int) -> int:
-    """Least l >= 1 with b**l == 1 (mod e); b may be negative.  Factors e once."""
-    if e < 2:
-        raise ValueError(f"need modulus e >= 2, got {e}")
-    b %= e
-    if gcd(b, e) != 1:
-        raise ValueError(f"gcd({b}, {e}) != 1")
-    return _order(b, e, factorize(e))
-
-
 @dataclass(frozen=True)
 class OddOrderResult:
     is_odd: bool
     steps: tuple[str, ...]
+    order: int  # the order itself, computed directly as the cross-check
+
+
+class UnitGroup:
+    """The group of units mod ``e`` >= 2, with ``e`` factored once.
+
+    Building it factors ``e``, and ``p - 1`` once for each odd prime p of
+    ``e``.  From these it holds the Carmichael exponent ``carmichael`` =
+    lambda(e), the least common multiple of the lambda(p^a): p^(a-1)(p - 1)
+    for odd p, 1, 2 and 2^(a-2) for 2, 4 and 2^a with a >= 3, and the primes
+    of lambda(e) in ``carmichael_primes``.  Every order divides lambda(e), so
+    ``order`` reduces from it.  One group serves any number of ``order`` and
+    ``odd_order_test`` calls without factoring again.
+    """
+
+    def __init__(self, e: int):
+        if e < 2:
+            raise ValueError(f"need modulus e >= 2, got {e}")
+        self.e = e
+        # (p, a, t, N) per prime power p^a of e, with p - 1 = 2^t * N, N odd
+        self._parts = []
+        lam: dict[int, int] = {}
+        for p, a in factorize(e).items():
+            if p == 2:
+                piece = {2: a - 1 if a < 3 else a - 2}
+                t = n_odd = 0
+            else:
+                piece = factorize(p - 1)
+                t = piece[2]
+                n_odd = (p - 1) >> t
+                if a > 1:
+                    piece = {**piece, p: a - 1}
+            self._parts.append((p, a, t, n_odd))
+            for r, k in piece.items():
+                if k > lam.get(r, 0):
+                    lam[r] = k
+        self.carmichael = prod(r**k for r, k in lam.items())
+        self.carmichael_primes = tuple(sorted(lam))
+
+    def _unit(self, b: int) -> int:
+        b %= self.e
+        if gcd(b, self.e) != 1:
+            raise ValueError(f"gcd({b}, {self.e}) != 1")
+        return b
+
+    def order(self, b: int) -> int:
+        """Least l >= 1 with b**l == 1 (mod e); b may be negative."""
+        b, e = self._unit(b), self.e
+        l = self.carmichael
+        for r in self.carmichael_primes:
+            while l % r == 0 and pow(b, l // r, e) == 1:
+                l //= r
+        return l
+
+    def odd_order_test(self, b: int) -> OddOrderResult:
+        """Decide whether the order of ``b`` mod ``e`` is odd, structurally.
+
+        The decision splits ``e`` into prime powers (the order mod ``e`` is the
+        lcm of the orders mod each prime power): for 2**a the order is odd only
+        when it is 1; for an odd prime power the parity equals the parity of the
+        order mod p, which is odd exactly when b is a 2**t-th power mod p where
+        p - 1 = 2**t * N with N odd, i.e. when b**N == 1 (mod p).
+
+        The structural answer is cross-checked against the parity of the order
+        computed directly, which the result carries; a disagreement raises
+        InternalError.
+        """
+        b = self._unit(b)
+        steps = []
+        is_odd = True
+        for p, a, t, n_odd in self._parts:
+            pa = p**a
+            if p == 2:
+                part = b % pa == 1
+                steps.append(f"2^{a}: odd order iff b = 1 mod {pa}; b mod {pa} = {b % pa}")
+            else:
+                r = pow(b, n_odd, p)
+                part = r == 1
+                steps.append(f"{p}^{a}: p-1 = 2^{t}*{n_odd}; b^{n_odd} mod {p} = {r}")
+            if not part:
+                is_odd = False
+        order = self.order(b)
+        if (order % 2 == 1) != is_odd:
+            raise InternalError(
+                f"structural odd-order answer {is_odd} != direct parity {order % 2 == 1} "
+                f"for b={b}, e={self.e}"
+            )
+        return OddOrderResult(is_odd, tuple(steps), order)
+
+
+def mult_order(b: int, e: int) -> int:
+    """Least l >= 1 with b**l == 1 (mod e); b may be negative.  Factors e once,
+    through ``UnitGroup(e)``, and reduces from lambda(e)."""
+    return UnitGroup(e).order(b)
 
 
 def odd_order_test(b: int, e: int) -> OddOrderResult:
-    """Decide whether the order of ``b`` mod ``e`` is odd, structurally.
-
-    The decision splits ``e`` into prime powers (the order mod ``e`` is the
-    lcm of the orders mod each prime power): for 2**a the order is odd only
-    when it is 1; for an odd prime power the parity equals the parity of the
-    order mod p, which is odd exactly when b is a 2**t-th power mod p where
-    p - 1 = 2**t * N with N odd, i.e. when b**N == 1 (mod p).
-
-    The structural answer is cross-checked against the parity of the order
-    computed directly; a disagreement raises InternalError.
-    """
-    if e < 2:
-        raise ValueError(f"need modulus e >= 2, got {e}")
-    b %= e
-    if gcd(b, e) != 1:
-        raise ValueError(f"gcd({b}, {e}) != 1")
-    steps = []
-    is_odd = True
-    fac_e = factorize(e)
-    for p, a in sorted(fac_e.items()):
-        pa = p**a
-        if p == 2:
-            part = b % pa == 1
-            steps.append(f"2^{a}: odd order iff b = 1 mod {pa}; b mod {pa} = {b % pa}")
-        else:
-            n_odd = p - 1
-            t = 0
-            while n_odd % 2 == 0:
-                n_odd //= 2
-                t += 1
-            part = pow(b, n_odd, p) == 1
-            steps.append(
-                f"{p}^{a}: p-1 = 2^{t}*{n_odd}; b^{n_odd} mod {p} = {pow(b, n_odd, p)}"
-            )
-        if not part:
-            is_odd = False
-    direct = _order(b, e, fac_e) % 2 == 1
-    if direct != is_odd:
-        raise InternalError(
-            f"structural odd-order answer {is_odd} != direct parity {direct} for b={b}, e={e}"
-        )
-    return OddOrderResult(is_odd, tuple(steps))
+    """``UnitGroup(e).odd_order_test(b)``: factors e once; see there.  To test
+    many b mod one e, build the group once and call its method."""
+    return UnitGroup(e).odd_order_test(b)
 
 
 def prime_power_split(q: int) -> tuple[int, int]:

@@ -21,6 +21,7 @@ from . import gf
 from . import ntheory as nt
 from .cyclotomy import (QadicParams, coset_partition, index_set, index_set_size,
                         maximal_representatives, q_weight)
+from .errors import InternalError
 
 DEFAULT_SEED = 2024
 
@@ -323,9 +324,8 @@ def check_odd_order_parity(seed=DEFAULT_SEED):
         b = rng.randrange(1, e)
         if gcd(b, e) != 1:
             continue
-        structural = nt.odd_order_test(b, e).is_odd
-        direct = nt.mult_order(b, e) % 2 == 1
-        _require(structural == direct, (b, e))
+        result = nt.UnitGroup(e).odd_order_test(b)
+        _require(result.is_odd == (result.order % 2 == 1), (b, e))
         count += 1
     return "structural odd-order test matches direct order parity on 10^4 seeded coprime pairs"
 
@@ -336,8 +336,9 @@ def check_quadratic_residue_rule():
         if not nt.is_probable_prime(p):
             continue
         residues = {b * b % p for b in range(1, p)}
+        group = nt.UnitGroup(p)
         for b in range(2, p):
-            _require(nt.odd_order_test(b, p).is_odd == (b in residues), (b, p))
+            _require(group.odd_order_test(b).is_odd == (b in residues), (b, p))
             checked += 1
     return f"odd order iff quadratic residue verified for {checked} pairs (p = 3 mod 4, p < 500)"
 
@@ -417,7 +418,7 @@ def run_checks(only: str | None = None, seed: int = DEFAULT_SEED) -> list[CheckR
         try:
             detail = fn(seed) if fn is check_odd_order_parity else fn()
             passed = True
-        except AssertionError as exc:
+        except (AssertionError, InternalError) as exc:
             detail, passed = f"FAILED: {exc}", False
         seconds = time.perf_counter() - start
         group_time[group] = group_time.get(group, 0.0) + seconds

@@ -11,8 +11,9 @@ from functools import lru_cache
 import pytest
 
 from rmcodes import verify
-from rmcodes.bounds import mult_order, odd_order_search
+from rmcodes.bounds import odd_order_search
 from rmcodes.cyclotomy import QadicParams, maximal_representatives
+from rmcodes.ntheory import mult_order
 
 
 @lru_cache(maxsize=1)

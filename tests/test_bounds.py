@@ -382,6 +382,76 @@ class TestOddOrder:
         )
 
 
+class TestUnitGroup:
+    def test_every_unit_below_300(self):
+        # brute force, the phi route of test_order_matches_phi_then_factor,
+        # and lambda(e) as the largest order
+        for e in range(2, 300):
+            group = nt.UnitGroup(e)
+            lam = group.carmichael
+            assert group.carmichael_primes == (tuple(nt.factorize(lam)) if lam > 1 else ())
+            phi = nt.euler_phi(e)
+            largest = 1
+            for b in range(1, e):
+                if gcd(b, e) != 1:
+                    continue
+                x, l = b, 1
+                while x != 1:
+                    x = x * b % e
+                    l += 1
+                via_phi = phi
+                for r in nt.factorize(phi) if phi > 1 else ():
+                    while via_phi % r == 0 and pow(b, via_phi // r, e) == 1:
+                        via_phi //= r
+                assert group.order(b) == group.order(b - e) == l == via_phi, (b, e)
+                largest = max(largest, l)
+            assert group.carmichael == largest, e
+
+    def test_odd_order_result_carries_the_order(self):
+        rng = random.Random(61)
+        for _ in range(500):
+            e = rng.randrange(3, 10**6)
+            b = rng.randrange(1, e)
+            if gcd(b, e) != 1:
+                continue
+            r = nt.UnitGroup(e).odd_order_test(b)
+            assert r == nt.odd_order_test(b, e)
+            assert r.order == nt.mult_order(b, e) and r.is_odd == (r.order % 2 == 1)
+
+    def test_gates(self):
+        with pytest.raises(ValueError, match="need modulus e >= 2, got 1"):
+            nt.UnitGroup(1)
+        group = nt.UnitGroup(27)
+        with pytest.raises(ValueError, match=r"gcd\(6, 27\) != 1"):
+            group.order(33)
+        with pytest.raises(ValueError, match=r"gcd\(0, 27\) != 1"):
+            group.odd_order_test(27)
+
+    def test_check_7d_factors_each_prime_once(self, monkeypatch):
+        from rmcodes import verify
+
+        calls = []
+        factorize = nt.factorize
+        monkeypatch.setattr(nt, "factorize", lambda x: calls.append(x) or factorize(x))
+        verify.check_quadratic_residue_rule()
+        primes = [p for p in range(3, 500, 4) if nt.is_probable_prime(p)]
+        assert len(primes) == 50
+        assert len(calls) <= 2 * len(primes)  # p and p - 1; a group per pair makes ~2 per pair
+
+    def test_table_builds_one_group_per_modulus(self, monkeypatch):
+        built = []
+        init = nt.UnitGroup.__init__
+
+        def counted(self, e):
+            built.append(e)
+            init(self, e)
+
+        monkeypatch.setattr(nt.UnitGroup, "__init__", counted)
+        blocks = bd.table_rows(7, 64)
+        assert len(built) == len(set(built)) and built == sorted(built)
+        assert {r.e for b in blocks for r in b.rows} <= set(built)
+
+
 class TestGenericBounds:
     def test_342(self):
         report = bd.generic_bounds(3, 4, 2)
@@ -625,6 +695,26 @@ class TestDivisorCheckAndTables:
         by_q = {b.q: b for b in blocks}
         assert by_q[8].rows == ()
         assert by_q[25].d_lower == 26 and by_q[25].d_upper == 49
+
+    def test_table_matches_one_order_per_offset(self):
+        # the former route as oracle: one mult_order per q and a, q by q
+        for b in bd.table_rows(1, 130):
+            want = []
+            for a in range(2, b.q - 1):
+                l = nt.mult_order(-a, b.q + a) if gcd(a, b.q) == 1 else 0
+                if l % 2 == 1:
+                    want.append(bd.OrderSearchRow(b.q, a, l, b.q + a))
+            assert b.rows == tuple(want) == tuple(bd.odd_order_search(b.q)), b.q
+        assert bd.table_rows(5, 6) == [bd.TableBlock(5, (), 6, 9)]
+        assert bd.table_rows(6, 6) == bd.table_rows(20, 10) == []
+
+    def test_table_csv_digest(self):
+        # sha256 of the table CSV on [4, 700], recorded when table_rows still
+        # called odd_order_search once per q
+        csv = bd.table_csv(bd.table_rows(4, 700))
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "46266c8dd5546b7937823575a1b8eed3d60e378ed8cc98df5b5e04c2682417fa"
+        )
 
     def test_table_csv(self):
         blocks = bd.table_rows(7, 9)

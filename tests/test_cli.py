@@ -322,6 +322,20 @@ class TestVerifyPaper:
         assert code == 0
         assert "3.1" in out and "3.7" in out and "2.1" not in out
 
+    def test_internal_error_is_a_failed_check(self, capsys, monkeypatch):
+        # a direct order of twice the true one breaks the cross-check inside
+        # odd_order_test whenever the true order is odd
+        order = nt.UnitGroup.order
+        monkeypatch.setattr(nt.UnitGroup, "order", lambda self, b: 2 * order(self, b))
+        code, out, err = run(capsys, "verify-paper", "--only", "7")
+        assert code == 1 and "Traceback" not in err
+        lines = {line.split()[1]: line for line in out.splitlines() if line[:4] in ("PASS", "FAIL")}
+        assert sorted(lines) == ["7.a", "7.b", "7.c", "7.d", "7.e"]
+        for cid in ("7.c", "7.d"):
+            assert lines[cid].startswith("FAIL") and "FAILED: structural odd-order answer True" in lines[cid]
+        for cid in ("7.a", "7.b", "7.e"):
+            assert lines[cid].startswith("PASS")
+
 
 def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "tables", "--format", "csv")
@@ -346,3 +360,27 @@ def test_flags_only_where_read(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    from rmcodes import cli
+
+    calls = [
+        ("code", "3", "2", "1", "--format", "json"),
+        ("bounds", "3", "4", "2"),
+        ("search-e", "3", "4", "2", "--format", "csv"),
+        ("tables", "--q-min", "7", "--q-max", "16"),
+        ("code", "2", "4", "1", "--variant", "omega_bar"),
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli.build_parser.cache_clear()
+    assert cli.build_parser() is cli.build_parser()
+    for i, argv in enumerate(calls):
+        assert run(capsys, *argv) == fresh[i], argv
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--seed", str(i)])
+        assert exc.value.code == 2
+        assert "error" in capsys.readouterr().err
