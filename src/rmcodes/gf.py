@@ -17,7 +17,9 @@ constructor.  Fields of at most ``TABLE_THRESHOLD`` elements, a constant
 read when the field is constructed, carry discrete exp/log tables and, for
 odd p, a Zech table zech[i] = log(1 + alpha^i), so that x + y is
 x * (1 + y/x) in three lookups (for p = 2 it is XOR); larger fields fall
-back to direct polynomial arithmetic.
+back to direct polynomial arithmetic.  The tables come from a walk in
+which multiplying by alpha is an F_p-linear map of the digits, a few
+lookups per step.
 
 A subfield F_q of F_{q^m} is embedded by matching the powers of a primitive
 element of F_q with the powers of beta = alpha^((q^m-1)/(q-1)).  Such a map
@@ -32,14 +34,16 @@ proportion to the weight of the word, not its length.
 Polynomials over a field are tuples of element indices, lowest degree
 first, with no trailing zeros; the zero polynomial is the empty tuple.
 
-``poly_mul`` uses Kronecker substitution: the base-p digits of the
-coefficients fill fixed-width slots of one integer, CPython's Karatsuba
-multiply forms the product, and each product slot is reduced mod p.  Over
-F_{p^s}, s > 1, a coefficient takes 2s - 1 slots (its s digits, s - 1
-zeros), so each product coefficient is a digit group low + high * y^s in
-the field generator y, with y^s reduced by the modulus.  A product slot
-sums at most min(len a, len b) * s * (p-1)^2, so a slot that holds it never
-carries; the width is whole bytes, without an upper cutoff.
+``poly_mul`` uses Kronecker substitution on digit planes.  A polynomial
+over F_{p^s} is s polynomials over F_p, one per base-p digit of its
+coefficients, and each of them fills fixed-width slots of one integer.
+Karatsuba over the planes forms the 2s - 1 product planes from big-integer
+multiplies (3 for s = 2, 1 for s = 1).  Reducing y^s by the modulus, for the
+field generator y, adds multiples of the high planes into the low s, and
+then each slot is taken mod p: one AND with the low-bit mask for p = 2.  The
+slot width is whole bytes, without an upper cutoff, and holds the largest
+slot of the reduced planes (for p = 2 also a whole index, which is packed
+before its bits are split), so no slot ever carries into the next.
 ``poly_xn_minus_1_quotient`` finds (x^n - 1)/g as the power series -1/g
 mod x^(n - deg g + 1), by Newton's iteration, and checks g times it exactly.
 
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
+from itertools import product
 from math import gcd
 from sys import byteorder
 
@@ -147,21 +152,67 @@ class FieldCtx:
         return result
 
     def _build_log_tables(self):
-        q, p = self.order, self.p
+        """exp/log, and for odd p the Zech table, by the walk t -> t * alpha.
+
+        For s >= 2 that step is F_p-linear on the digit vector of t: it is the
+        sum of the images of t's low k digits and of its high s - k digits, one
+        lookup each in tables of p^k and p^(s-k) entries.  For p = 2 the sum is
+        XOR.  For odd p each image holds one digit per ``bits``-wide field, so
+        the sum does not carry, and one lookup per half of the sum takes its
+        fields, each at most 2(p - 1), mod p.
+        """
+        q, p, s, a = self.order, self.p, self.s, self.primitive_elem
         exp = [0] * (q - 1)
         log = [-1] * q
         t = 1
-        for i in range(q - 1):
-            exp[i] = t
-            log[t] = i
-            t = self._raw_mul(t, self.primitive_elem)
+        if s == 1:
+            for i in range(q - 1):
+                exp[i] = t
+                log[t] = i
+                t = t * a % p
+        else:
+            k = (s + 1) // 2
+            P = p**k  # t = lo + hi * P
+            lo_image = [self._raw_mul(lo, a) for lo in range(P)]
+            hi_image = [self._raw_mul(hi * P, a) for hi in range(q // P)]
+            if p == 2:
+                mask = P - 1
+                for i in range(q - 1):
+                    exp[i] = t
+                    log[t] = i
+                    t = lo_image[t & mask] ^ hi_image[t >> k]
+            else:
+                bits = (2 * p - 2).bit_length()
+
+                def spread(digits):
+                    return sum(d << bits * j for j, d in enumerate(digits))
+
+                lo_image = [spread(self._to_coeffs(x)) for x in lo_image]
+                hi_image = [spread(self._to_coeffs(x)) for x in hi_image]
+                # the fields of one half of a sum -> that half's index
+                to_index = {
+                    spread(v): sum(d % p * p**j for j, d in enumerate(v))
+                    for v in product(range(2 * p - 1), repeat=k)
+                }
+                shift = bits * k
+                mask = (1 << shift) - 1
+                lo, hi = 1, 0
+                for i in range(q - 1):
+                    exp[i] = t
+                    log[t] = i
+                    w = lo_image[lo] + hi_image[hi]
+                    lo, hi = to_index[w & mask], to_index[w >> shift]
+                    t = lo + hi * P
         if t != 1:
             raise InternalError("primitive element order check failed")
         self.exp, self.log = exp, log
         if p > 2:
-            # Zech logarithms: zech[i] = log(1 + alpha^i), -1 where 1 + alpha^i = 0;
-            # adding 1 steps the lowest base-p digit
-            self.zech = [log[x - x % p + (x + 1) % p] for x in exp]
+            # Zech logarithms: zech[i] = log(1 + alpha^i), -1 where 1 + alpha^i = 0.
+            # Adding 1 steps the lowest base-p digit, so after[x] = log(x + 1)
+            # is log shifted by one index, with each block of p wrapped around.
+            after = log[1:] + log[:1]
+            after[p - 1 :: p] = log[::p]
+            self.zech = list(map(after.__getitem__, exp))
 
     # -- public ops ----------------------------------------------------------
 
@@ -332,10 +383,11 @@ def embed_subfield(big: FieldCtx, small: FieldCtx) -> SubfieldEmbedding:
 
 
 def poly_normalize(coeffs) -> tuple[int, ...]:
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+    coeffs = tuple(coeffs)
+    end = len(coeffs)
+    while end and coeffs[end - 1] == 0:
+        end -= 1
+    return coeffs[:end]
 
 
 def poly_degree(f) -> int:
@@ -357,36 +409,100 @@ _ARRAY_CODES = {array(c).itemsize: c for c in "BHILQ"}
 
 
 def poly_mul(ctx: FieldCtx, a, b) -> tuple[int, ...]:
-    """Product by Kronecker substitution (see the module docstring)."""
+    """Product by Kronecker substitution on digit planes (see the module docstring)."""
     if not a or not b:
         return ()
-    p, s, group = ctx.p, ctx.s, 2 * ctx.s - 1  # group: digit slots per coefficient
-    width = ((min(len(a), len(b)) * s * (p - 1) ** 2).bit_length() + 7) // 8
-    width = next((w for w in _ARRAY_CODES if w >= width), width)
-    product = _pack(ctx, a, width) * _pack(ctx, b, width)
-    digits = [v % p for v in _unpack(product, width, (len(a) + len(b)) * group - 1)]
+    p, f, count = ctx.p, ctx.modulus, len(a) + len(b) - 1
+    # a slot holds any slot of the reduced planes, and for p = 2 a whole index
+    bound = max(min(len(a), len(b)) * (p - 1) ** 2 * _slot_scale(p, f), ctx.order - 1)
+    width = (bound.bit_length() + 7) // 8
+    for w in _ARRAY_CODES:  # the least array item width that holds a slot
+        if w >= width:
+            width = w
+            break
+    planes = _plane_product(_planes(ctx, a, width), _planes(ctx, b, width))
+    if len(planes) > 1:
+        planes = _reduce(planes, f, p)
+    if p == 2:  # a slot mod 2 is its low bit
+        ones, packed = _ones(count, width), 0
+        for c in reversed(planes):
+            packed = packed << 1 | c & ones
+        return poly_normalize(_unpack(packed, width, count))
+    out = [d % p for d in _unpack(planes.pop(), width, count)]
+    for c in reversed(planes):
+        out = [v * p + d % p for v, d in zip(out, _unpack(c, width, count))]
+    return poly_normalize(out)
+
+
+def _reduce(planes: list, f, p: int) -> list:
+    """The 2s - 1 product planes with y^s = -(f_0 + f_1 y + ... + f_(s-1) y^(s-1))
+    put in, as s planes of nonnegative slots."""
+    s = len(f) - 1
+    for k in range(len(planes) - 1, s - 1, -1):
+        for i in range(s):
+            if f[i]:
+                planes[k - s + i] += (p - f[i]) * planes[k]
+    return planes[:s]
+
+
+@lru_cache(maxsize=32)
+def _slot_scale(p: int, f) -> int:
+    """The largest slot of the reduced planes, in units of min(len a, len b) * (p-1)^2:
+    product plane k sums min(k + 1, 2s - 1 - k) digit products per slot."""
+    s = len(f) - 1
+    return max(_reduce([min(k + 1, 2 * s - 1 - k) for k in range(2 * s - 1)], f, p))
+
+
+def _planes(ctx: FieldCtx, coeffs, width: int) -> list[int]:
+    """The s digit planes of ``coeffs``: plane i packs digit i of every coefficient."""
+    p, s = ctx.p, ctx.s
     if s == 1:
-        return poly_normalize(digits)
-    # a coefficient's digit group t is low + high * y^s, y^s reduced by the modulus
-    ys, join = ctx.neg(ctx._from_coeffs(ctx.modulus[:s])), ctx._from_coeffs
-    value = {
-        t: ctx.add(join(t[:s]), ctx.mul(join(t[s:]), ys)) for t in set(zip(*[iter(digits)] * group))
-    }
-    return poly_normalize(list(map(value.__getitem__, zip(*[iter(digits)] * group))))
+        return [_pack(coeffs, width)]
+    if p == 2:
+        packed, ones = _pack(coeffs, width), _ones(len(coeffs), width)
+        return [packed >> i & ones for i in range(s)]
+    return [_pack([c // p**i % p for c in coeffs], width) for i in range(s)]
 
 
-def _pack(ctx: FieldCtx, coeffs, width: int) -> int:
-    """Each coefficient's s digits, then s - 1 zero slots, as ``width``-byte slots
-    of one int in native byte order.  A big-endian host reverses all slots of
-    both factors, and so of the product, which ``_unpack`` reads back in full."""
-    if ctx.s == 1 and width in _ARRAY_CODES:
-        return int.from_bytes(array(_ARRAY_CODES[width], coeffs).tobytes(), byteorder)
-    pad = bytes(width * (ctx.s - 1))
-    slots = {
-        c: b"".join(d.to_bytes(width, byteorder) for d in ctx._to_coeffs(c)) + pad
-        for c in set(coeffs)
-    }
-    return int.from_bytes(b"".join(map(slots.__getitem__, coeffs)), byteorder)
+def _plane_product(a: list[int], b: list[int]) -> list[int]:
+    """The product of two equal-length lists of ints as polynomials, by
+    Karatsuba: 3 multiplies for 2 terms."""
+    n = len(a)
+    if n == 1:
+        return [a[0] * b[0]]
+    h = n // 2
+    low, high = _plane_product(a[:h], b[:h]), _plane_product(a[h:], b[h:])
+    pad = [0] * (n - 2 * h)
+    mid = _plane_product(
+        [x + y for x, y in zip(a[:h] + pad, a[h:])], [x + y for x, y in zip(b[:h] + pad, b[h:])]
+    )
+    out = low + [0] + high
+    for i, v in enumerate(mid):
+        out[h + i] += v - high[i] - (low[i] if i < len(low) else 0)
+    return out
+
+
+def _pack(values, width: int) -> int:
+    """The ``values`` as ``width``-byte slots of one int in native byte order.  A
+    big-endian host reverses all slots of both factors, and so of the product,
+    which ``_unpack`` reads back in full."""
+    try:
+        raw = bytes(values)  # every value below 256: one byte per slot, spread out
+        if width > 1:
+            spread = bytearray(width * len(raw))
+            spread[0 if byteorder == "little" else width - 1 :: width] = raw
+            raw = spread
+    except ValueError:
+        if width in _ARRAY_CODES:
+            raw = array(_ARRAY_CODES[width], values).tobytes()
+        else:
+            raw = b"".join([v.to_bytes(width, byteorder) for v in values])
+    return int.from_bytes(raw, byteorder)
+
+
+def _ones(count: int, width: int) -> int:
+    """``count`` slots that each hold 1, the low-bit mask of ``_pack``'s layout."""
+    return int.from_bytes((1).to_bytes(width, byteorder) * count, byteorder)
 
 
 def _unpack(x: int, width: int, count: int):

@@ -252,8 +252,12 @@ def _wheel(x: int, factors: dict[int, int]) -> int:
 
 
 def _iroot(y: int, k: int) -> int:
-    """floor(y ** (1/k)) for y >= 1, k >= 2, by Newton's method from a float guess."""
-    r = max(1, int(exp(min(log(y) / k, 700.0))))
+    """floor(y ** (1/k)) for y >= 1, k >= 2, by Newton's method from a float guess.
+
+    The guess is rounded up: from below the root, one step overshoots by about
+    (root / guess)^(k - 1), and the walk back down shrinks r only by a factor
+    (k - 1)/k per step, thousands of steps for a root near 2 and a large k."""
+    r = int(exp(min(log(y) / k, 700.0))) + 1
     r = ((k - 1) * r + y // r ** (k - 1)) // k  # now r >= the root, by AM-GM
     while True:
         s = ((k - 1) * r + y // r ** (k - 1)) // k
@@ -263,7 +267,11 @@ def _iroot(y: int, k: int) -> int:
 
 
 def _power_base(y: int) -> tuple[int, int]:
-    """(b, k) with b**k == y >= 2 and k as large as possible."""
+    """(b, k) with b**k == y >= 2 and k as large as possible.
+
+    Only prime exponents l are tried, each while it keeps giving an exact
+    root: if b = c^j with c no perfect power, b is an l-th power iff l | j,
+    so a prime that fails on b fails on every later root of b as well."""
     b, k, l = y, 1, 2
     while l < b.bit_length():
         r = _iroot(b, l)
@@ -271,6 +279,8 @@ def _power_base(y: int) -> tuple[int, int]:
             b, k = r, k * l
         else:
             l += 1
+            while any(l % d == 0 for d in range(2, isqrt(l) + 1)):
+                l += 1
     return b, k
 
 

@@ -83,11 +83,39 @@ class TestFactorize:
             r = nt._iroot(y, k)
             assert r**k <= y < (r + 1) ** k, (y, k)
 
+    def test_iroot_small_roots_are_prompt(self):
+        # a root near 2 under a large k: from a float guess rounded down to 2,
+        # Newton's first step overshoots by about 1.27^299 and the walk back
+        # down takes 1.4 s
+        y = 299**49 * 7
+        start = time.perf_counter()
+        for k in range(2, y.bit_length()):
+            r = nt._iroot(y, k)
+            assert r**k <= y < (r + 1) ** k, k
+        assert nt._iroot(y, 300) == 2
+        assert time.perf_counter() - start < 1.0
+
     def test_power_base(self):
         assert nt._power_base(2**122) == (2, 122)
         assert nt._power_base(3**80) == (3, 80)
         assert nt._power_base(6**25) == (6, 25)
         assert nt._power_base(10**20 + 1) == (10**20 + 1, 1)
+
+    def test_power_base_matches_exhaustive_search(self):
+        """Prime exponents only, each while it gives a root, against every
+        exponent 2..bit_length; the seeded bases include perfect powers."""
+
+        def exhaustive(y):
+            k = max((k for k in range(2, y.bit_length()) if nt._iroot(y, k) ** k == y), default=1)
+            return (nt._iroot(y, k) if k > 1 else y), k
+
+        rng = random.Random(43)
+        ys = [2**64, 6**36, 3**81, 2**64 + 1, 6**36 - 1, 2 * 3**40, 10**20 + 1, 2, 3, 4]
+        for _ in range(60):
+            b, k = rng.randrange(2, 300), rng.randrange(1, 50)
+            ys += [b**k, b**k + 1, b**k * rng.randrange(2, 9)]
+        for y in ys:
+            assert nt._power_base(y) == exhaustive(y), y
 
     @staticmethod
     def wheel_factors(x):

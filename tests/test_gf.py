@@ -1,6 +1,7 @@
 import random
 import time
 from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -355,8 +356,8 @@ def _random_poly(rng, q, length):
 
 
 def _prime_powers(top):
-    primes = [p for p in range(2, top + 1) if all(p % d for d in range(2, p))]
-    return [(p, s) for p in primes for s in range(1, 9) if p**s <= top]
+    primes = [p for p in range(2, top + 1) if all(p % d for d in range(2, isqrt(p) + 1))]
+    return [(p, s) for p in primes for s in range(1, top.bit_length()) if p**s <= top]
 
 
 class TestPolyMul:
@@ -376,13 +377,23 @@ class TestPolyMul:
         assert poly_mul(F, (0, 0, 0), (1, 1)) == ()
         assert poly_mul(F, (F.order - 1,), (1,)) == (F.order - 1,)
 
-    @pytest.mark.parametrize("p,s", [(2, 1), (7, 1), (2, 2), (3, 2), (2, 3)])
+    @pytest.mark.parametrize(
+        "p,s", [(2, 1), (7, 1)] + [(2, s) for s in range(2, 9)] + [(3, 2), (3, 3), (3, 4), (5, 2), (7, 3)]
+    )
     def test_full_slots(self, p, s):
-        """All digits p - 1 make the middle slot reach its bound len * s * (p-1)^2,
-        with the length chosen so the bound just needs a second byte."""
+        """All digits p - 1 make the largest slot of the reduced planes reach its
+        bound len * (p-1)^2 * _slot_scale, and no slot exceeds it.  The lengths
+        put that bound just below and just above one byte."""
         F = build_field(p, s)
-        a = (F.order - 1,) * (256 // (s * (p - 1) ** 2) + 1)
-        assert poly_mul(F, a, a) == _schoolbook_mul(F, a, a)
+        unit = (p - 1) ** 2 * gf._slot_scale(p, F.modulus)
+        for length in {max(1, 255 // unit), 256 // unit + 1}:
+            a = (F.order - 1,) * length
+            planes = gf._reduce(gf._plane_product(gf._planes(F, a, 16), gf._planes(F, a, 16)), F.modulus, p)
+            slots = [v for c in planes for v in gf._unpack(c, 16, 2 * length - 1)]
+            assert max(slots) == length * unit, length
+            assert poly_mul(F, a, a) == _schoolbook_mul(F, a, a), length
+            b = tuple(reversed(_random_poly(random.Random(length), F.order, length + 3))) + a
+            assert poly_mul(F, a, b) == _schoolbook_mul(F, a, b), length
 
     @pytest.mark.parametrize(
         "p,s,la,lb",
@@ -405,10 +416,11 @@ class TestPolyMul:
         monkeypatch.setattr(gf, "byteorder", "big")
         monkeypatch.setattr(gf, "_ARRAY_CODES", {})
         rng = random.Random(9)
-        for p, s in [(2, 1), (3, 2), (2, 3)]:
+        for p, s in [(2, 1), (3, 2), (2, 3), (2, 2), (2, 8), (5, 2), (2, 9)]:
             F = build_field(p, s)
-            a, b = _random_poly(rng, F.order, 40), _random_poly(rng, F.order, 25)
-            assert poly_mul(F, a, b) == _schoolbook_mul(F, a, b), (p, s)
+            for la, lb in [(40, 25), (300, 200)]:
+                a, b = _random_poly(rng, F.order, la), _random_poly(rng, F.order, lb)
+                assert poly_mul(F, a, b) == _schoolbook_mul(F, a, b), (p, s, la, lb)
 
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -449,6 +461,32 @@ def test_neg_matches_digitwise(p, s):
         for x in range(F.order):
             assert F.neg(x) == F.element_from_coeffs((-d) % p for d in F.element_coeffs(x)), x
             assert F.add(x, F.neg(x)) == 0, x
+
+
+def _raw_walk(F):
+    """The powers of the primitive element by repeated ``_raw_mul``; the oracle."""
+    t, powers = 1, []
+    for _ in range(F.order - 1):
+        powers.append(t)
+        t = F._raw_mul(t, F.primitive_elem)
+    assert t == 1
+    return powers
+
+
+@pytest.mark.parametrize(
+    "fields", [[(2, 16)], [(3, 8)], _prime_powers(1 << 12)], ids=["GF(2^16)", "GF(3^8)", "up-to-2^12"]
+)
+def test_linear_step_tables_match_raw_walk(fields):
+    """exp, log and zech from the linear step against the _raw_mul walk, on
+    every field of at most 2^12 elements among others; GF(2^12) has the
+    primitive element 3 = x + 1, not x."""
+    assert build_field(2, 12).primitive_elem == 3
+    for p, s in fields:
+        F = build_field(p, s)
+        assert F.exp == _raw_walk(F), (p, s)
+        assert F.log[0] == -1 and all(F.log[x] == i for i, x in enumerate(F.exp)), (p, s)
+        if p > 2:
+            assert F.zech == [F.log[F._raw_add(1, x)] for x in F.exp], (p, s)
 
 
 def _least_primitive_brute(F):
