@@ -142,11 +142,12 @@ def generic_bounds(q: int, m: int, h: int, variant: str = "omega") -> BoundRepor
     return report
 
 
-def certify(spec: CodeSpec, *, budget: SearchBudget | None = None, max_n: int | None = None) -> BoundReport:
+def certify(spec: CodeSpec, *, budget: SearchBudget | None = None) -> BoundReport:
     """Every distance bound for ``spec`` in one report: the closed forms, the least
     divisor passing the divisor condition (d <= e, or 2e for omega_bar) and, given
-    a budget, the enumerated distance.  A search or enumeration too large to run
-    leaves a note instead.  Without a budget nothing is built.
+    a budget, the enumerated distance.  A search or enumeration too large to run,
+    or a code beyond the default length bound, leaves a note.  Without a budget
+    nothing is built.
     """
     report = generic_bounds(spec.q, spec.m, spec.h, spec.variant)
     try:
@@ -159,7 +160,7 @@ def certify(spec: CodeSpec, *, budget: SearchBudget | None = None, max_n: int | 
         _merge(report, Bound(value, "divisor-witness"), witness=("divisor_e", e))
     if budget is not None:
         try:
-            result = exact_distance(build_code(spec, max_n=max_n), budget)
+            result = exact_distance(build_code(spec), budget)
         except TooLarge as exc:
             report.notes.append(f"exact distance skipped: {exc}")
         else:

@@ -3,7 +3,7 @@
 Subcommands: code, bounds, search-e, tables, verify-paper.  Output is
 text by default; --format json/csv selects machine-readable forms (no csv
 for verify-paper).  Each subcommand takes only the flags it reads; --max-n
-bounds the construction size of code and bounds (default 2^20).
+bounds the construction size of code (default 2^20).
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from .gf import poly_degree
 
 def _format_flag(parser, choices=("text", "json", "csv")):
     parser.add_argument("--format", choices=choices, default="text")
-
-
-def _max_n_flag(parser):
-    parser.add_argument("--max-n", type=int, default=None, help="construction size bound")
 
 
 def _spec_args(parser):
@@ -65,10 +61,9 @@ def cmd_bounds(args) -> int:
     budget = None
     if args.distance:
         budget = ds.SearchBudget() if args.max_messages is None else ds.SearchBudget(args.max_messages)
-    elif args.max_messages is not None or args.max_n is not None:
-        flag = "--max-messages" if args.max_messages is not None else "--max-n"
-        raise ValueError(f"{flag} needs --distance")
-    report = bd.certify(cd.CodeSpec(args.q, args.m, args.h, args.variant), budget=budget, max_n=args.max_n)
+    elif args.max_messages is not None:
+        raise ValueError("--max-messages needs --distance")
+    report = bd.certify(cd.CodeSpec(args.q, args.m, args.h, args.variant), budget=budget)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     elif args.format == "csv":
@@ -162,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     _spec_args(p)
     p.add_argument("--emit", metavar="PATH", default=None, help="also write the JSON document here")
     _format_flag(p)
-    _max_n_flag(p)
+    p.add_argument("--max-n", type=int, default=None, help="construction size bound")
     p.set_defaults(fn=cmd_code)
 
     p = sub.add_parser("bounds", help="distance bounds with provenance")
@@ -172,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-messages", type=int, default=None, help="enumeration budget for exact distances"
     )
     _format_flag(p)
-    _max_n_flag(p)
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("search-e", help="divisors of q^m - 1 giving explicit low-weight codewords")

@@ -31,7 +31,7 @@ from . import gf
 from .cyclotomy import (QadicParams, check_h, coset_of, coset_partition, index_set_size,
                         maximal_representatives)
 from .errors import InternalError, TooLarge
-from .gf import FieldCtx, SubfieldEmbedding, build_field, embed_subfield
+from .gf import SubfieldEmbedding, build_field, embed_subfield
 from .ntheory import prime_power_split
 
 VARIANTS = ("omega", "omega_bar")
@@ -79,8 +79,10 @@ class Codeword:
 
 
 class CodeInstance:
-    """A realized cyclic code: fields, zero set, generator polynomial, dimension.
+    """A realized cyclic code: zero set, generator and check polynomials, dimension.
 
+    ``check_poly`` is the quotient (x^n - 1)/gen, which the build proved
+    exact; ``small`` and ``big``, F_q and F_{q^m}, are read from ``emb``.
     ``zero_representatives`` holds the least exponent of each q-cyclotomic
     coset of the zero set, ascending; evaluating there decides membership.
     """
@@ -90,8 +92,7 @@ class CodeInstance:
         spec: CodeSpec,
         zero_exponents: tuple[int, ...],
         gen_poly: tuple[int, ...],
-        small: FieldCtx,
-        big: FieldCtx,
+        check_poly: tuple[int, ...],
         emb: SubfieldEmbedding,
         zero_representatives: tuple[int, ...],
     ):
@@ -99,10 +100,10 @@ class CodeInstance:
         self.n = spec.n
         self.zero_exponents = zero_exponents
         self.gen_poly = gen_poly
+        self.check_poly = check_poly
         self.k = self.n - gf.poly_degree(gen_poly)
-        self.small = small
-        self.big = big
         self.emb = emb
+        self.small, self.big = emb.small, emb.big
         self.zero_representatives = zero_representatives
 
     @property
@@ -114,14 +115,16 @@ class CodeInstance:
         return f"CodeInstance({s.variant}(q={s.q}, m={s.m}, h={s.h}): [n={self.n}, k={self.k}])"
 
 
+@lru_cache(maxsize=4096)
 def minimal_poly(emb: SubfieldEmbedding, params: QadicParams, a: int) -> tuple[int, ...]:
-    """Minimal polynomial of alpha^a over the subfield: prod over the coset of (x - alpha^i).
+    """Minimal polynomial of alpha^a over the subfield (cached): prod over its coset of (x - alpha^i).
 
-    Every coefficient of the product is fixed by x -> x^q and is mapped
-    down through the embedding; a coefficient outside the image signals a
+    Every coefficient of the product is fixed by x -> x^q, and the image of
+    the verified embedding is exactly that fixed field, so each maps down
+    through ``emb.to_subfield``; a coefficient outside the image signals a
     broken embedding and raises InternalError.
     """
-    big, small = emb.big, emb.small
+    big = emb.big
     poly = [1]
     for i in coset_of(params, a):
         root_neg = big.neg(big.alpha_pow(i))
@@ -130,33 +133,19 @@ def minimal_poly(emb: SubfieldEmbedding, params: QadicParams, a: int) -> tuple[i
             nxt[d + 1] = big.add(nxt[d + 1], c)
             nxt[d] = big.add(nxt[d], big.mul(c, root_neg))
         poly = nxt
-    out = []
-    q = small.order
-    for c in poly:
-        if big.pow(c, q) != c:
-            raise InternalError(f"coefficient {c} is not fixed by x^{q}")
-        try:
-            out.append(emb.to_subfield(c))
-        except KeyError:
-            raise InternalError(f"coefficient {c} has no subfield preimage") from None
-    return tuple(out)
-
-
-@lru_cache(maxsize=4096)
-def _minimal_poly_cached(emb, params, a):
-    return minimal_poly(emb, params, a)
+    try:
+        return tuple(map(emb.to_subfield, poly))
+    except KeyError as exc:
+        raise InternalError(f"coefficient {exc.args[0]} has no subfield preimage") from None
 
 
 @lru_cache(maxsize=128)
-def _build_cached(spec: CodeSpec, max_n: int) -> CodeInstance:
-    n = spec.n
-    if n > max_n:
-        raise TooLarge(f"n = {n} exceeds the construction bound {max_n}")
+def _build(spec: CodeSpec) -> CodeInstance:
+    n, params, h = spec.n, spec.params, spec.h
     p, s = prime_power_split(spec.q)
     small = build_field(p, s)
-    big = build_field(p, s * spec.m)
-    emb = embed_subfield(big, small)
-    classes = coset_partition(spec.params, spec.h).classes
+    emb = embed_subfield(build_field(p, s * spec.m), small)
+    classes = coset_partition(params, h).classes
     if spec.variant == "omega_bar":
         # {0} u I u -I: the negation of a coset is a coset, which may be one of I's
         classes = {(0,), *classes, *(tuple(sorted(n - a for a in c)) for c in classes)}
@@ -164,40 +153,39 @@ def _build_cached(spec: CodeSpec, max_n: int) -> CodeInstance:
     zeros = tuple(sorted(a for c in classes for a in c))
 
     # a balanced product tree: Karatsuba gains most on equal-sized operands
-    factors = [_minimal_poly_cached(emb, spec.params, a) for a in reps]
+    factors = [minimal_poly(emb, params, a) for a in reps]
     while len(factors) > 1:
         pairs = zip(factors[::2], factors[1::2])
         factors = [gf.poly_mul(small, f, g) for f, g in pairs] + factors[len(factors) & ~1 :]
     gen = factors[0]
 
-    inst = CodeInstance(spec, zeros, gen, small, big, emb, reps)
-    _check_instance(inst)
-    return inst
+    # the self-check: a violation is a construction bug
+    deg, deg_g = gf.poly_degree(gen), index_set_size(params, h)
+    if deg != len(zeros):
+        raise InternalError("internal: generator degree != number of zeros")
+    if gen[-1] != 1:
+        raise InternalError("internal: generator is not monic")
+    check = gf.poly_xn_minus_1_quotient(small, n, gen)
+    if check is None:
+        raise InternalError("internal: generator does not divide x^n - 1")
+    if spec.variant == "omega" and deg != deg_g:
+        raise InternalError("internal: generator degree disagrees with the count formula")
+    if spec.variant == "omega_bar" and h <= (spec.m - 1) // 2 and deg != 1 + 2 * deg_g:
+        raise InternalError("internal: mirrored dimension disagrees with the count formula")
+    return CodeInstance(spec, zeros, gen, check, emb, reps)
 
 
 def build_code(spec: CodeSpec, *, max_n: int | None = None) -> CodeInstance:
-    """Build the code for ``spec`` over the least primitive element of F_{q^m}
-    (cached).  ``max_n`` bounds the length n, by default ``DEFAULT_MAX_N`` = 2^20."""
-    return _build_cached(spec, DEFAULT_MAX_N if max_n is None else max_n)
+    """Build the code for ``spec`` over the least primitive element of F_{q^m}.
 
-
-def _check_instance(inst: CodeInstance):
-    """Cheap structural invariants; violations are construction bugs."""
-    spec = inst.spec
-    if gf.poly_degree(inst.gen_poly) != len(inst.zero_exponents):
-        raise InternalError("internal: generator degree != number of zeros")
-    if inst.gen_poly[-1] != 1:
-        raise InternalError("internal: generator is not monic")
-    if gf.poly_xn_minus_1_quotient(inst.small, inst.n, inst.gen_poly) is None:
-        raise InternalError("internal: generator does not divide x^n - 1")
-    params, h = spec.params, spec.h
-    deg_g = index_set_size(params, h)
-    if spec.variant == "omega":
-        if gf.poly_degree(inst.gen_poly) != deg_g:
-            raise InternalError("internal: generator degree disagrees with the count formula")
-    elif h <= (spec.m - 1) // 2:
-        if inst.k != inst.n - 1 - 2 * deg_g:
-            raise InternalError("internal: mirrored dimension disagrees with the count formula")
+    ``max_n`` bounds n, by default ``DEFAULT_MAX_N`` = 2^20.  It is checked
+    first, and the build is cached by ``spec`` alone, so a spec is built once
+    whatever bounds admit it.  The build proves gen * check_poly = x^n - 1.
+    """
+    bound = DEFAULT_MAX_N if max_n is None else max_n
+    if spec.n > bound:
+        raise TooLarge(f"n = {spec.n} exceeds the construction bound {bound}")
+    return _build(spec)
 
 
 _EXHAUSTIVE_LIMIT = 1 << 16  # verify_roots: longest n whose every exponent is tested
@@ -273,26 +261,26 @@ def quotient_codeword(
     *,
     l: int = 1,
     barred: bool = False,
-    max_n: int | None = None,
 ) -> Codeword:
     """The weight-e codeword (x^N - 1)/(x^F - 1) of the length-N code, N = q^(m*l) - 1.
 
     Requires a divisor e >= 2 of n = q^m - 1 that divides no bounded-weight
     exponent for (q, m, h), as ``condition_star_holds`` decides for e < n;
     e = n divides no exponent in [1, n - 1] and always qualifies.  The
-    mirrored form multiplies by (x - 1) and has weight at most 2e.
+    mirrored form multiplies by (x - 1) and has weight at most 2e.  N is
+    bounded by ``DEFAULT_MAX_N``, as is the length of a built code.
     """
     spec = CodeSpec(q, m, h)  # validates parameter ranges
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
     if e != spec.n and not condition_star_holds(q, m, h, e):
         raise ValueError(f"{e} divides a maximal bounded-weight exponent for (q={q}, m={m}, h={h})")
-    bound = DEFAULT_MAX_N if max_n is None else max_n
-    if m * l > bound.bit_length():  # q >= 2, so N >= 2^(m*l) - 1 > bound
-        raise TooLarge(f"target length q^(m*l) - 1 = {q}^{m * l} - 1 exceeds the construction bound {bound}")
+    if m * l > DEFAULT_MAX_N.bit_length():  # q >= 2, so N >= 2^(m*l) - 1 > the bound
+        raise TooLarge(f"target length q^(m*l) - 1 = {q}^{m * l} - 1 exceeds the construction bound "
+                       f"{DEFAULT_MAX_N}")
     N = q ** (m * l) - 1
-    if N > bound:
-        raise TooLarge(f"target length {N} exceeds the construction bound {bound}")
+    if N > DEFAULT_MAX_N:
+        raise TooLarge(f"target length {N} exceeds the construction bound {DEFAULT_MAX_N}")
     F = N // e
     coeffs = [0] * N
     if barred:

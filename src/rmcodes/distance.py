@@ -219,27 +219,27 @@ def witness_upper_bound(inst: CodeInstance, candidates) -> Bound:
 
 
 def dual_generator(inst: CodeInstance) -> tuple[int, ...]:
-    """Monic generator of the dual code: the reciprocal of (x^n - 1) / gen."""
-    small = inst.small
-    check = gf.poly_xn_minus_1_quotient(small, inst.n, inst.gen_poly)
-    if check is None:
-        raise InternalError("internal: generator does not divide x^n - 1")
-    return gf.poly_reciprocal(small, check)
+    """Monic generator of the dual code: the reciprocal of the check polynomial
+    (x^n - 1) / gen, which the build already proved exact."""
+    return gf.poly_reciprocal(inst.small, inst.check_poly)
 
 
 def _macwilliams(hist: list[int], q: int) -> list[int]:
     """Coefficients of sum_i B_i (1 + (q-1)y)^(n-i) (1-y)^i in y, for B = hist of length n + 1.
 
-    Horner's rule in 1 + (q-1)y: S_i = S_(i-1) (1 + (q-1)y) + B_i (1-y)^i,
-    so S_n is the sum, in O(n^2) exact integer steps.
+    The coefficient of y^j in term i is the Krawtchouk value K_j(i), so only
+    the nonzero B_i add a column, in O(n) exact integer steps by the recurrence
+    (j+1) K_(j+1) = ((n-j)(q-1) + j - q i) K_j - (q-1)(n-j+1) K_(j-1).
     """
-    s: list[int] = []
-    power = [1]  # (1 - y)^i
-    for b in hist:
-        s = [x + (q - 1) * y for x, y in zip(s + [0], [0] + s)]
+    n = len(hist) - 1
+    s = [0] * (n + 1)
+    for i, b in enumerate(hist):
         if b:
-            s = [x + b * c for x, c in zip(s, power)]
-        power = [x - y for x, y in zip(power + [0], [0] + power)]
+            prev, cur = 0, 1
+            for j in range(n + 1):
+                s[j] += b * cur
+                nxt = ((n - j) * (q - 1) + j - q * i) * cur - (q - 1) * (n - j + 1) * prev
+                prev, cur = cur, nxt // (j + 1)
     return s
 
 
@@ -257,11 +257,11 @@ def weight_distribution_from_dual(inst: CodeInstance) -> list[int]:
         raise InternalError("internal: dual generator degree != k")
     hist, _ = _multiples(inst.small, dual_gen, n, r, q)
     size = q**r
-    dist = []
-    for j, s in enumerate(_macwilliams(hist, q)):
-        if s % size != 0 or s < 0:
+    dist = _macwilliams(hist, q)
+    for j, s in enumerate(dist):  # in place: each A_j has up to n bits
+        dist[j], rem = divmod(s, size)
+        if rem or s < 0:
             raise InternalError(f"internal: transform gave non-integral or negative A_{j}")
-        dist.append(s // size)
     if dist[0] != 1 or sum(dist) != q**k:
         raise InternalError("internal: transformed distribution fails the count checks")
     return dist

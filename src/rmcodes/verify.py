@@ -349,9 +349,10 @@ def check_generator_divides():
             if variant == "omega_bar" and h > (m - 1) // 2:
                 continue
             inst = _build(q, m, h, variant)
-            quotient = gf.poly_xn_minus_1_quotient(inst.small, inst.n, inst.gen_poly)
-            _require(quotient is not None, f"(q,m,h)=({q},{m},{h}), {variant}")
-    return "generator divides x^n - 1 for every constructed grid instance"
+            target = (inst.small.neg(1),) + (0,) * (inst.n - 1) + (1,)
+            product = gf.poly_mul(inst.small, inst.gen_poly, inst.check_poly)
+            _require(product == target, f"(q,m,h)=({q},{m},{h}), {variant}")
+    return "gen * check_poly = x^n - 1 for every constructed grid instance"
 
 
 # -- criterion 8: scope ----------------------------------------------------------
@@ -399,13 +400,14 @@ CHECKS = [
 
 
 def run_checks(only: str | None = None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run the verification suite; ``only`` filters by group number or name
-    (a check id such as 3.5 selects its group); ValueError for an unknown group."""
+    """Run the verification suite; ``only`` filters by group number or name (a
+    check id such as 3.5, or 6.runtime, selects its group); ValueError for any other value."""
     group_filter = None
     if only:
         by_name = {v: k for k, v in GROUP_NAMES.items()}
         group_filter = by_name.get(only, only.split(".")[0])
-        if group_filter not in GROUP_NAMES:
+        row_ids = {cid for cid, _ in CHECKS} | {f"{g}.runtime" for g in GROUP_TIME_LIMITS}
+        if group_filter not in GROUP_NAMES or ("." in only and only not in row_ids):
             groups = ", ".join(f"{k} {v}" for k, v in GROUP_NAMES.items())
             raise ValueError(f"unknown check group {only!r}; groups: {groups}")
     results = []

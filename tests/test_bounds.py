@@ -754,7 +754,7 @@ class TestDivisorCheckAndTables:
         assert "9,2,5,11,10,17" in lines
 
 
-def cli_merge(spec, budget=None, max_n=None):
+def cli_merge(spec, budget=None):
     """The merge ``rmcodes bounds`` did in the CLI before ``certify``: the reference."""
     report = bd.generic_bounds(spec.q, spec.m, spec.h, spec.variant)
     divs = bd.search_condition_divisors(spec.q, spec.m, spec.h)
@@ -766,7 +766,7 @@ def cli_merge(spec, budget=None, max_n=None):
         report.witnesses.append(("divisor_e", e))
     if budget is not None:
         try:
-            result = exact_distance(build_code(spec, max_n=max_n), budget)
+            result = exact_distance(build_code(spec), budget)
         except TooLarge as exc:
             report.notes.append(f"exact distance skipped: {exc}")
         else:
@@ -902,9 +902,9 @@ class TestCertify:
         assert report.notes == [
             "exact distance skipped: neither q^k = 3^48 nor q^(n-k) = 3^32 fits the budget 100"
         ]
-        too_long = bd.certify(CodeSpec(3, 4, 2), budget=SearchBudget(), max_n=5)
-        assert too_long.exact is None
-        assert too_long.notes[0].startswith("exact distance skipped: n = 80 exceeds")
+        too_long = bd.certify(CodeSpec(2, 21, 1), budget=SearchBudget())
+        assert too_long.exact.via == "binary-exact"
+        assert too_long.notes == ["exact distance skipped: n = 2097151 exceeds the construction bound 1048576"]
 
     def test_divisor_search_stops_at_first_hit(self, monkeypatch):
         calls = []

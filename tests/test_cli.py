@@ -113,11 +113,6 @@ class TestBounds:
         assert code == 2
         assert out == "" and "--distance" in err
 
-    def test_max_n_needs_distance(self, capsys):
-        code, out, err = run(capsys, "bounds", "3", "2", "1", "--max-n", "5")
-        assert code == 2
-        assert out == "" and "--max-n needs --distance" in err
-
     def test_skipped_distance_note_is_short(self, capsys):
         code, out, _ = run(capsys, "bounds", "4", "6", "1", "--distance", "--format", "json")
         assert code == 0
@@ -311,7 +306,9 @@ class TestVerifyPaper:
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert "FAIL" in proc.stdout and "(99, 99, 99)" in proc.stdout
 
-    @pytest.mark.parametrize("only", ["bogus", "9", "9.1"])
+    # a dotted value must name a check or a runtime row: 3.9 and 3.x name none
+    # in group 3, and group 3 has no runtime row
+    @pytest.mark.parametrize("only", ["bogus", "9", "9.1", "3.9", "3.x", "3.runtime"])
     def test_unknown_group_is_a_usage_error(self, capsys, only):
         code, out, err = run(capsys, "verify-paper", "--only", only)
         assert code == 2
@@ -321,6 +318,9 @@ class TestVerifyPaper:
         code, out, _ = run(capsys, "verify-paper", "--only", "3.5")
         assert code == 0
         assert "3.1" in out and "3.7" in out and "2.1" not in out
+        code, out, _ = run(capsys, "verify-paper", "--only", "2.runtime")
+        assert code == 0
+        assert "2.1" in out and "2.runtime" in out and "3.1" not in out
 
     def test_internal_error_is_a_failed_check(self, capsys, monkeypatch):
         # a direct order of twice the true one breaks the cross-check inside
@@ -353,6 +353,7 @@ def test_deterministic_output(capsys):
         ("tables", "--seed", "1"),
         ("search-e", "3", "4", "2", "--max-n", "100"),
         ("code", "3", "2", "1", "--max-messages", "100"),
+        ("bounds", "3", "2", "1", "--max-n", "100"),
     ],
 )
 def test_flags_only_where_read(capsys, argv):

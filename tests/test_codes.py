@@ -105,6 +105,16 @@ class TestBuildCode:
             build_code(CodeSpec(2, 5, 1), max_n=10)
         assert build_code(CodeSpec(2, 5, 1), max_n=100).n == 31
 
+    def test_one_build_per_spec(self):
+        spec = CodeSpec(3, 4, 2)
+        assert build_code(spec, max_n=2**21) is build_code(spec)
+        # the bound is checked before the cache: a long spec built under a
+        # larger bound is still refused under the default one
+        long = CodeSpec(2, 21, 1)
+        assert build_code(long, max_n=2**21).n == 2**21 - 1
+        with pytest.raises(TooLarge, match="n = 2097151 exceeds the construction bound 1048576"):
+            build_code(long)
+
     def test_gen_divides_xn_minus_1(self):
         for spec in [CodeSpec(3, 4, 2), CodeSpec(4, 3, 1), CodeSpec(3, 4, 1, "omega_bar")]:
             inst = build_code(spec)
@@ -143,7 +153,7 @@ class TestBuildCode:
         gen, rem = poly_divmod(inst.small, inst.gen_poly, factor)
         assert rem == ()
         broken = cd.CodeInstance(
-            spec, inst.zero_exponents, gen, inst.small, inst.big, inst.emb, inst.zero_representatives
+            spec, inst.zero_exponents, gen, inst.check_poly, inst.emb, inst.zero_representatives
         )
         with pytest.raises(InternalError, match="root test failed"):
             cd.verify_roots(broken)
@@ -164,9 +174,10 @@ class TestBuildCode:
             zeros = set(index_set(params, h))
             if variant == "omega_bar":
                 zeros |= {0, *(params.n - a for a in zeros)}
+            inst = build_code(CodeSpec(q, m, h, variant))
+            assert poly_mul(inst.small, inst.gen_poly, inst.check_poly) == _xn_minus_1(inst.small, params.n)
             if len(zeros) == params.n:
                 continue  # the zero code
-            inst = build_code(CodeSpec(q, m, h, variant))
             assert inst.zero_exponents == tuple(sorted(zeros)), (q, m, h)
             minima = {min(coset_of(params, a)) for a in zeros}
             assert inst.zero_representatives == tuple(sorted(minima)), (q, m, h)
@@ -241,7 +252,7 @@ class TestXnMinus1Quotient:
 
 
 def test_field_layer_caches_are_bounded():
-    for cache in (gf.build_field, gf.embed_subfield, cd._minimal_poly_cached):
+    for cache in (gf.build_field, gf.embed_subfield, cd.minimal_poly):
         assert cache.cache_info().maxsize is not None
 
 

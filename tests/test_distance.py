@@ -1,4 +1,5 @@
 import random
+import time
 from functools import cache
 from itertools import product
 
@@ -249,6 +250,17 @@ class TestDualTransform:
         assert result.witness is not None
         assert result.witness.weight == 4
         assert is_member(inst, result.witness.coeffs)
+
+    def test_long_hamming_distribution_is_fast(self):
+        # the [8191, 8178, 3] Hamming code: its dual has two nonzero weights,
+        # so the transform sums two Krawtchouk columns, not all n + 1
+        inst = build_code(CodeSpec(2, 13, 1))
+        start = time.perf_counter()
+        dist = weight_distribution_from_dual(inst)
+        assert time.perf_counter() - start < 5.0
+        n = inst.n
+        assert dist[1] == dist[2] == 0
+        assert dist[3] == n * (n - 1) // 6 == 11_180_715
 
     def test_distribution_checks(self):
         inst = build_code(CodeSpec(3, 2, 1))
