@@ -24,7 +24,6 @@ from .cyclotomy import (
     CosetPartition,
     QadicParams,
     coset_partition,
-    coset_representatives,
     fold_exponent,
     index_set,
     index_set_size,

@@ -193,8 +193,8 @@ def repunit_certificate(q: int, h: int) -> tuple[int, list[str]]:
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
     prime_power_split(q)  # raises if q is not a prime power
-    e = (q ** (h + 1) - 1) // (q - 1)
-    params = QadicParams(q, h + 1)
+    params = QadicParams(q, h + 1)  # rejects q^(h+1) - 1 beyond 128 bits before building it
+    e = params.n // (q - 1)
     trace = []
     for t in range(1, q - 1):
         w = q_weight(params, t * e)

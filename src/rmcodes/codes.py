@@ -8,8 +8,8 @@ zeros {alpha^a : a in I}, I the index set of q-weight <= h; the mirrored
     gen_bar = (x - 1) * lcm(gen, reciprocal(gen))
 
 Both generators are built the same way, as the product of the minimal
-polynomials of the q-cyclotomic cosets of the zero set: I for the plain
-variant, {0} u I u -I for the mirrored one.  A zero set closed under
+polynomials of the q-cyclotomic cosets of the zero set, read from
+``coset_partition``: I for the plain variant, {0} u I u -I for the mirrored one.  A zero set closed under
 negation is what makes a cyclic code LCD (Yang-Massey, 1994).
 
 Dimensions follow from the generator degree.  A word is a member exactly
@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import gf
-from .cyclotomy import (QadicParams, check_h, coset_of, coset_partition, index_set_size,
-                        maximal_representatives)
+from .cyclotomy import QadicParams, check_h, coset_partition, index_set_size, maximal_representatives
 from .errors import InternalError, TooLarge
 from .gf import SubfieldEmbedding, build_field, embed_subfield
 from .ntheory import prime_power_split
@@ -116,17 +115,17 @@ class CodeInstance:
 
 
 @lru_cache(maxsize=4096)
-def minimal_poly(emb: SubfieldEmbedding, params: QadicParams, a: int) -> tuple[int, ...]:
-    """Minimal polynomial of alpha^a over the subfield (cached): prod over its coset of (x - alpha^i).
+def minimal_poly(emb: SubfieldEmbedding, coset: tuple[int, ...]) -> tuple[int, ...]:
+    """M_K(x) = prod over i in K of (x - alpha^i) for the sorted q-cyclotomic coset K (cached).
 
     Every coefficient of the product is fixed by x -> x^q, and the image of
     the verified embedding is exactly that fixed field, so each maps down
     through ``emb.to_subfield``; a coefficient outside the image signals a
-    broken embedding and raises InternalError.
+    broken embedding or a K that is no coset, and raises InternalError.
     """
     big = emb.big
     poly = [1]
-    for i in coset_of(params, a):
+    for i in coset:
         root_neg = big.neg(big.alpha_pow(i))
         nxt = [0] * (len(poly) + 1)
         for d, c in enumerate(poly):
@@ -148,12 +147,12 @@ def _build(spec: CodeSpec) -> CodeInstance:
     classes = coset_partition(params, h).classes
     if spec.variant == "omega_bar":
         # {0} u I u -I: the negation of a coset is a coset, which may be one of I's
-        classes = {(0,), *classes, *(tuple(sorted(n - a for a in c)) for c in classes)}
-    reps = tuple(sorted(c[0] for c in classes))
+        classes = sorted({(0,), *classes, *(tuple(sorted(n - a for a in c)) for c in classes)})
+    reps = tuple(c[0] for c in classes)
     zeros = tuple(sorted(a for c in classes for a in c))
 
     # a balanced product tree: Karatsuba gains most on equal-sized operands
-    factors = [minimal_poly(emb, params, a) for a in reps]
+    factors = [minimal_poly(emb, c) for c in classes]
     while len(factors) > 1:
         pairs = zip(factors[::2], factors[1::2])
         factors = [gf.poly_mul(small, f, g) for f, g in pairs] + factors[len(factors) & ~1 :]
@@ -244,7 +243,7 @@ def condition_star_holds(q: int, m: int, h: int, e: int) -> bool:
     When true, the quotient codeword certifies distance <= e (and <= 2e for
     the mirrored code) at every extension length m*l.
     """
-    params = QadicParams(q, m)  # rejects q^m - 1 beyond 128 bits before building it
+    params = CodeSpec(q, m, h).params  # checks (q, m, h) as every loose-argument entry does
     n = params.n
     if not 2 <= e < n:
         raise ValueError(f"need 2 <= e < n = {n}, got {e}")

@@ -7,6 +7,10 @@ partition into orbits of a -> a*q mod n, the per-orbit minima
 representative (the maximal set).  Divisibility conditions over the full
 exponent set can be decided on the maximal set alone, which is what makes
 the maximal set worth computing.
+
+``coset_of`` is the one orbit walk: ``coset_partition`` calls it once per
+coset, behind the size gate of ``index_set``, and the maximal set and the
+generators of the codes read the cosets of a partition.
 """
 
 from __future__ import annotations
@@ -80,26 +84,26 @@ def index_set_size(params: QadicParams, h: int) -> int:
     return sum((params.q - 1) ** i * comb(params.m, i) for i in range(1, h + 1))
 
 
-def _iter_index_set(params: QadicParams, h: int):
+def _index_exponents(params: QadicParams, h: int):
+    """The index set, unsorted; TooLarge first, from the size formula, above ``MATERIALIZE_LIMIT``."""
+    if index_set_size(params, h) > MATERIALIZE_LIMIT:
+        raise TooLarge("index set too large to materialize")
     q, m = params.q, params.m
     powers = [q**i for i in range(m)]
-    for r in range(1, h + 1):
-        for support in combinations(range(m), r):
-            for digits in product(range(1, q), repeat=r):
-                yield sum(d * powers[i] for i, d in zip(support, digits))
+    return (sum(d * powers[i] for i, d in zip(support, digits))
+            for r in range(1, h + 1)
+            for support in combinations(range(m), r)
+            for digits in product(range(1, q), repeat=r))
 
 
 @lru_cache(maxsize=256)
 def index_set(params: QadicParams, h: int) -> tuple[int, ...]:
     """Sorted exponents a in [1, n-1] with q_weight(a) <= h."""
-    check_h(params, h)
-    if index_set_size(params, h) > MATERIALIZE_LIMIT:
-        raise TooLarge("index set too large to materialize; use coset_representatives")
-    return tuple(sorted(_iter_index_set(params, h)))
+    return tuple(sorted(_index_exponents(params, h)))
 
 
 def coset_of(params: QadicParams, a: int) -> tuple[int, ...]:
-    """The q-cyclotomic coset of a mod n, sorted ascending."""
+    """The q-cyclotomic coset of a mod n, sorted ascending: the one orbit walk."""
     n = params.n
     a %= n
     orbit = []
@@ -123,48 +127,42 @@ class CosetPartition:
     representatives: tuple[int, ...]
 
 
-@lru_cache(maxsize=256)
-def coset_partition(params: QadicParams, h: int) -> CosetPartition:
-    """Partition the index set into cosets; representatives are per-orbit minima."""
-    reps = coset_representatives(params, h)
-    classes = tuple(coset_of(params, r) for r in reps)
+def _partition(params: QadicParams, h: int) -> CosetPartition:
+    # a -> a*q mod n rotates the base-q digits: each coset lies in the index set
+    seen, classes = set(), []
+    for a in _index_exponents(params, h):
+        if a not in seen:
+            classes.append(coset_of(params, a))
+            seen.update(classes[-1])
+    classes.sort()
     if sum(map(len, classes)) != index_set_size(params, h):
         raise InternalError(f"internal: the cosets of {params} at h={h} do not cover the index set")
-    return CosetPartition(params, h, classes, reps)
+    return CosetPartition(params, h, tuple(classes), tuple(c[0] for c in classes))
 
 
-def coset_representatives(params: QadicParams, h: int) -> tuple[int, ...]:
-    """Per-orbit minima, computed by streaming orbit walks (no index-set storage)."""
-    check_h(params, h)
-    n, q = params.n, params.q
-    reps = []
-    for a in _iter_index_set(params, h):
-        x = a * q % n
-        least = True
-        while x != a:
-            if x < a:
-                least = False
-                break
-            x = x * q % n
-        if least:
-            reps.append(a)
-    return tuple(sorted(reps))
+@lru_cache(maxsize=256)
+def coset_partition(params: QadicParams, h: int) -> CosetPartition:
+    """Partition the index set into cosets, each walked once; representatives are
+    per-orbit minima.  Above ``MATERIALIZE_LIMIT`` exponents, TooLarge before any walk."""
+    return _partition(params, h)
 
 
 @lru_cache(maxsize=256)
 def maximal_representatives(params: QadicParams, h: int) -> tuple[int, ...]:
     """Representatives that properly divide no other representative.
 
-    The orbit walks stream the whole index set and the divisibility scan is
-    quadratic in the representatives, so a set above ``_MAXIMAL_LIMIT``
-    exponents raises TooLarge before either starts.
+    The scan is quadratic in the representatives, so a set above
+    ``_MAXIMAL_LIMIT`` exponents raises TooLarge before any walk.  The
+    partition is not cached: the divisor search reads the maximal sets of
+    many moduli that no build needs, and caching their classes costs memory.
     """
     size = index_set_size(params, h)
     if size > _MAXIMAL_LIMIT:
         raise TooLarge(f"the index set of (q={params.q}, m={params.m}, h={h}) has {size} exponents, "
                        f"more than the maximal-set limit {_MAXIMAL_LIMIT}")
-    reps = coset_representatives(params, h)
-    return tuple(r for r in reps if not any(r != s and s % r == 0 for s in reps))
+    reps = _partition(params, h).representatives
+    # ascending, and a proper multiple of r is larger than r: scan only what follows
+    return tuple(r for i, r in enumerate(reps) if not any(s % r == 0 for s in reps[i + 1:]))
 
 
 def fold_exponent(params: QadicParams, a: int) -> int:

@@ -10,7 +10,7 @@ from rmcodes import bounds as bd
 from rmcodes import codes as cd
 from rmcodes import ntheory as nt
 from rmcodes.codes import CodeSpec, build_code
-from rmcodes.cyclotomy import QadicParams, index_set, maximal_representatives
+from rmcodes.cyclotomy import QadicParams, coset_partition, index_set, maximal_representatives
 from rmcodes.distance import SearchBudget, exact_distance, find_weight_witness
 from rmcodes.errors import InternalError, TooLarge
 from rmcodes.verify import GRID
@@ -573,6 +573,10 @@ class TestConditionStar:
         with pytest.raises(ValueError, match="6 does not divide 80"):
             cd.condition_star_holds(3, 4, 2, 6)
 
+    def test_domain_checked_in_codespec(self):
+        with pytest.raises(ValueError, match="6 is not a prime power"):
+            cd.condition_star_holds(6, 2, 1, 5)
+
     def test_long_m_rejected_promptly(self):
         # n = 3^(4 * 10^7) - 1 is never built: m alone puts it past 128 bits
         start = time.perf_counter()
@@ -622,6 +626,13 @@ class TestRepunitCertificate:
             bd.repunit_certificate(2, 1)
         with pytest.raises(ValueError, match="6 is not a prime power"):
             bd.repunit_certificate(6, 1)
+
+    def test_long_h_rejected_promptly(self):
+        # 3^(10^7 + 1) is never built: the exponent alone puts it past 128 bits
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="exceeds the supported 128-bit range"):
+            bd.repunit_certificate(3, 10**7)
+        assert time.perf_counter() - start < 0.5
 
     def test_certified_divisor_passes_condition(self):
         for q, h in [(3, 1), (3, 2), (4, 1), (5, 2), (9, 1)]:
@@ -917,6 +928,13 @@ class TestCertify:
         report = bd.certify(CodeSpec(3, 80, 1))
         assert calls == [2, 4]  # 3^80 - 1 has 16128 divisors
         assert ("divisor_e", 4) in report.witnesses
+
+    def test_divisor_search_leaves_the_partition_cache(self):
+        # the maximal sets of the divisor search walk their own partitions:
+        # a cached partition per modulus would hold classes of 128-bit exponents
+        coset_partition.cache_clear()
+        bd.certify(CodeSpec(31, 25, 1))
+        assert coset_partition.cache_info().currsize == 0
 
     def test_no_budget_builds_nothing(self, monkeypatch):
         monkeypatch.setattr(bd, "build_code", None)

@@ -46,27 +46,27 @@ class TestMinimalPoly:
     def test_alpha_over_gf2(self):
         inst = build_code(CodeSpec(2, 3, 1))
         # the coset of 1 is {1, 2, 4}; alpha's minimal polynomial is the modulus
-        mp = cd.minimal_poly(inst.emb, QadicParams(2, 3), 1)
+        mp = cd.minimal_poly(inst.emb, coset_of(QadicParams(2, 3), 1))
         assert mp == (1, 1, 0, 1)
         assert poly_degree(mp) == 3
 
     def test_exponent_zero(self):
         inst2 = build_code(CodeSpec(2, 3, 1))
         inst3 = build_code(CodeSpec(3, 2, 1))
-        assert cd.minimal_poly(inst2.emb, QadicParams(2, 3), 0) == (1, 1)
-        assert cd.minimal_poly(inst3.emb, QadicParams(3, 2), 0) == (2, 1)
+        assert cd.minimal_poly(inst2.emb, coset_of(QadicParams(2, 3), 0)) == (1, 1)
+        assert cd.minimal_poly(inst3.emb, coset_of(QadicParams(3, 2), 0)) == (2, 1)
 
     def test_singleton_coset_gf9(self):
         # 4 * 3 = 12 = 4 mod 8, so the coset of 4 is {4} and alpha^4 = -1
         inst = build_code(CodeSpec(3, 2, 1))
-        mp = cd.minimal_poly(inst.emb, QadicParams(3, 2), 4)
+        mp = cd.minimal_poly(inst.emb, coset_of(QadicParams(3, 2), 4))
         assert mp == (1, 1)  # x + 1 = x - (-1)
 
     def test_degree_is_coset_size(self):
         inst = build_code(CodeSpec(3, 4, 2))
         partition = coset_partition(QadicParams(3, 4), 2)
         for a, orbit in zip(partition.representatives, partition.classes):
-            mp = cd.minimal_poly(inst.emb, QadicParams(3, 4), a)
+            mp = cd.minimal_poly(inst.emb, coset_of(QadicParams(3, 4), a))
             assert poly_degree(mp) == len(orbit)
             assert mp[-1] == 1
 
@@ -149,7 +149,7 @@ class TestBuildCode:
     def test_roots_catch_a_dropped_factor(self, spec):
         inst = build_code(spec)
         last = inst.zero_representatives[-1]
-        factor = cd.minimal_poly(inst.emb, spec.params, last)
+        factor = cd.minimal_poly(inst.emb, coset_of(spec.params, last))
         gen, rem = poly_divmod(inst.small, inst.gen_poly, factor)
         assert rem == ()
         broken = cd.CodeInstance(

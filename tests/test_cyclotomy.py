@@ -8,7 +8,6 @@ from rmcodes.cyclotomy import (
     QadicParams,
     coset_of,
     coset_partition,
-    coset_representatives,
     fold_exponent,
     index_set,
     index_set_size,
@@ -106,12 +105,27 @@ class TestIndexSets:
         # the size formula alone triggers the guard, before any generation
         with pytest.raises(TooLarge, match="index set too large to materialize"):
             index_set(QadicParams(2, 40), 20)
-        # the streaming representative walk has no such limit in principle;
-        # spot-check it against the formula-driven count on a midsize case
+        # spot-check the representatives against the formula-driven count on
+        # a midsize case
         params = QadicParams(2, 16)
-        reps = coset_representatives(params, 2)
+        reps = coset_partition(params, 2).representatives
         total = sum(len(coset_of(params, r)) for r in reps)
         assert total == index_set_size(params, 2)
+
+    def test_partition_size_limit(self, monkeypatch):
+        # the same gate as index_set's: (3, 4, 2) has 32 exponents
+        coset_partition.cache_clear()
+        monkeypatch.setattr(cyclotomy, "MATERIALIZE_LIMIT", 31)
+        with pytest.raises(TooLarge, match="index set too large to materialize"):
+            coset_partition(QadicParams(3, 4), 2)
+        monkeypatch.setattr(cyclotomy, "MATERIALIZE_LIMIT", 32)
+        assert coset_partition(QadicParams(3, 4), 2).representatives == (1, 2, 4, 5, 7, 8, 10, 11, 20)
+        monkeypatch.undo()
+        # (2, 64, 32) has about 2^63 exponents: rejected from the size formula
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="index set too large to materialize"):
+            coset_partition(QadicParams(2, 64), 32)
+        assert time.perf_counter() - start < 1.0
 
     def test_disjoint_mirror_for_small_h(self):
         for q, m in [(2, 5), (3, 5), (4, 4)]:
@@ -164,7 +178,6 @@ class TestCosets:
             part = coset_partition(params, h)
             # the per-orbit minima of the materialized index set, independently
             want = sorted({min(coset_of(params, a)) for a in index_set(params, h)})
-            assert list(coset_representatives(params, h)) == want
             assert part.representatives == tuple(want)
             assert maximal_representatives(params, h) == tuple(
                 r for r in want if not any(r != s and s % r == 0 for s in want)
