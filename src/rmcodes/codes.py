@@ -244,6 +244,8 @@ def condition_star_holds(q: int, m: int, h: int, e: int) -> bool:
     the mirrored code) at every extension length m*l.
     """
     params = CodeSpec(q, m, h).params  # checks (q, m, h) as every loose-argument entry does
+    if type(e) is not int:
+        raise ValueError(f"e must be an integer, got {e!r}")
     n = params.n
     if not 2 <= e < n:
         raise ValueError(f"need 2 <= e < n = {n}, got {e}")
@@ -270,6 +272,8 @@ def quotient_codeword(
     bounded by ``DEFAULT_MAX_N``, as is the length of a built code.
     """
     spec = CodeSpec(q, m, h)  # validates parameter ranges
+    if type(e) is not int or type(l) is not int:
+        raise ValueError(f"e and l must be integers, got {(e, l)!r}")
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
     if e != spec.n and not condition_star_holds(q, m, h, e):

@@ -24,7 +24,7 @@ from .errors import InternalError, TooLarge
 from .gf import EXPONENT_LIMIT
 
 MATERIALIZE_LIMIT = 1 << 26
-_MAXIMAL_LIMIT = 1 << 16  # largest index set with a maximal set; (2, 17, 8) takes 1.3 s
+_MAXIMAL_LIMIT = 1 << 16  # largest index set with a maximal set; (2, 17, 8) takes 0.5 s (2-vCPU VM)
 
 
 @dataclass(frozen=True)
@@ -166,27 +166,16 @@ def maximal_representatives(params: QadicParams, h: int) -> tuple[int, ...]:
 
 
 def fold_exponent(params: QadicParams, a: int) -> int:
-    """Push digits at positions >= m down by m until a < q^m.
+    """Fold a >= 0 below q^m by a -> (a mod q^m) + floor(a / q^m), repeated.
 
-    Preserves the residue class mod n and never increases the q-ary weight,
-    so a bounded-weight exponent of any extension length folds to a
-    bounded-weight exponent mod n.
+    q^m = 1 mod n, so each step keeps the residue class mod n, and the two
+    parts split a's base-q digits, so the q-ary weight never grows.  A
+    bounded-weight exponent of any extension length therefore folds to a
+    bounded-weight exponent mod n: 0 stays 0, and a >= 1 ends in [1, n].
     """
     if a < 0:
         raise ValueError(f"need a >= 0, got {a}")
-    q, m = params.q, params.m
-    qm = q**m
+    qm = params.q**params.m
     while a >= qm:
-        i = 0
-        x = a
-        top_pos, top_digit = 0, 0
-        while x:
-            d = x % q
-            if d and i >= m:
-                top_pos, top_digit = i, d
-            x //= q
-            i += 1
-        if top_pos == 0:
-            break
-        a = a - top_digit * q**top_pos + top_digit * q ** (top_pos - m)
+        a = a % qm + a // qm
     return a

@@ -9,8 +9,9 @@ base-p expansion of i).
 
 A field is built deterministically: the modulus is the first monic
 irreducible polynomial of its degree in ascending index order, and the
-primitive element is the least index generating the multiplicative group,
-found with one factorization of p^s - 1 and, for s >= 2, from index p on.
+primitive element is the least index x (for s >= 2 from index p on) with
+x^((q-1)/r) != 1 for each prime r of q - 1, q = p^s (Lidl and Niederreiter,
+*Finite Fields*, ch. 2); the exp/log walk of a tabled field proves it.
 The characteristic p must be below ``ntheory.PROVEN_PRIME_BOUND``, where
 the primality test is a proof.  ``build_field(p, s)`` is the one cached
 constructor.  Fields of at most ``TABLE_THRESHOLD`` elements, a constant
@@ -47,7 +48,7 @@ before its bits are split), so no slot ever carries into the next.
 ``poly_xn_minus_1_quotient`` finds (x^n - 1)/g as the power series -1/g
 mod x^(n - deg g + 1), by Newton's iteration, and checks g times it exactly.
 
-All arithmetic is exact; there is no floating point anywhere.
+All arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -93,20 +94,6 @@ class FieldCtx:
 
     # -- raw arithmetic on indices (no tables) ------------------------------
 
-    def _to_coeffs(self, x: int) -> list[int]:
-        p = self.p
-        v = []
-        for _ in range(self.s):
-            v.append(x % p)
-            x //= p
-        return v
-
-    def _from_coeffs(self, v) -> int:
-        x = 0
-        for c in reversed(v):
-            x = x * self.p + c
-        return x
-
     def _raw_add(self, x: int, y: int) -> int:
         if self.p == 2:
             return x ^ y
@@ -126,7 +113,7 @@ class FieldCtx:
         if self.s == 1:
             return x * y % self.p
         p = self.p
-        a, b = self._to_coeffs(x), self._to_coeffs(y)
+        a, b = self.element_coeffs(x), self.element_coeffs(y)
         r = [0] * (2 * self.s - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -139,17 +126,10 @@ class FieldCtx:
                 off = k - self.s
                 for i in range(self.s):
                     r[off + i] = (r[off + i] - c * f[i]) % p
-        return self._from_coeffs(r[: self.s])
+        return self.element_from_coeffs(r[: self.s])
 
     def _raw_pow(self, x: int, e: int) -> int:
-        result = 1
-        base = x
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return result
+        return _power(self._raw_mul, 1, x, e)
 
     def _build_log_tables(self):
         """exp/log, and for odd p the Zech table, by the walk t -> t * alpha.
@@ -187,8 +167,8 @@ class FieldCtx:
                 def spread(digits):
                     return sum(d << bits * j for j, d in enumerate(digits))
 
-                lo_image = [spread(self._to_coeffs(x)) for x in lo_image]
-                hi_image = [spread(self._to_coeffs(x)) for x in hi_image]
+                lo_image = [spread(self.element_coeffs(x)) for x in lo_image]
+                hi_image = [spread(self.element_coeffs(x)) for x in hi_image]
                 # the fields of one half of a sum -> that half's index
                 to_index = {
                     spread(v): sum(d % p * p**j for j, d in enumerate(v))
@@ -203,8 +183,9 @@ class FieldCtx:
                     w = lo_image[lo] + hi_image[hi]
                     lo, hi = to_index[w & mask], to_index[w >> shift]
                     t = lo + hi * P
-        if t != 1:
-            raise InternalError("primitive element order check failed")
+        # alpha is primitive iff the walk reaches every nonzero element
+        if t != 1 or log.count(-1) != 1:
+            raise InternalError(f"primitive element check failed: {a} does not generate GF({q})*")
         self.exp, self.log = exp, log
         if p > 2:
             # Zech logarithms: zech[i] = log(1 + alpha^i), -1 where 1 + alpha^i = 0.
@@ -278,20 +259,42 @@ class FieldCtx:
 
     def primitives(self):
         """The primitive elements, in ascending index order; for s >= 2 from
-        index p on, since indices below p are the prime subfield."""
+        index p on, since indices below p are the prime subfield.  x is
+        primitive iff x^((q-1)/r) != 1 for every prime r of q - 1."""
         n = self.order - 1
         start = self.p if self.s > 1 else 1
-        return (x for x in range(start, self.order) if self.order_of(x) == n)
+        return (x for x in range(start, self.order)
+                if all(self.pow(x, n // r) != 1 for r in self._group_primes))
 
     def element_coeffs(self, x: int) -> tuple[int, ...]:
         """Polynomial-basis coordinate vector (length s, lowest power first)."""
-        return tuple(self._to_coeffs(x))
+        p = self.p
+        v = []
+        for _ in range(self.s):
+            v.append(x % p)
+            x //= p
+        return tuple(v)
 
     def element_from_coeffs(self, v) -> int:
-        return self._from_coeffs(list(v))
+        x, unit = 0, 1
+        for c in v:
+            x += c * unit
+            unit *= self.p
+        return x
 
     def __repr__(self):
         return f"FieldCtx(GF({self.p}^{self.s}))"
+
+
+def _power(mul, one, x, e: int):
+    """x**e by square-and-multiply, for an associative ``mul`` with unit ``one``."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        x = mul(x, x)
+        e >>= 1
+    return result
 
 
 @lru_cache(maxsize=32)
@@ -354,8 +357,8 @@ def embed_subfield(big: FieldCtx, small: FieldCtx) -> SubfieldEmbedding:
         t *= q
     if t != big.order:
         raise ValueError(f"{big.order} is not a power of {q}")
-    beta = big.alpha_pow((big.order - 1) // (q - 1)) if q > 2 else 1
-    if q > 2 and big.order_of(beta) != q - 1:
+    beta = big.alpha_pow((big.order - 1) // (q - 1))
+    if big.order_of(beta) != q - 1:
         raise InternalError(f"beta has order {big.order_of(beta)}, expected {q - 1}")
 
     for g in small.primitives():
@@ -594,17 +597,6 @@ def poly_reciprocal(ctx: FieldCtx, f) -> tuple[int, ...]:
 # modulus search, on the polynomials above over the prime field
 
 
-def _pow_mod(zp: FieldCtx, g, e: int, f) -> tuple[int, ...]:
-    """g**e mod f, by square-and-multiply."""
-    result = (1,)
-    while e:
-        if e & 1:
-            result = poly_divmod(zp, poly_mul(zp, result, g), f)[1]
-        g = poly_divmod(zp, poly_mul(zp, g, g), f)[1]
-        e >>= 1
-    return result
-
-
 def _find_modulus(p: int, s: int) -> tuple[int, ...]:
     """The first monic degree-s irreducible over Z_p in ascending index order.
 
@@ -615,11 +607,15 @@ def _find_modulus(p: int, s: int) -> tuple[int, ...]:
         return (0, 1)
     zp = build_field(p, 1)
     x, minus_x = (0, 1), (0, p - 1)
+
+    def mul_mod_f(g, h):
+        return poly_divmod(zp, poly_mul(zp, g, h), f)[1]
+
     for c in range(p**s):
         f = tuple(c // p**i % p for i in range(s)) + (1,)
         xpi = x
         for _ in range(s // 2):
-            xpi = _pow_mod(zp, xpi, p, f)
+            xpi = _power(mul_mod_f, (1,), xpi, p)
             if poly_gcd(zp, f, poly_add(zp, xpi, minus_x)) != (1,):
                 break
         else:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations
-from math import exp, gcd, isqrt, log, prod
+from math import gcd, isqrt, prod
 
 from .errors import FactorizationIncomplete, InternalError
 
@@ -252,13 +252,12 @@ def _wheel(x: int, factors: dict[int, int]) -> int:
 
 
 def _iroot(y: int, k: int) -> int:
-    """floor(y ** (1/k)) for y >= 1, k >= 2, by Newton's method from a float guess.
+    """floor(y ** (1/k)) for y >= 1, k >= 2, by Newton's method from above, in integers.
 
-    The guess is rounded up: from below the root, one step overshoots by about
-    (root / guess)^(k - 1), and the walk back down shrinks r only by a factor
-    (k - 1)/k per step, thousands of steps for a root near 2 and a large k."""
-    r = int(exp(min(log(y) / k, 700.0))) + 1
-    r = ((k - 1) * r + y // r ** (k - 1)) // k  # now r >= the root, by AM-GM
+    The start 2^ceil(bits(y)/k) exceeds the root and is at most twice it.
+    From any r above the root a step stays at or above floor(root), by AM-GM,
+    and decreases, so the first step that does not decrease ends the walk."""
+    r = 1 << -(-y.bit_length() // k)
     while True:
         s = ((k - 1) * r + y // r ** (k - 1)) // k
         if s >= r:
@@ -279,7 +278,7 @@ def _power_base(y: int) -> tuple[int, int]:
             b, k = r, k * l
         else:
             l += 1
-            while any(l % d == 0 for d in range(2, isqrt(l) + 1)):
+            while not is_probable_prime(l):
                 l += 1
     return b, k
 

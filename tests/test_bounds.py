@@ -577,6 +577,10 @@ class TestConditionStar:
         with pytest.raises(ValueError, match="6 is not a prime power"):
             cd.condition_star_holds(6, 2, 1, 5)
 
+    def test_non_integer_e_rejected(self):
+        with pytest.raises(ValueError, match="e must be an integer, got 16.0"):
+            cd.condition_star_holds(3, 4, 2, 16.0)
+
     def test_long_m_rejected_promptly(self):
         # n = 3^(4 * 10^7) - 1 is never built: m alone puts it past 128 bits
         start = time.perf_counter()

@@ -405,6 +405,14 @@ class TestQuotientCodeword:
         with pytest.raises(ValueError, match="need 2 <= e < n = 80, got 1"):
             quotient_codeword(3, 4, 2, 1)
 
+    def test_non_integer_arguments_rejected(self):
+        with pytest.raises(ValueError, match="e and l must be integers"):
+            quotient_codeword(3, 4, 2, 16, l=2.0)
+        with pytest.raises(ValueError, match="e and l must be integers"):
+            quotient_codeword(3, 4, 2, 16.0)
+        with pytest.raises(ValueError, match="e and l must be integers"):
+            quotient_codeword(3, 4, 2, 16, l=True)
+
     def test_too_large_target(self):
         with pytest.raises(TooLarge, match="target length 3486784400 exceeds the construction bound"):
             quotient_codeword(3, 4, 2, 16, l=5)

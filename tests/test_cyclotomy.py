@@ -232,3 +232,18 @@ class TestFolding:
         params = QadicParams(3, 4)
         for a in range(0, params.n + 1, 7):
             assert fold_exponent(params, a) == a
+
+    def test_long_exponent_folds_promptly(self):
+        # each step folds m digits at once, so 3,000 digits take 750 steps
+        params = QadicParams(3, 4)
+        a = random.Random(22).randrange(3**2999, 3**3000)
+        start = time.perf_counter()
+        folded = fold_exponent(params, a)
+        assert time.perf_counter() - start < 0.5
+        assert 1 <= folded <= params.n
+        assert (folded - a) % params.n == 0
+        digits, x = [], a
+        while x:
+            x, d = divmod(x, 3)
+            digits.append(d)
+        assert q_weight(params, folded) <= sum(1 for d in digits if d)

@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 
 from rmcodes import gf
-from rmcodes.errors import TooLarge
+from rmcodes.errors import InternalError, TooLarge
 from rmcodes.gf import (
     build_field,
     embed_subfield,
@@ -225,6 +225,13 @@ class TestEmbedding:
             for b in range(q):
                 assert lift[small.add(a, b)] == big.add(la, lift[b]), (a, b)
                 assert lift[small.mul(a, b)] == big.mul(la, lift[b]), (a, b)
+
+    def test_binary_prime_subfield_has_unit_beta(self):
+        # beta = alpha^(2^m - 1) = 1 by the formula every q uses
+        for m in range(2, 9):
+            emb = embed_subfield(build_field(2, m), build_field(2, 1))
+            assert emb.beta == 1, m
+            assert emb.to_big == (0, 1), m
 
     def test_not_a_subfield(self):
         with pytest.raises(ValueError, match="8 is not a power of 4"):
@@ -507,3 +514,30 @@ def test_least_primitive_matches_brute_force():
         assert F.primitive_elem == _least_primitive_brute(F), (p, s)
     # the primitive element does not depend on the tables, which would hold 1021^2 entries
     assert untabled(1021, 2).primitive_elem == 1035
+
+
+def test_primitive_search_stops_at_first_failing_prime():
+    # one ladder per prime r of q - 1 up to the first x^((q-1)/r) == 1, not a
+    # candidate's full order
+    build_field(3, 1)  # the modulus search reads the cached prime field
+    calls = 0
+    raw_pow = gf.FieldCtx._raw_pow
+
+    def counting(self, x, e):
+        nonlocal calls
+        calls += 1
+        return raw_pow(self, x, e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf.FieldCtx, "_raw_pow", counting)
+        F = gf.FieldCtx(3, 10)
+    assert F.primitive_elem == build_field(3, 10).primitive_elem
+    assert calls <= 34
+
+
+def test_log_walk_rejects_a_non_primitive_element(monkeypatch):
+    # index 3 of GF(9) is x, of order 4 mod x^2 + 1: its walk misses 4 of the 8 units
+    build_field(3, 1)
+    monkeypatch.setattr(gf.FieldCtx, "primitives", lambda self: iter((3,)))
+    with pytest.raises(InternalError, match="primitive element check failed"):
+        gf.FieldCtx(3, 2)
