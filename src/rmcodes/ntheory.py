@@ -2,14 +2,15 @@
 
 Everything here is deterministic and uses arbitrary-precision integers only.
 Factoring runs in two stages.  Stage 1 is trial division, then Miller-Rabin
-on what is left.  An x = b^k - 1 beyond the reach of trial division is split
-into its cyclotomic pieces Phi_d(b), d | k (Brillhart et al., *Factorizations
-of b^n +- 1*).  A prime factor of Phi_d(b) divides d or is 1 mod d, so once
-the primes of 2d are divided out, trial division steps through
-1 + lcm(2, d)*j.  Any other x gets trial division over the 6k +- 1 wheel.
-Both go up to ``TRIAL_LIMIT``; a leftover below the square of the next
-candidate is prime by the division itself, so x < TRIAL_LIMIT**2 needs no
-Miller-Rabin.  A larger leftover is a prime by Miller-Rabin (a proof below
+on what is left; it is resumable, as each piece of x keeps its state.  An
+x = b^k - 1 beyond the reach of trial division is split into its cyclotomic
+pieces Phi_d(b), d | k (Brillhart et al., *Factorizations of b^n +- 1*),
+whose states are cached.  A prime factor of Phi_d(b) divides d or is 1 mod d,
+so its candidates are the primes of 2d, then 1 + lcm(2, d)*j.  Any other x
+is divided by the primes up to 1024, then over the 6k +- 1 wheel.  Both go
+up to ``TRIAL_LIMIT``; a leftover below the square of the next candidate is
+prime by the division itself, so x < TRIAL_LIMIT**2 needs no Miller-Rabin.
+A larger leftover is a prime by Miller-Rabin (a proof below
 ``PROVEN_PRIME_BOUND``) or a composite cofactor, every prime of which
 exceeds ``TRIAL_LIMIT``.  Stage 2, the finisher, splits each composite
 cofactor by Lenstra's elliptic-curve method (ECM) on Montgomery curves with
@@ -17,11 +18,13 @@ fixed parameters, stage 1 and a stage-2 continuation.  ``_BUDGET`` bounds
 the ECM work on each composite; a composite cofactor that survives it is
 reported, never mislabeled as prime.
 
-``factorize`` runs both stages and is the one factoring entry point; the
-cyclotomic pieces and ``UnitGroup`` call it too.  ``divisors_ascending`` runs the finisher
-only when its walk gets past ``TRIAL_LIMIT`` or past the divisors stage 1
-knows: a divisor <= TRIAL_LIMIT has no prime above it, so stage 1 has found
-all of its primes.
+``factorize`` runs stage 1 straight to ``TRIAL_LIMIT`` and then the finisher;
+it is the one factoring entry point, and the cyclotomic pieces and
+``UnitGroup`` call it too.  ``divisors_ascending`` is lazy in both stages: its
+trial bound starts at 16 and squares, up to ``TRIAL_LIMIT``, only when its
+walk needs a larger divisor, and it runs the finisher only when the walk gets
+past ``TRIAL_LIMIT`` or past the divisors stage 1 knows.  A divisor <= the
+bound has no prime above it, so stage 1 has found all of its primes.
 
 ``UnitGroup(e)`` factors a modulus e once per group, and each p - 1 once,
 and holds the Carmichael exponent lambda(e); orders reduce from lambda(e).
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import accumulate, chain, combinations, compress, cycle
 from math import gcd, isqrt, prod
 
 from .errors import FactorizationIncomplete, InternalError
@@ -87,19 +90,26 @@ _ECM_D = 210
 _ECM_BABY = tuple(i for i in range(1, _ECM_D // 2, 2) if gcd(i, _ECM_D) == 1)
 
 
+def _primes(n: int) -> tuple[int, ...]:
+    """The primes <= n >= 2, by a sieve of Eratosthenes over the odd numbers."""
+    sieve = bytearray([1]) * ((n + 1) // 2)  # sieve[i] stands for 2i + 1
+    sieve[0] = 0
+    for i in range(1, (isqrt(n) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))
+    return (2, *compress(range(1, n + 1, 2), sieve))
+
+
 @lru_cache(maxsize=None)
 def _stage1_multiplier(b1: int) -> int:
     """The product of the largest powers of each prime p <= b1 that stay <= b1."""
-    sieve = bytearray([1]) * (b1 + 1)
-    sieve[:2] = b"\0\0"
     k = 1
-    for p in range(2, b1 + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, b1 + 1, p)))
-            pk = p
-            while pk * p <= b1:
-                pk *= p
-            k *= pk
+    for p in _primes(b1):
+        pk = p
+        while pk * p <= b1:
+            pk *= p
+        k *= pk
     return k
 
 
@@ -206,51 +216,6 @@ def _finish(y: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(factors.items()))
 
 
-def _add(factors: dict[int, int], pairs) -> None:
-    for p, a in pairs:
-        factors[p] = factors.get(p, 0) + a
-
-
-def _settle(y: int, factors: dict[int, int]) -> int:
-    """Stage 1's last step on a trial leftover ``y`` >= 2: record it in ``factors``
-    if it is a prime (Miller-Rabin) and return 1, or return it as a composite cofactor."""
-    if is_probable_prime(y):
-        factors[y] = factors.get(y, 0) + 1
-        return 1
-    return y
-
-
-def _trial(x: int, factors: dict[int, int], d: int, step: int, wheel: int) -> int:
-    """Divide out the candidates d, d + step, ... (steps alternate with wheel - step)
-    up to min(TRIAL_LIMIT, isqrt(x)), recording them in ``factors``; return what is left.
-
-    Every prime factor of ``x`` must be a candidate, so a leftover 1 < x < d^2
-    at the first untried d is prime: it is recorded too and 1 is returned.
-    Any other leftover has only prime factors above TRIAL_LIMIT."""
-    limit = min(TRIAL_LIMIT, isqrt(x))
-    while d <= limit:
-        if x % d == 0:
-            while x % d == 0:
-                factors[d] = factors.get(d, 0) + 1
-                x //= d
-            limit = min(TRIAL_LIMIT, isqrt(x))
-        d += step
-        step = wheel - step
-    if 1 < x < d * d:
-        factors[x] = factors.get(x, 0) + 1
-        return 1
-    return x
-
-
-def _wheel(x: int, factors: dict[int, int]) -> int:
-    """Trial division by 2, 3, 5 and then over the 6k +- 1 wheel; the leftover of ``_trial``."""
-    for p in (2, 3, 5):
-        while x % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            x //= p
-    return _trial(x, factors, 7, 4, 6)
-
-
 def _iroot(y: int, k: int) -> int:
     """floor(y ** (1/k)) for y >= 1, k >= 2, by Newton's method from above, in integers.
 
@@ -296,45 +261,85 @@ def _cyclotomic_value(b: int, d: int) -> int:
     return num // den
 
 
+def _trial(state: tuple, bound: int) -> tuple:
+    """Resume stage 1 on ``state`` = (x, pairs, known, d, step, wheel); return the
+    new state, with x what is left and ``pairs`` the (prime, exponent) pairs found.
+    The candidates, the ``known`` primes and then d, d + step, ... (steps alternate
+    with wheel - step), are divided out up to min(bound, isqrt(x)).
+
+    Every prime factor of x must be a candidate, so a leftover 1 < x < c^2 at the
+    first untried candidate c is prime; past TRIAL_LIMIT, so is one that passes
+    Miller-Rabin.  Either is recorded and x becomes 1.  Any other leftover has
+    only prime factors above the last candidate tried."""
+    x, pairs, known, d, step, wheel = state
+    found, limit = list(pairs), min(bound, isqrt(x))
+    candidates = known  # the progression is built only if the loop can reach it
+    if not known or known[-1] <= limit:
+        candidates = chain(known, accumulate(cycle((step, wheel - step)), initial=d))
+    for c in candidates:
+        if c > limit:
+            break
+        if x % c == 0:
+            x, a = x // c, 1
+            while x % c == 0:
+                x, a = x // c, a + 1
+            found.append((c, a))
+            limit = min(bound, isqrt(x))
+    if 1 < x and (x < c * c or c > TRIAL_LIMIT and is_probable_prime(x)):
+        found.append((x, 1))
+        x = 1
+    if x > 1 and c < d:  # resume at c, among the known primes or past them
+        known = known[known.index(c) :]
+    elif x > 1:
+        known, d, step = (), c, step if (c - d) % wheel == 0 else wheel - step
+    return x, found, known, d, step, wheel
+
+
 @lru_cache(maxsize=1024)
-def _piece_factors(b: int, d: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Stage 1 on Phi_d(b): its known (prime, exponent) pairs and its composite
-    cofactor (1 if none).  The primes of 2d come first, then trial division
-    over 1 + lcm(2, d)*j.  A prime r of Phi_d(b) not dividing 2d is odd, and
-    b has order d mod r, so every prime left is 1 mod lcm(2, d): a trial
-    candidate, as ``_trial`` requires."""
-    v = _cyclotomic_value(b, d)
-    factors: dict[int, int] = {}
-    for p in factorize(2 * d):
-        while v % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            v //= p
+def _piece(b: int, d: int) -> list[tuple]:
+    """The stage-1 state of Phi_d(b), in a one-item list that ``_stage`` advances.
+    The primes of 2d are known candidates, then 1 + lcm(2, d)*j.  A prime r of
+    Phi_d(b) not dividing 2d is odd, and b has order d mod r, so every other
+    prime is 1 mod lcm(2, d): a candidate, as ``_trial`` requires."""
     step = d if d % 2 == 0 else 2 * d
-    v = _trial(v, factors, 1 + step, step, 2 * step)
-    if v > 1:
-        v = _settle(v, factors)
-    return tuple(sorted(factors.items())), v
+    return [(_cyclotomic_value(b, d), (), tuple(factorize(2 * d)), 1 + step, step, 2 * step)]
 
 
-def _known_factors(x: int) -> tuple[dict[int, int], list[int]]:
-    """Stage 1 on ``x`` >= 2: the primes that trial division and Miller-Rabin
-    find, as {prime: exponent}, and the composite cofactors left, whose prime
-    factors all exceed TRIAL_LIMIT.  Above TRIAL_LIMIT**2, an x with
-    x + 1 = b^k, k >= 2, goes through its cyclotomic pieces."""
-    factors: dict[int, int] = {}
+def _pieces(x: int) -> list[list[tuple]]:
+    """The stage-1 states of ``x`` >= 2.  Above TRIAL_LIMIT**2, an x with
+    x + 1 = b^k, k >= 2, is the product of its cyclotomic pieces, whose states
+    are cached; any other x is one piece, ``_wheel(x)``."""
     if x > TRIAL_LIMIT * TRIAL_LIMIT:
         b, k = _power_base(x + 1)
         if k > 1:
-            cofactors = []
-            for d in range(1, k + 1):
-                if k % d == 0:
-                    pairs, y = _piece_factors(b, d)
-                    _add(factors, pairs)
-                    if y > 1:
-                        cofactors.append(y)
-            return dict(sorted(factors.items())), cofactors
-    y = _wheel(x, factors)
-    return factors, [y] if y > 1 and _settle(y, factors) > 1 else []
+            return [_piece(b, d) for d in range(1, k + 1) if k % d == 0]
+    return [_wheel(x)]
+
+
+_SMALL_PRIMES = _primes(isqrt(TRIAL_LIMIT))  # the primes up to 1024
+
+
+def _wheel(x: int) -> list[tuple]:
+    """The stage-1 state of ``x`` as one piece: the candidates are the primes up to
+    isqrt(TRIAL_LIMIT) = 1024, then the 6k +- 1 wheel from 1025."""
+    return [(x, (), _SMALL_PRIMES, 1025, 2, 6)]
+
+
+def _stage(pieces: list[list[tuple]], bound: int | None) -> tuple[dict[int, int], bool]:
+    """Run stage 1 on each piece up to ``bound``, or with ``bound`` None up to
+    TRIAL_LIMIT and then the finisher on each composite cofactor.  Returns the
+    {prime: exponent} map found and whether a piece is left open: unfactored,
+    with every prime above ``bound``."""
+    factors, open_ = {}, False
+    for piece in pieces:
+        piece[0] = state = _trial(piece[0], bound or TRIAL_LIMIT)
+        y, pairs = state[0], state[1]
+        if y > 1 and bound is None:
+            pairs = [*pairs, *_finish(y)]
+        for p, a in pairs:
+            factors[p] = factors.get(p, 0) + a
+        open_ = open_ or y > 1 and bound is not None
+    return factors, open_
 
 
 def factorize(x: int) -> dict[int, int]:
@@ -350,10 +355,11 @@ def factorize(x: int) -> dict[int, int]:
     """
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
-    factors, cofactors = _known_factors(x)
-    for y in cofactors:
-        _add(factors, _finish(y))
-    return dict(sorted(factors.items())) if cofactors else factors
+    if x <= TRIAL_LIMIT:  # one piece, which trial division alone factors
+        return dict(_trial(_wheel(x)[0], TRIAL_LIMIT)[1])
+    pieces = _pieces(x)
+    factors = _stage(pieces, None)[0]
+    return factors if len(pieces) == 1 else dict(sorted(factors.items()))
 
 
 def _walk(factors: dict[int, int]):
@@ -370,35 +376,48 @@ def _walk(factors: dict[int, int]):
             heappush(heap, (d * fac[j][0], j, 1))
 
 
+def _check_positive(x) -> None:
+    """ValueError unless ``x`` is an int >= 1; a bool is not an int."""
+    if type(x) is not int or x < 1:
+        raise ValueError(f"need an int x >= 1, got {x!r}")
+
+
 def divisors_ascending(x: int):
     """The divisors of ``x`` >= 1, smallest first, lazily; ``x`` is factored only
     as far as the walk goes.
 
-    The walk starts on the primes of stage 1.  Every prime of a composite
-    cofactor exceeds TRIAL_LIMIT, so a divisor <= TRIAL_LIMIT is a product of
-    those primes and needs no finisher.  The finisher splits the cofactors
-    only when the walk asks for more: at the first divisor above TRIAL_LIMIT,
-    or when the stage-1 divisors run out (7^43 - 1 has only 1, 2, 3, 6).  The
-    walk then goes on over the full factorization, past what it has yielded.
+    Stage 1 raises its trial bound, from 16 by squaring up to TRIAL_LIMIT, only
+    when the walk needs a larger divisor; each piece resumes where it stopped.
+    A divisor <= the bound is a product of primes <= it, all found, so the walk
+    yields every such divisor.  The finisher splits the cofactors only when the
+    walk needs more past TRIAL_LIMIT: a divisor above it, or more than the
+    stage-1 divisors (7^43 - 1 has only 1, 2, 3, 6).  After each step the walk
+    goes on over the larger factorization, past what it has yielded.
     """
-    factors, cofactors = _known_factors(x) if x > 1 else ({}, [])
-    last = 0
-    if cofactors:
+    _check_positive(x)
+    return _ascending(_pieces(x) if x > 1 else [])
+
+
+def _ascending(pieces: list[list[tuple]]):
+    bound, last = 16, 0
+    while True:
+        factors, open_ = _stage(pieces, bound)
         for d in _walk(factors):
-            if d > TRIAL_LIMIT:
+            if open_ and d > bound:
                 break
-            yield d
-            last = d
-        for y in cofactors:
-            _add(factors, _finish(y))
-    for d in _walk(factors):
-        if d > last:
-            yield d
+            if d > last:
+                yield d
+                last = d
+        if not open_:
+            return
+        bound = None if bound == TRIAL_LIMIT else min(bound * bound, TRIAL_LIMIT)
 
 
 def divisors(x: int) -> list[int]:
-    """All positive divisors of ``x``, sorted ascending."""
-    return list(divisors_ascending(x))
+    """All positive divisors of ``x`` >= 1, sorted ascending: one walk over
+    ``factorize(x)``."""
+    _check_positive(x)
+    return list(_walk(factorize(x) if x > 1 else {}))
 
 
 def euler_phi(e: int) -> int:

@@ -119,12 +119,8 @@ class TestFactorize:
 
     @staticmethod
     def wheel_factors(x):
-        """Both stages over the 6k +- 1 wheel alone, without the cyclotomic split."""
-        factors = {}
-        y = nt._wheel(x, factors)
-        if y > 1 and nt._settle(y, factors) > 1:
-            nt._add(factors, nt._finish(y))
-        return factors
+        """Both stages over the primes and the 6k +- 1 wheel alone, without the cyclotomic split."""
+        return nt._stage([nt._wheel(x)], None)[0]
 
     def test_split_matches_generic(self):
         checked = 0
@@ -296,6 +292,58 @@ class TestDivisorWalk:
         assert needs == {3**79 - 1: 432853009, 5**53 - 1: 5960555749,
                          7**43 - 1: 166003607842448777, 29**23 - 1: 131327761273,
                          31**23 - 1: 1509997}
+
+    def test_trial_bound_follows_the_walk(self, monkeypatch):
+        # stage 1 raises its trial bound, 16 -> 256 -> 65536 -> TRIAL_LIMIT,
+        # only when the walk needs a larger divisor, so reaching e tries no
+        # candidate above max(16, e^2)
+        tried = []
+
+        class Spy(int):
+            """An int that records each trial candidate it is reduced by."""
+
+            def __mod__(self, c):
+                tried.append(c)
+                return int(self) % c
+
+            def __floordiv__(self, c):
+                return Spy(int(self) // c)
+
+        value = nt._cyclotomic_value
+        monkeypatch.setattr(nt, "_cyclotomic_value", lambda b, d: Spy(value(b, d)))
+        checked = 0
+        try:
+            for q, m in self.certify_moduli():
+                nt._piece.cache_clear()
+                tried.clear()
+                e = next(bd._condition_divisors(q, m, 1), None)
+                if e is not None and e <= nt.TRIAL_LIMIT:
+                    assert tried and max(tried) <= max(16, e * e), (q, m, e, max(tried))
+                    checked += 1
+        finally:
+            nt._piece.cache_clear()
+        assert checked == 119
+
+    def test_walk_across_the_schedule_bounds(self):
+        # s and r are the primes next to each trial bound, below and above it
+        for s, bound, r in ((13, 16, 17), (251, 256, 257), (65521, 1 << 16, 65537),
+                            (1048573, nt.TRIAL_LIMIT, 1048583)):
+            assert [p for p in range(s, r + 1) if nt.is_probable_prime(p)] == [s, r] and s < bound < r
+            for x in (r * s, r * r):
+                assert list(nt.divisors_ascending(x)) == self.product_list(x), x
+
+    def test_walk_on_seeded_bands(self):
+        rng = random.Random(71)
+        for k in range(8, 91):
+            for x in (rng.randrange(1 << k, 1 << (k + 1)) for _ in range(3)):
+                assert list(nt.divisors_ascending(x)) == self.product_list(x), x
+
+    def test_rejects_bad_input(self):
+        for x in (0, -6, 6.0, "6", None, True):
+            with pytest.raises(ValueError, match="need an int x >= 1"):
+                nt.divisors_ascending(x)
+            with pytest.raises(ValueError, match="need an int x >= 1"):
+                nt.divisors(x)
 
     def test_prefix_of_a_large_walk(self):
         # 19^30 - 1 has 393,216 divisors; certify needs only the first 16
