@@ -13,10 +13,18 @@ prime by the division itself, so x < TRIAL_LIMIT**2 needs no Miller-Rabin.
 A larger leftover is a prime by Miller-Rabin (a proof below
 ``PROVEN_PRIME_BOUND``) or a composite cofactor, every prime of which
 exceeds ``TRIAL_LIMIT``.  Stage 2, the finisher, splits each composite
-cofactor by Lenstra's elliptic-curve method (ECM) on Montgomery curves with
-fixed parameters, stage 1 and a stage-2 continuation.  ``_BUDGET`` bounds
-the ECM work on each composite; a composite cofactor that survives it is
-reported, never mislabeled as prime.
+cofactor: an exact power b^k is taken to its base b, and a composite b is
+split by Lenstra's elliptic-curve method (ECM) on Montgomery curves with
+fixed parameters, stage 1 and a stage-2 continuation (Montgomery, *Speeding
+the Pollard and elliptic curve methods of factorization*, 1987).  A curve
+scales its points to Z = 1 where that saves products: the base point of its
+x-only ladder, and its stage-2 points by one simultaneous inversion per
+block.  Each scaling is by a unit mod n, which changes no gcd with n, so a
+curve returns the gcd of the unscaled computation; the one exception is a
+stage-2 block whose product of Z's is not a unit, where the curve returns
+that product's gcd with n.  ``_BUDGET`` bounds the ECM work on each
+composite; a composite cofactor that survives it is reported, never
+mislabeled as prime.
 
 ``factorize`` runs stage 1 straight to ``TRIAL_LIMIT`` and then the finisher;
 it is the one factoring entry point, and the cyclotomic pieces and
@@ -113,69 +121,118 @@ def _stage1_multiplier(b1: int) -> int:
     return k
 
 
-def _xdbl(x, z, a24, n):
-    """2P on y^2 = x^3 + Ax^2 + x in (X : Z) coordinates, a24 = (A + 2)/4."""
-    s = (x + z) * (x + z) % n
-    d = (x - z) * (x - z) % n
+def _ladder(k: int, x: int, a24: int, n: int) -> tuple[int, int]:
+    """kP = (X : Z) for P = (x : 1) on y^2 = x^3 + Ax^2 + x, a24 = (A + 2)/4, k >= 1.
+
+    Montgomery's ladder keeps (P0, P1) = (jP, (j + 1)P); each bit of k adds
+    them, with difference P, and doubles one.  As P has Z = 1, the sum costs
+    one product less than with a general difference."""
+    x0, z0 = x, 1
+    s, d = (x + 1) * (x + 1) % n, (x - 1) * (x - 1) % n
     t = s - d
-    return s * d % n, t * (d + a24 * t) % n
-
-
-def _xadd(x1, z1, x2, z2, xd, zd, n):
-    """P1 + P2 from P1, P2 and their difference (xd : zd)."""
-    u = (x1 - z1) * (x2 + z2)
-    v = (x1 + z1) * (x2 - z2)
-    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
-
-
-def _ladder(k, x, z, a24, n):
-    """kP by the Montgomery ladder, k >= 1."""
-    x0, z0 = x, z
-    x1, z1 = _xdbl(x, z, a24, n)
+    x1, z1 = s * d % n, t * (d + a24 * t) % n
     for bit in bin(k)[3:]:
-        if bit == "1":
-            x0, z0 = _xadd(x1, z1, x0, z0, x, z, n)
-            x1, z1 = _xdbl(x1, z1, a24, n)
-        else:
-            x1, z1 = _xadd(x0, z0, x1, z1, x, z, n)
-            x0, z0 = _xdbl(x0, z0, a24, n)
+        if bit == "1":  # P0 <- P0 + P1, P1 <- 2 P1
+            a, b = x1 + z1, x1 - z1
+            u = b * (x0 + z0) % n
+            v = a * (x0 - z0) % n
+            w, y = u + v, u - v
+            x0, z0 = w * w % n, x * y * y % n
+            s, d = a * a % n, b * b % n
+            t = s - d
+            x1 = s * d % n
+            z1 = t * (d + a24 * t) % n
+        else:  # P1 <- P0 + P1, P0 <- 2 P0
+            a, b = x0 + z0, x0 - z0
+            u = b * (x1 + z1) % n
+            v = a * (x1 - z1) % n
+            w, y = u + v, u - v
+            x1, z1 = w * w % n, x * y * y % n
+            s, d = a * a % n, b * b % n
+            t = s - d
+            x0 = s * d % n
+            z0 = t * (d + a24 * t) % n
     return x0, z0
 
 
+def _normalized(points: list[tuple[int, int]], n: int) -> tuple[int, list[int]]:
+    """(g, [X/Z mod n for each (X, Z) in ``points``]) by one inversion
+    (Montgomery's simultaneous inversion), with g = gcd(product of the Z's, n);
+    if g != 1 the list is empty."""
+    prefix = list(accumulate((z for _, z in points), lambda p, z: p * z % n))
+    g = gcd(prefix[-1], n)
+    if g != 1:
+        return g, []
+    inv = pow(prefix[-1], -1, n)  # 1 / (z_0 ... z_j) for j from the last down
+    xs = [0] * len(points)
+    for j in range(len(points) - 1, 0, -1):
+        x, z = points[j]
+        xs[j] = x * inv * prefix[j - 1] % n
+        inv = inv * z % n
+    xs[0] = points[0][0] * inv % n
+    return 1, xs
+
+
+def _ecm_giants(b1: int) -> range:
+    """The giant steps m of stage 2, from max(1, B1 // D) while m*D - D/2 <= B2."""
+    return range(max(1, b1 // _ECM_D), (_ECM_B2_RATIO * b1 + _ECM_D // 2) // _ECM_D + 1)
+
+
 def _ecm_curve(n: int, sigma: int, b1: int) -> int:
-    """One ECM curve with Suyama's parameter ``sigma``: a gcd that may be 1 or n."""
+    """One ECM curve with Suyama's parameter ``sigma``: a gcd that may be 1 or n.
+
+    Each point is scaled to Z = 1 where that saves products: the base point
+    of the stage-1 ladder, and the baby and giant points of stage 2, by one
+    inversion per block of at most len(_ECM_BABY) points.  Every scaling is by
+    a unit mod n, and a unit changes no gcd with n, so the curve returns the
+    gcd of the unscaled computation, whose stage-2 term for a giant G and a
+    baby B is X_G Z_B - X_B Z_G.  The one exception: if the product of a
+    block's Z's is not a unit, the curve returns its gcd with n, as stage 1
+    does with its Z."""
     u, v = (sigma * sigma - 5) % n, 4 * sigma % n
-    x, z = u * u * u % n, v * v * v % n
+    x = u * u * u % n
     den = 16 * x * v % n  # a24 = (v - u)^3 (3u + v) / (16 u^3 v)
     g = gcd(den, n)
     if g != 1:
         return g
-    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
-    x, z = _ladder(_stage1_multiplier(b1), x, z, a24, n)
+    inv = pow(den, -1, n)
+    a24 = pow(v - u, 3, n) * (3 * u + v) * inv % n
+    w = 16 * x * u * inv % n  # u / v, so the base point (u^3 : v^3) is (w^3 : 1)
+    x, z = _ladder(_stage1_multiplier(b1), w * w * w % n, a24, n)
     g = gcd(z, n)
     if g != 1:
         return g
     # stage 2: a prime l in (B1, B2] is m*D +- i; l*Q = 0 forces mD*Q = +-i*Q,
-    # which the cross product of the x coordinates detects
-    babies = [_ladder(i, x, z, a24, n) for i in _ECM_BABY]
-    m = max(1, b1 // _ECM_D)
-    xs, zs = _ladder(_ECM_D, x, z, a24, n)
-    xg, zg = _ladder(m * _ECM_D, x, z, a24, n)
-    xh, zh = _ladder((m + 1) * _ECM_D, x, z, a24, n)
+    # which the difference of the normalized x coordinates detects
+    x = x * pow(z, -1, n) % n
+    g, babies = _normalized([_ladder(i, x, a24, n) for i in _ECM_BABY], n)
+    if g != 1:
+        return g
+    giants = _ecm_giants(b1)
+    xs, zs = _ladder(_ECM_D, x, a24, n)
+    xg, zg = _ladder(giants.start * _ECM_D, x, a24, n)
+    xh, zh = _ladder((giants.start + 1) * _ECM_D, x, a24, n)
     acc = 1
-    while m * _ECM_D - _ECM_D // 2 <= _ECM_B2_RATIO * b1:
-        for xi, zi in babies:
-            acc = acc * (xg * zi - xi * zg) % n
-        xg, zg, (xh, zh) = xh, zh, _xadd(xh, zh, xs, zs, xg, zg, n)
-        m += 1
+    for start in range(0, len(giants), len(_ECM_BABY)):
+        block = []
+        for _ in giants[start : start + len(_ECM_BABY)]:
+            block.append((xg, zg))
+            u = (xh - zh) * (xs + zs) % n  # (m + 2)D = (m + 1)D + D, difference mD
+            v = (xh + zh) * (xs - zs) % n
+            w, y = u + v, u - v
+            xg, zg, xh, zh = xh, zh, zg * w * w % n, xg * y * y % n
+        g, block = _normalized(block, n)
+        if g != 1:
+            return g
+        for xm in block:
+            for xb in babies:
+                acc = acc * (xm - xb) % n
     return gcd(acc, n)
 
 
 def _ecm_cost(b1: int) -> int:
-    """Budget units of one curve: stage-1 ladder steps plus stage-2 products."""
-    b2 = _ECM_B2_RATIO * b1
-    giants = (b2 + _ECM_D // 2) // _ECM_D - max(1, b1 // _ECM_D) + 1
-    return _stage1_multiplier(b1).bit_length() + giants * len(_ECM_BABY)
+    """Budget units of one curve: stage-1 ladder steps plus stage-2 terms."""
+    return _stage1_multiplier(b1).bit_length() + len(_ecm_giants(b1)) * len(_ECM_BABY)
 
 
 def _ecm(n: int, budget: int) -> int:
@@ -200,19 +257,29 @@ def _ecm(n: int, budget: int) -> int:
 
 @lru_cache(maxsize=256)
 def _finish(y: int) -> tuple[tuple[int, int], ...]:
-    """Stage 2: the (prime, exponent) pairs of the composite ``y``, split by ECM."""
+    """Stage 2: the (prime, exponent) pairs of the composite ``y``.
+
+    Each composite is first reduced to its power base: b^k, k maximal, stands
+    for b with k times the exponent.  ECM finds the prime p of p^2 no sooner
+    than a prime of the same size in p*q, while ``_power_base`` takes it at
+    once.  A composite b is split by ECM."""
     factors: dict[int, int] = {}
-    stack = [y]
+    stack = [(y, 1)]
     while stack:
-        y = stack.pop()
+        y, k = stack.pop()
+        y, j = _power_base(y)
+        k *= j
+        if j > 1 and is_probable_prime(y):
+            factors[y] = factors.get(y, 0) + k
+            continue
         g = _ecm(y, _BUDGET)
         if g == 0:
             raise FactorizationIncomplete(y)
         for z in (g, y // g):
             if is_probable_prime(z):
-                factors[z] = factors.get(z, 0) + 1
+                factors[z] = factors.get(z, 0) + k
             else:
-                stack.append(z)
+                stack.append((z, k))
     return tuple(sorted(factors.items()))
 
 

@@ -57,11 +57,27 @@ class TestFactorize:
         assert nt.factorize(m31 * m61) == {m31: 1, m61: 1}
 
     def test_incomplete_budget(self, monkeypatch):
-        mersenne = 2**61 - 1
+        # an exact power needs no ECM curve, so only the product is left open
+        m31, m61 = 2**31 - 1, 2**61 - 1
         monkeypatch.setattr(nt, "_BUDGET", 1)
-        with pytest.raises(nt.FactorizationIncomplete) as exc:
-            nt.factorize(mersenne**2)
-        assert exc.value.cofactor == mersenne**2
+        nt._finish.cache_clear()
+        try:
+            assert nt.factorize(m61**2) == {m61: 2}
+            with pytest.raises(nt.FactorizationIncomplete) as exc:
+                nt.factorize(m31 * m61)
+        finally:
+            nt._finish.cache_clear()
+        assert exc.value.cofactor == m31 * m61
+
+    def test_exact_powers_of_large_primes(self):
+        # the square of a 64-bit prime is as hard for ECM as a product of two
+        # such primes, and the ECM budget ran out on it; the finisher takes
+        # its root instead, also after ECM has split off r
+        rng = random.Random(61)
+        r = seeded_prime(rng, 25)
+        for p in [10808818712792617177, *(seeded_prime(rng, 64) for _ in range(2))]:
+            assert nt.factorize(p**2) == {p: 2}
+            assert nt.factorize(p**2 * r) == {p: 2, r: 1}
 
     def test_rejects_small(self):
         with pytest.raises(ValueError, match="need x >= 2, got 1"):
@@ -166,6 +182,117 @@ class TestFactorize:
         sympy = pytest.importorskip("sympy")
         for x, fac in factorized_samples():
             assert fac == sympy.factorint(x), x
+
+
+def seeded_prime(rng, bits):
+    """The least prime >= a seeded odd number of ``bits`` bits."""
+    p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+    while not nt.is_probable_prime(p):
+        p += 2
+    return p
+
+
+def reference_ladder(k, x, z, a24, n):
+    """kP by the Montgomery ladder on a P = (x : z) of any z, k >= 1: the
+    ladder of ECM before it normalized its base point."""
+
+    def xdbl(x, z):
+        s = (x + z) * (x + z) % n
+        d = (x - z) * (x - z) % n
+        t = s - d
+        return s * d % n, t * (d + a24 * t) % n
+
+    def xadd(x1, z1, x2, z2):
+        u = (x1 - z1) * (x2 + z2)
+        v = (x1 + z1) * (x2 - z2)
+        return z * (u + v) ** 2 % n, x * (u - v) ** 2 % n
+
+    x0, z0 = x, z
+    x1, z1 = xdbl(x, z)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            x0, z0 = xadd(x1, z1, x0, z0)
+            x1, z1 = xdbl(x1, z1)
+        else:
+            x1, z1 = xadd(x0, z0, x1, z1)
+            x0, z0 = xdbl(x0, z0)
+    return x0, z0
+
+
+def reference_curve(n, sigma, b1):
+    """(gcd, branch) of one ECM curve as it ran before its points were
+    normalized: unnormalized ladders and the stage-2 term X_G Z_B - X_B Z_G.
+    The branch that returned is "den", "stage 1" or "stage 2", or "stage 2 Z"
+    when the product of the stage-2 Z's is not a unit."""
+    u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+    x, z = u * u * u % n, v * v * v % n
+    den = 16 * x * v % n
+    if gcd(den, n) != 1:
+        return gcd(den, n), "den"
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+    x, z = reference_ladder(nt._stage1_multiplier(b1), x, z, a24, n)
+    if gcd(z, n) != 1:
+        return gcd(z, n), "stage 1"
+    babies = [reference_ladder(i, x, z, a24, n) for i in nt._ECM_BABY]
+    m = max(1, b1 // nt._ECM_D)
+    xs, zs = reference_ladder(nt._ECM_D, x, z, a24, n)
+    xg, zg = reference_ladder(m * nt._ECM_D, x, z, a24, n)
+    xh, zh = reference_ladder((m + 1) * nt._ECM_D, x, z, a24, n)
+    acc, zs_product = 1, prod(zi for _, zi in babies) % n
+    while m * nt._ECM_D - nt._ECM_D // 2 <= nt._ECM_B2_RATIO * b1:
+        zs_product = zs_product * zg % n
+        for xi, zi in babies:
+            acc = acc * (xg * zi - xi * zg) % n
+        u = (xh - zh) * (xs + zs)
+        v = (xh + zh) * (xs - zs)
+        xg, zg, xh, zh = xh, zh, zg * (u + v) ** 2 % n, xg * (u - v) ** 2 % n
+        m += 1
+    return gcd(acc, n), "stage 2" if gcd(zs_product, n) == 1 else "stage 2 Z"
+
+
+# (n, sigma, B1) of the curve that splits each composite cofactor the
+# finisher meets on the certify moduli 3^79, 5^53, 7^43, 29^23 and 31^23 - 1
+CERTIFY_SPLITS = [
+    (24634804902390987219347201701063882933, 6, 2000),
+    (56912634058623321755277902437, 11, 2000),
+    (2775557561562891351059079170227050781, 6, 2000),
+    (102247936477613721269, 8, 2000),
+    (363969062665299433184885375458972057, 33, 11000),
+    (154168597062479134669314941883571, 6, 2000),
+    (667110388134976008804624141476513, 6, 2000),
+    (10836304360474553035470649, 6, 2000),
+]
+
+
+class TestEcmCurve:
+    """The normalized curve against the reference: its scalings are by units
+    mod n, so it returns the reference's gcd, except where a product of
+    stage-2 Z's is not a unit, where it returns a gcd > 1."""
+
+    @staticmethod
+    def samples():
+        rng = random.Random(67)
+        semiprimes = [seeded_prime(rng, rng.randrange(22, 41)) * seeded_prime(rng, rng.randrange(22, 41))
+                      for _ in range(350)]
+        cases = [(n, rng.randrange(6, 1 << 32), rng.choice((50, 120, 300))) for n in semiprimes[:300]]
+        cases += [(n * rng.choice((2, 3, 5, 7, 11, 13)), rng.randrange(6, 1 << 32), rng.choice((50, 120, 300)))
+                  for n in semiprimes[300:]]
+        return cases + CERTIFY_SPLITS
+
+    def test_same_gcd_as_the_reference(self):
+        branches = {}
+        for n, sigma, b1 in self.samples():
+            want, branch = reference_curve(n, sigma, b1)
+            got = nt._ecm_curve(n, sigma, b1)
+            if branch == "stage 2 Z":
+                assert got > 1, (n, sigma, b1)
+            else:
+                assert got == want, (n, sigma, b1)
+            assert 1 < want < n or (n, sigma, b1) not in CERTIFY_SPLITS
+            branches[branch] = branches.get(branch, 0) + (1 < want < n)
+        # every branch ran, and stage 1 and stage 2 each split many n
+        assert set(branches) == {"den", "stage 1", "stage 2", "stage 2 Z"}, branches
+        assert branches["stage 1"] >= 20 and branches["stage 2"] >= 20, branches
 
 
 @lru_cache(maxsize=None)

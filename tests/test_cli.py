@@ -19,6 +19,11 @@ def run(capsys, *argv):
     return code, out, err
 
 
+# ECM curves the finisher runs, from a cleared cache, on each q^m - 1 whose
+# least passing divisor needs it: 42 curves on 8 composite cofactors
+FINISHER_CURVES = {(3, 79): 7, (5, 53): 4, (7, 43): 28, (29, 23): 1, (31, 23): 2}
+
+
 class TestCode:
     def test_text(self, capsys):
         code, out, _ = run(capsys, "code", "3", "2", "1")
@@ -136,12 +141,22 @@ class TestBounds:
     @pytest.mark.parametrize("q, m, e", [(3, 79, 432853009), (5, 53, 5960555749),
                                          (7, 43, 166003607842448777), (29, 23, 131327761273),
                                          (31, 23, 1509997)])
-    def test_divisor_witness_past_the_trial_bound(self, capsys, q, m, e):
+    def test_divisor_witness_past_the_trial_bound(self, capsys, monkeypatch, q, m, e):
         # the five certify moduli whose least divisor needs the finisher; for
-        # 7^43 - 1 the stage-1 divisors 1, 2, 3, 6 run out below TRIAL_LIMIT
-        code, out, _ = run(capsys, "bounds", str(q), str(m), "1", "--format", "json")
+        # 7^43 - 1 the stage-1 divisors 1, 2, 3, 6 run out below TRIAL_LIMIT.
+        # Each takes the ECM curves of FINISHER_CURVES, 42 in all; the cache
+        # is cleared so that the finisher runs
+        calls = []
+        curve = nt._ecm_curve
+        monkeypatch.setattr(nt, "_ecm_curve", lambda *args: calls.append(args) or curve(*args))
+        nt._finish.cache_clear()
+        try:
+            code, out, _ = run(capsys, "bounds", str(q), str(m), "1", "--format", "json")
+        finally:
+            nt._finish.cache_clear()
         assert code == 0
         assert ["divisor_e", e] in json.loads(out)["witnesses"]
+        assert len(calls) == FINISHER_CURVES[q, m]
 
     @pytest.mark.parametrize("q, m, e", [(19, 29, 59), (11, 31, 50159)])
     def test_divisor_walk_skips_the_finisher(self, capsys, monkeypatch, q, m, e):
