@@ -48,10 +48,10 @@ class CodeSpec:
     variant: str = "omega"
 
     def __post_init__(self):
-        if any(type(v) is not int for v in (self.q, self.m, self.h)):
-            raise ValueError(f"q, m and h must be integers, got {(self.q, self.m, self.h)!r}")
+        if type(self.h) is not int:
+            raise ValueError(f"h must be an integer, got {self.h!r}")
         # (q, m) and h first: they are O(1), and reject q^m - 1 beyond 128 bits
-        # before q is factored
+        # before q is factored; QadicParams refuses a q or m that is not an int
         check_h(self.params, self.h)
         prime_power_split(self.q)  # raises if q is not a prime power
         if self.variant not in VARIANTS:

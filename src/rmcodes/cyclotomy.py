@@ -35,6 +35,8 @@ class QadicParams:
     m: int
 
     def __post_init__(self):
+        if type(self.q) is not int or type(self.m) is not int:
+            raise ValueError(f"q and m must be integers, got {(self.q, self.m)!r}")
         if self.q < 2:
             raise ValueError(f"need q >= 2, got {self.q}")
         if self.m < 2:
@@ -50,6 +52,8 @@ class QadicParams:
 
 def q_digits(params: QadicParams, a: int) -> tuple[int, ...]:
     """The m base-q digits of a, lowest first; requires 0 <= a <= n-1."""
+    if type(a) is not int:
+        raise ValueError(f"need an int a, got {a!r}")
     if not 0 <= a <= params.n - 1:
         raise ValueError(f"need 0 <= a <= {params.n - 1}, got {a}")
     q = params.q
@@ -173,6 +177,8 @@ def fold_exponent(params: QadicParams, a: int) -> int:
     bounded-weight exponent of any extension length therefore folds to a
     bounded-weight exponent mod n: 0 stays 0, and a >= 1 ends in [1, n].
     """
+    if type(a) is not int:
+        raise ValueError(f"need an int a, got {a!r}")
     if a < 0:
         raise ValueError(f"need a >= 0, got {a}")
     qm = params.q**params.m

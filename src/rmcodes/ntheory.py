@@ -2,10 +2,10 @@
 
 Everything here is deterministic and uses arbitrary-precision integers only.
 Factoring runs in two stages.  Stage 1 is trial division, then Miller-Rabin
-on what is left; it is resumable, as each piece of x keeps its state.  An
+on what is left: a pure function of x and the trial bound.  An
 x = b^k - 1 beyond the reach of trial division is split into its cyclotomic
 pieces Phi_d(b), d | k (Brillhart et al., *Factorizations of b^n +- 1*),
-whose states are cached.  A prime factor of Phi_d(b) divides d or is 1 mod d,
+each cached per bound.  A prime factor of Phi_d(b) divides d or is 1 mod d,
 so its candidates are the primes of 2d, then 1 + lcm(2, d)*j.  Any other x
 is divided by the primes up to 1024, then over the 6k +- 1 wheel.  Both go
 up to ``TRIAL_LIMIT``; a leftover below the square of the next candidate is
@@ -43,7 +43,7 @@ caller with many units mod the same e builds the group once and asks it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from heapq import heappop, heappush
 from itertools import accumulate, chain, combinations, compress, cycle
 from math import gcd, isqrt, prod
@@ -125,34 +125,29 @@ def _ladder(k: int, x: int, a24: int, n: int) -> tuple[int, int]:
     """kP = (X : Z) for P = (x : 1) on y^2 = x^3 + Ax^2 + x, a24 = (A + 2)/4, k >= 1.
 
     Montgomery's ladder keeps (P0, P1) = (jP, (j + 1)P); each bit of k adds
-    them, with difference P, and doubles one.  As P has Z = 1, the sum costs
-    one product less than with a general difference."""
+    them, with difference P, and doubles P0 on a 0 bit, P1 on a 1 bit.  One
+    body does both, as the pair is kept swapped while the bits are 1.  As P
+    has Z = 1, the sum costs one product less than with a general difference."""
     x0, z0 = x, 1
     s, d = (x + 1) * (x + 1) % n, (x - 1) * (x - 1) % n
     t = s - d
     x1, z1 = s * d % n, t * (d + a24 * t) % n
+    swapped = "0"
     for bit in bin(k)[3:]:
-        if bit == "1":  # P0 <- P0 + P1, P1 <- 2 P1
-            a, b = x1 + z1, x1 - z1
-            u = b * (x0 + z0) % n
-            v = a * (x0 - z0) % n
-            w, y = u + v, u - v
-            x0, z0 = w * w % n, x * y * y % n
-            s, d = a * a % n, b * b % n
-            t = s - d
-            x1 = s * d % n
-            z1 = t * (d + a24 * t) % n
-        else:  # P1 <- P0 + P1, P0 <- 2 P0
-            a, b = x0 + z0, x0 - z0
-            u = b * (x1 + z1) % n
-            v = a * (x1 - z1) % n
-            w, y = u + v, u - v
-            x1, z1 = w * w % n, x * y * y % n
-            s, d = a * a % n, b * b % n
-            t = s - d
-            x0 = s * d % n
-            z0 = t * (d + a24 * t) % n
-    return x0, z0
+        if bit != swapped:
+            x0, x1 = x1, x0
+            z0, z1 = z1, z0
+            swapped = bit
+        a, b = x0 + z0, x0 - z0
+        u = b * (x1 + z1) % n
+        v = a * (x1 - z1) % n
+        w, y = u + v, u - v
+        x1, z1 = w * w % n, x * y * y % n
+        s, d = a * a % n, b * b % n
+        t = s - d
+        x0 = s * d % n
+        z0 = t * (d + a24 * t) % n
+    return (x1, z1) if swapped == "1" else (x0, z0)
 
 
 def _normalized(points: list[tuple[int, int]], n: int) -> tuple[int, list[int]]:
@@ -328,20 +323,19 @@ def _cyclotomic_value(b: int, d: int) -> int:
     return num // den
 
 
-def _trial(state: tuple, bound: int) -> tuple:
-    """Resume stage 1 on ``state`` = (x, pairs, known, d, step, wheel); return the
-    new state, with x what is left and ``pairs`` the (prime, exponent) pairs found.
-    The candidates, the ``known`` primes and then d, d + step, ... (steps alternate
-    with wheel - step), are divided out up to min(bound, isqrt(x)).
+def _trial(x: int, known: tuple[int, ...], d: int, step: int, wheel: int,
+           bound: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Stage 1 on ``x`` up to ``bound``: (what is left of x, the (prime, exponent)
+    pairs found).  The candidates, the ``known`` primes and then d, d + step, ...
+    (steps alternate with wheel - step), are divided out up to min(bound, isqrt(x)).
 
     Every prime factor of x must be a candidate, so a leftover 1 < x < c^2 at the
     first untried candidate c is prime; past TRIAL_LIMIT, so is one that passes
     Miller-Rabin.  Either is recorded and x becomes 1.  Any other leftover has
     only prime factors above the last candidate tried."""
-    x, pairs, known, d, step, wheel = state
-    found, limit = list(pairs), min(bound, isqrt(x))
+    found, limit = [], min(bound, isqrt(x))
     candidates = known  # the progression is built only if the loop can reach it
-    if not known or known[-1] <= limit:
+    if known[-1] <= limit:
         candidates = chain(known, accumulate(cycle((step, wheel - step)), initial=d))
     for c in candidates:
         if c > limit:
@@ -355,54 +349,52 @@ def _trial(state: tuple, bound: int) -> tuple:
     if 1 < x and (x < c * c or c > TRIAL_LIMIT and is_probable_prime(x)):
         found.append((x, 1))
         x = 1
-    if x > 1 and c < d:  # resume at c, among the known primes or past them
-        known = known[known.index(c) :]
-    elif x > 1:
-        known, d, step = (), c, step if (c - d) % wheel == 0 else wheel - step
-    return x, found, known, d, step, wheel
+    return x, tuple(found)
 
 
 @lru_cache(maxsize=1024)
-def _piece(b: int, d: int) -> list[tuple]:
-    """The stage-1 state of Phi_d(b), in a one-item list that ``_stage`` advances.
-    The primes of 2d are known candidates, then 1 + lcm(2, d)*j.  A prime r of
-    Phi_d(b) not dividing 2d is odd, and b has order d mod r, so every other
-    prime is 1 mod lcm(2, d): a candidate, as ``_trial`` requires."""
+def _piece(b: int, d: int, bound: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Stage 1 on Phi_d(b) up to ``bound``, as ``_trial`` returns it.  The primes
+    of 2d are known candidates, then 1 + lcm(2, d)*j.  A prime r of Phi_d(b) not
+    dividing 2d is odd, and b has order d mod r, so every other prime is
+    1 mod lcm(2, d): a candidate, as ``_trial`` requires."""
     step = d if d % 2 == 0 else 2 * d
-    return [(_cyclotomic_value(b, d), (), tuple(factorize(2 * d)), 1 + step, step, 2 * step)]
+    return _trial(_cyclotomic_value(b, d), tuple(factorize(2 * d)), 1 + step, step, 2 * step, bound)
 
 
-def _pieces(x: int) -> list[list[tuple]]:
-    """The stage-1 states of ``x`` >= 2.  Above TRIAL_LIMIT**2, an x with
-    x + 1 = b^k, k >= 2, is the product of its cyclotomic pieces, whose states
-    are cached; any other x is one piece, ``_wheel(x)``."""
+def _pieces(x: int) -> list:
+    """The pieces of ``x`` >= 2, each stage 1 on it as a function of the trial
+    bound.  Above TRIAL_LIMIT**2, an x with x + 1 = b^k, k >= 2, is the product
+    of its cyclotomic pieces, ``_piece(b, d, bound)`` for d | k; any other x is
+    one piece, ``_wheel(x)``, memoized for the life of the list, as the
+    finisher step of a walk asks it again at TRIAL_LIMIT."""
     if x > TRIAL_LIMIT * TRIAL_LIMIT:
         b, k = _power_base(x + 1)
         if k > 1:
-            return [_piece(b, d) for d in range(1, k + 1) if k % d == 0]
-    return [_wheel(x)]
+            return [partial(_piece, b, d) for d in range(1, k + 1) if k % d == 0]
+    return [cache(_wheel(x))]
 
 
 _SMALL_PRIMES = _primes(isqrt(TRIAL_LIMIT))  # the primes up to 1024
 
 
-def _wheel(x: int) -> list[tuple]:
-    """The stage-1 state of ``x`` as one piece: the candidates are the primes up to
-    isqrt(TRIAL_LIMIT) = 1024, then the 6k +- 1 wheel from 1025."""
-    return [(x, (), _SMALL_PRIMES, 1025, 2, 6)]
+def _wheel(x: int) -> partial:
+    """Stage 1 on ``x`` as one piece, as a function of the trial bound: the
+    candidates are the primes up to isqrt(TRIAL_LIMIT) = 1024, then the
+    6k +- 1 wheel from 1025."""
+    return partial(_trial, x, _SMALL_PRIMES, 1025, 2, 6)
 
 
-def _stage(pieces: list[list[tuple]], bound: int | None) -> tuple[dict[int, int], bool]:
+def _stage(pieces: list, bound: int | None) -> tuple[dict[int, int], bool]:
     """Run stage 1 on each piece up to ``bound``, or with ``bound`` None up to
     TRIAL_LIMIT and then the finisher on each composite cofactor.  Returns the
     {prime: exponent} map found and whether a piece is left open: unfactored,
     with every prime above ``bound``."""
     factors, open_ = {}, False
     for piece in pieces:
-        piece[0] = state = _trial(piece[0], bound or TRIAL_LIMIT)
-        y, pairs = state[0], state[1]
+        y, pairs = piece(bound or TRIAL_LIMIT)
         if y > 1 and bound is None:
-            pairs = [*pairs, *_finish(y)]
+            pairs += _finish(y)
         for p, a in pairs:
             factors[p] = factors.get(p, 0) + a
         open_ = open_ or y > 1 and bound is not None
@@ -423,7 +415,7 @@ def factorize(x: int) -> dict[int, int]:
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
     if x <= TRIAL_LIMIT:  # one piece, which trial division alone factors
-        return dict(_trial(_wheel(x)[0], TRIAL_LIMIT)[1])
+        return dict(_wheel(x)(TRIAL_LIMIT)[1])
     pieces = _pieces(x)
     factors = _stage(pieces, None)[0]
     return factors if len(pieces) == 1 else dict(sorted(factors.items()))
@@ -454,7 +446,7 @@ def divisors_ascending(x: int):
     as far as the walk goes.
 
     Stage 1 raises its trial bound, from 16 by squaring up to TRIAL_LIMIT, only
-    when the walk needs a larger divisor; each piece resumes where it stopped.
+    when the walk needs a larger divisor, and runs afresh at each bound.
     A divisor <= the bound is a product of primes <= it, all found, so the walk
     yields every such divisor.  The finisher splits the cofactors only when the
     walk needs more past TRIAL_LIMIT: a divisor above it, or more than the
@@ -465,7 +457,7 @@ def divisors_ascending(x: int):
     return _ascending(_pieces(x) if x > 1 else [])
 
 
-def _ascending(pieces: list[list[tuple]]):
+def _ascending(pieces: list):
     bound, last = 16, 0
     while True:
         factors, open_ = _stage(pieces, bound)

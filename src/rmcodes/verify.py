@@ -403,7 +403,7 @@ def run_checks(only: str | None = None, seed: int = DEFAULT_SEED) -> list[CheckR
     """Run the verification suite; ``only`` filters by group number or name (a
     check id such as 3.5, or 6.runtime, selects its group); ValueError for any other value."""
     group_filter = None
-    if only:
+    if only is not None:
         by_name = {v: k for k, v in GROUP_NAMES.items()}
         group_filter = by_name.get(only, only.split(".")[0])
         row_ids = {cid for cid, _ in CHECKS} | {f"{g}.runtime" for g in GROUP_TIME_LIMITS}

@@ -2,6 +2,7 @@ import hashlib
 import random
 import time
 from functools import lru_cache
+from itertools import takewhile, zip_longest
 from math import comb, gcd, prod
 
 import pytest
@@ -264,6 +265,52 @@ CERTIFY_SPLITS = [
 ]
 
 
+def two_branch_ladder(k, x, a24, n):
+    """kP for P = (x : 1): the ladder with one mirrored loop body per bit value,
+    as ECM ran it before the two bodies became one."""
+    x0, z0 = x, 1
+    s, d = (x + 1) * (x + 1) % n, (x - 1) * (x - 1) % n
+    t = s - d
+    x1, z1 = s * d % n, t * (d + a24 * t) % n
+    for bit in bin(k)[3:]:
+        if bit == "1":  # P0 <- P0 + P1, P1 <- 2 P1
+            a, b = x1 + z1, x1 - z1
+            u = b * (x0 + z0) % n
+            v = a * (x0 - z0) % n
+            w, y = u + v, u - v
+            x0, z0 = w * w % n, x * y * y % n
+            s, d = a * a % n, b * b % n
+            t = s - d
+            x1 = s * d % n
+            z1 = t * (d + a24 * t) % n
+        else:  # P1 <- P0 + P1, P0 <- 2 P0
+            a, b = x0 + z0, x0 - z0
+            u = b * (x1 + z1) % n
+            v = a * (x1 - z1) % n
+            w, y = u + v, u - v
+            x1, z1 = w * w % n, x * y * y % n
+            s, d = a * a % n, b * b % n
+            t = s - d
+            x0 = s * d % n
+            z0 = t * (d + a24 * t) % n
+    return x0, z0
+
+
+class TestLadder:
+    def test_one_body_matches_two_branches(self):
+        # k: the smallest, the stage-1 multiplier at B1 = 2000, long runs of
+        # 1 bits and of 0 bits, and seeded bit strings
+        rng = random.Random(73)
+        ks = [1, 2, 3, nt._stage1_multiplier(2000), (1 << 64) - 1, 1 << 64, ((1 << 40) - 1) << 40,
+              (1 << 80) + 1, int("1" * 30 + "0" * 30 + "1" * 30 + "0" * 30, 2)]
+        ks += [rng.getrandbits(rng.randrange(2, 200)) | 1 for _ in range(20)]
+        for _ in range(40):
+            n = seeded_prime(rng, rng.randrange(22, 41)) * seeded_prime(rng, rng.randrange(22, 41))
+            x, a24 = rng.randrange(n), rng.randrange(n)
+            for k in ks:
+                assert nt._ladder(k, x, a24, n) == two_branch_ladder(k, x, a24, n), (k, x, a24, n)
+
+
 class TestEcmCurve:
     """The normalized curve against the reference: its scalings are by units
     mod n, so it returns the reference's gcd, except where a product of
@@ -450,6 +497,32 @@ class TestDivisorWalk:
         finally:
             nt._piece.cache_clear()
         assert checked == 119
+
+    def test_stage_one_is_a_function_of_piece_and_bound(self):
+        # 3^78 - 1 and 3^52 - 1 share Phi_d(3) for d in {1, 2, 13, 26}; factoring
+        # the one must not change what stage 1 reports on the other
+        nt._piece.cache_clear()
+        fresh = nt._stage(nt._pieces(3**52 - 1), 16)
+        nt.factorize(3**78 - 1)
+        assert fresh == nt._stage(nt._pieces(3**52 - 1), 16) == ({2: 4, 5: 1}, True)
+
+    def test_interleaved_walks_on_shared_pieces(self):
+        # each of two walks over shared pieces, advanced in turn, yields what
+        # it yields walked alone from an empty cache
+        def walk(x):
+            return takewhile(lambda d: d <= 10**12, nt.divisors_ascending(x))
+
+        xs, alone = (3**78 - 1, 3**52 - 1), []
+        for x in xs:
+            nt._piece.cache_clear()
+            alone.append(list(walk(x)))
+        nt._piece.cache_clear()
+        got = [[], []]
+        for pair in zip_longest(*map(walk, xs)):
+            for divs, d in zip(got, pair):
+                if d is not None:
+                    divs.append(d)
+        assert got == alone and [len(a) for a in alone] == [1720, 74]
 
     def test_walk_across_the_schedule_bounds(self):
         # s and r are the primes next to each trial bound, below and above it

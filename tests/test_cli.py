@@ -322,8 +322,8 @@ class TestVerifyPaper:
         assert "FAIL" in proc.stdout and "(99, 99, 99)" in proc.stdout
 
     # a dotted value must name a check or a runtime row: 3.9 and 3.x name none
-    # in group 3, and group 3 has no runtime row
-    @pytest.mark.parametrize("only", ["bogus", "9", "9.1", "3.9", "3.x", "3.runtime"])
+    # in group 3, and group 3 has no runtime row; an empty value names no group
+    @pytest.mark.parametrize("only", ["bogus", "9", "9.1", "3.9", "3.x", "3.runtime", ""])
     def test_unknown_group_is_a_usage_error(self, capsys, only):
         code, out, err = run(capsys, "verify-paper", "--only", only)
         assert code == 2

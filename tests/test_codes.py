@@ -36,9 +36,10 @@ class TestCodeSpec:
     def test_n(self):
         assert CodeSpec(3, 4, 2).n == 80
 
+    # QadicParams refuses a q or m that is not an int, CodeSpec an h
     @pytest.mark.parametrize("args", [(3, 2.0, 1), (3.0, 2, 1), (3, 2, 1.0), ("3", 2, 1), (3, 2, True)])
     def test_non_integer_parameters(self, args):
-        with pytest.raises(ValueError, match="q, m and h must be integers"):
+        with pytest.raises(ValueError, match="(q and m|h) must be (integers|an integer)"):
             CodeSpec(*args)
 
 

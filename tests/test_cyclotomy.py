@@ -67,6 +67,21 @@ class TestDigitsAndWeight:
             QadicParams(3, 10**7)
         assert time.perf_counter() - start < 1.0
 
+    def test_non_integer_parameters_and_exponents(self):
+        for q, m in ((2, 3.5), (2.0, 3), (3, 2.0), ("2", 3), (True, 3), (2, True)):
+            with pytest.raises(ValueError, match="q and m must be integers"):
+                QadicParams(q, m)
+        # QadicParams(2.0, 3) would compare and hash equal to the cached (2, 3)
+        assert index_set(QadicParams(2, 3), 1) == (1, 2, 4)
+        with pytest.raises(ValueError, match="q and m must be integers"):
+            index_set(QadicParams(2.0, 3), 1)
+        params = QadicParams(2, 3)
+        for a in (2.5, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="need an int a"):
+                q_digits(params, a)
+            with pytest.raises(ValueError, match="need an int a"):
+                fold_exponent(params, a)
+
     def test_weight_examples(self):
         params = QadicParams(3, 4)
         assert q_weight(params, 20) == 2
