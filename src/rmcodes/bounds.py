@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import takewhile
 from math import comb, gcd
 
 from .cyclotomy import QadicParams, q_weight
@@ -35,24 +34,6 @@ from .codes import CodeSpec, build_code, condition_star_holds
 from .distance import Bound, SearchBudget, exact_distance
 from .errors import InternalError, TooLarge
 from .ntheory import UnitGroup, divisors_ascending, is_prime_power, prime_power_split
-
-__all__ = [
-    "Bound",
-    "BoundReport",
-    "OrderSearchRow",
-    "TableBlock",
-    "PositivityReport",
-    "generic_bounds",
-    "certify",
-    "search_condition_divisors",
-    "repunit_certificate",
-    "sphere_packing_ok",
-    "distance_optimal",
-    "positivity_certificates",
-    "odd_order_search",
-    "bounded_divisor_check",
-    "table_rows",
-]
 
 
 @dataclass
@@ -172,9 +153,10 @@ def certify(spec: CodeSpec, *, budget: SearchBudget | None = None) -> BoundRepor
 def _condition_divisors(q: int, m: int, h: int, max_e: int | None = None):
     """The divisors e of q^m - 1 in [2, min(max_e, n-1)] passing the divisor condition, ascending."""
     n = CodeSpec(q, m, h).n
+    if max_e is not None and type(max_e) is not int:
+        raise ValueError(f"max_e must be an integer or None, got {max_e!r}")
     top = n - 1 if max_e is None else min(max_e, n - 1)
-    below_top = takewhile(lambda e: e <= top, divisors_ascending(n))
-    return (e for e in below_top if e >= 2 and condition_star_holds(q, m, h, e))
+    return (e for e in divisors_ascending(n, top) if e >= 2 and condition_star_holds(q, m, h, e))
 
 
 def search_condition_divisors(q: int, m: int, h: int, max_e: int | None = None) -> list[int]:

@@ -28,11 +28,14 @@ mislabeled as prime.
 
 ``factorize`` runs stage 1 straight to ``TRIAL_LIMIT`` and then the finisher;
 it is the one factoring entry point, and the cyclotomic pieces and
-``UnitGroup`` call it too.  ``divisors_ascending`` is lazy in both stages: its
-trial bound starts at 16 and squares, up to ``TRIAL_LIMIT``, only when its
-walk needs a larger divisor, and it runs the finisher only when the walk gets
-past ``TRIAL_LIMIT`` or past the divisors stage 1 knows.  A divisor <= the
-bound has no prime above it, so stage 1 has found all of its primes.
+``UnitGroup`` call it too.  ``divisors_ascending`` is the one divisor walk,
+lazy in both stages: its trial bound starts at 16 and squares, up to
+``TRIAL_LIMIT``, only when its walk needs a larger divisor, and it runs the
+finisher only when the walk gets past ``TRIAL_LIMIT`` or past the divisors
+stage 1 knows.  A divisor <= the bound has no prime above it, so stage 1 has
+found all of its primes.  Given a ``stop``, the walk ends at the first divisor
+above it, or once its bound reaches it, so it factors no further than the
+divisors it yields; ``divisors`` is the walk run to its end.
 
 ``UnitGroup(e)`` factors a modulus e once per group, and each p - 1 once,
 and holds the Carmichael exponent lambda(e); orders reduce from lambda(e).
@@ -441,9 +444,9 @@ def _check_positive(x) -> None:
         raise ValueError(f"need an int x >= 1, got {x!r}")
 
 
-def divisors_ascending(x: int):
-    """The divisors of ``x`` >= 1, smallest first, lazily; ``x`` is factored only
-    as far as the walk goes.
+def divisors_ascending(x: int, stop: int | None = None):
+    """The divisors of ``x`` >= 1, smallest first, lazily, up to ``stop`` if one
+    is given; ``x`` is factored only as far as the walk goes.
 
     Stage 1 raises its trial bound, from 16 by squaring up to TRIAL_LIMIT, only
     when the walk needs a larger divisor, and runs afresh at each bound.
@@ -451,32 +454,35 @@ def divisors_ascending(x: int):
     yields every such divisor.  The finisher splits the cofactors only when the
     walk needs more past TRIAL_LIMIT: a divisor above it, or more than the
     stage-1 divisors (7^43 - 1 has only 1, 2, 3, 6).  After each step the walk
-    goes on over the larger factorization, past what it has yielded.
+    goes on over the larger factorization, past what it has yielded.  It ends
+    at the first divisor above ``stop``, or once its bound is at least
+    ``stop``, so it never factors further for a divisor it will not yield.
     """
     _check_positive(x)
-    return _ascending(_pieces(x) if x > 1 else [])
+    return _ascending(_pieces(x) if x > 1 else [], stop)
 
 
-def _ascending(pieces: list):
+def _ascending(pieces: list, stop: int | None):
     bound, last = 16, 0
     while True:
         factors, open_ = _stage(pieces, bound)
         for d in _walk(factors):
             if open_ and d > bound:
                 break
+            if stop is not None and d > stop:
+                return
             if d > last:
                 yield d
                 last = d
-        if not open_:
+        if not open_ or stop is not None and bound >= stop:
             return
         bound = None if bound == TRIAL_LIMIT else min(bound * bound, TRIAL_LIMIT)
 
 
 def divisors(x: int) -> list[int]:
-    """All positive divisors of ``x`` >= 1, sorted ascending: one walk over
-    ``factorize(x)``."""
-    _check_positive(x)
-    return list(_walk(factorize(x) if x > 1 else {}))
+    """All positive divisors of ``x`` >= 1, sorted ascending: the divisor walk
+    run to its end."""
+    return list(divisors_ascending(x))
 
 
 def euler_phi(e: int) -> int:

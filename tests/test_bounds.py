@@ -538,6 +538,33 @@ class TestDivisorWalk:
             for x in (rng.randrange(1 << k, 1 << (k + 1)) for _ in range(3)):
                 assert list(nt.divisors_ascending(x)) == self.product_list(x), x
 
+    def test_walk_matches_the_eager_walk(self):
+        # the reference is the eager walk over the full factorization; the
+        # stops sit on each trial bound of the walk's schedule and next to it
+        stops = (0, 1, 15, 16, 17, 255, 256, 257, 65535, 65536, 65537,
+                 nt.TRIAL_LIMIT - 1, nt.TRIAL_LIMIT, nt.TRIAL_LIMIT + 1)
+        rng = random.Random(83)
+        xs = [q**m - 1 for q, m in self.certify_moduli()]
+        xs += [rng.randrange(1 << k, 1 << (k + 1)) for k in range(1, 91, 3)]
+        for x in xs:
+            ref = list(nt._walk(nt.factorize(x)))
+            assert nt.divisors(x) == ref, x
+            for s in (*stops, x - 1, x, 2 * x):
+                assert list(nt.divisors_ascending(x, s)) == [d for d in ref if d <= s], (x, s)
+
+    def test_capped_walk_runs_no_curve(self, monkeypatch):
+        # the five certify moduli whose least passing divisor needs the
+        # finisher have none in the window [2, 2q - 2]; a walk that stops at
+        # 2q - 2 never needs the divisor after it, so it splits no cofactor
+        calls = []
+        curve = nt._ecm_curve
+        monkeypatch.setattr(nt, "_ecm_curve", lambda *args: calls.append(args) or curve(*args))
+        nt._finish.cache_clear()
+        nt._piece.cache_clear()
+        for q, m in ((3, 79), (5, 53), (7, 43), (29, 23), (31, 23)):
+            assert bd.search_condition_divisors(q, m, 1, max_e=2 * q - 2) == [], (q, m)
+        assert calls == []
+
     def test_rejects_bad_input(self):
         for x in (0, -6, 6.0, "6", None, True):
             with pytest.raises(ValueError, match="need an int x >= 1"):
@@ -840,6 +867,11 @@ class TestConditionStar:
         assert bd.search_condition_divisors(3, 4, 2) == [16, 40]
         assert 13 in bd.search_condition_divisors(3, 6, 2)
         assert bd.search_condition_divisors(2, 3, 1, max_e=6) == []
+
+    def test_non_integer_max_e_rejected(self):
+        for max_e in (True, False, 100.0, "100"):
+            with pytest.raises(ValueError, match="max_e must be an integer or None"):
+                bd.search_condition_divisors(3, 4, 2, max_e=max_e)
 
     def test_accepted_divisors_at_least_repunit(self):
         for q, m, h in [(3, 4, 2), (3, 6, 2), (2, 6, 2), (4, 3, 1), (5, 4, 1)]:

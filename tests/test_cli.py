@@ -218,6 +218,19 @@ class TestSearchE:
         code, out, _ = run(capsys, "search-e", "2", "3", "1", "--max-e", "6", "--format", "json")
         assert json.loads(out)["divisors"] == []
 
+    def test_capped_search_skips_the_finisher(self, capsys, monkeypatch):
+        # 7^43 - 1 has the stage-1 divisors 1, 2, 3, 6; a search capped at 6
+        # needs no later divisor, so it splits no cofactor, even within a
+        # budget no ECM curve fits
+        monkeypatch.setattr(nt, "_BUDGET", 1)
+        nt._finish.cache_clear()
+        try:
+            code, out, err = run(capsys, "search-e", "7", "43", "1", "--max-e", "6", "--format", "json")
+        finally:
+            nt._finish.cache_clear()
+        assert code == 0, err
+        assert json.loads(out)["divisors"] == []
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "search-e", "3", "4", "2", "--format", "csv")
         assert out.splitlines() == ["q,m,h,e", "3,4,2,16", "3,4,2,40"]
