@@ -28,7 +28,6 @@ from .cyclotomy import (
     index_set,
     index_set_size,
     maximal_representatives,
-    q_digits,
     q_weight,
 )
 from .codes import (
@@ -59,7 +58,7 @@ from .bounds import (
     sphere_packing_ok,
     table_rows,
 )
-from .ntheory import euler_phi, factorize, mult_order, odd_order_test
+from .ntheory import euler_phi, factorize, mult_order
 from .distance import (
     Bound,
     SearchBudget,

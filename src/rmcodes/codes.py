@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import gf
-from .cyclotomy import QadicParams, check_h, coset_partition, index_set_size, maximal_representatives
+from .cyclotomy import (MATERIALIZE_LIMIT, QadicParams, check_h, coset_partition, index_set_size,
+                        maximal_representatives)
 from .errors import InternalError, TooLarge
 from .gf import SubfieldEmbedding, build_field, embed_subfield
 from .ntheory import prime_power_split
@@ -120,7 +121,7 @@ def minimal_poly(emb: SubfieldEmbedding, coset: tuple[int, ...]) -> tuple[int, .
 
     Every coefficient of the product is fixed by x -> x^q, and the image of
     the verified embedding is exactly that fixed field, so each maps down
-    through ``emb.to_subfield``; a coefficient outside the image signals a
+    through ``emb.to_small``; a coefficient outside the image signals a
     broken embedding or a K that is no coset, and raises InternalError.
     """
     big = emb.big
@@ -133,7 +134,7 @@ def minimal_poly(emb: SubfieldEmbedding, coset: tuple[int, ...]) -> tuple[int, .
             nxt[d] = big.add(nxt[d], big.mul(c, root_neg))
         poly = nxt
     try:
-        return tuple(map(emb.to_subfield, poly))
+        return tuple(map(emb.to_small.__getitem__, poly))
     except KeyError as exc:
         raise InternalError(f"coefficient {exc.args[0]} has no subfield preimage") from None
 
@@ -177,11 +178,13 @@ def _build(spec: CodeSpec) -> CodeInstance:
 def build_code(spec: CodeSpec, *, max_n: int | None = None) -> CodeInstance:
     """Build the code for ``spec`` over the least primitive element of F_{q^m}.
 
-    ``max_n`` bounds n, by default ``DEFAULT_MAX_N`` = 2^20.  It is checked
-    first, and the build is cached by ``spec`` alone, so a spec is built once
-    whatever bounds admit it.  The build proves gen * check_poly = x^n - 1.
+    ``max_n`` bounds n, by default ``DEFAULT_MAX_N`` = 2^20, and no bound
+    exceeds ``MATERIALIZE_LIMIT`` = 2^26, as a build holds tuples of n + 1
+    coefficients.  It is checked first, and the build is cached by ``spec``
+    alone, so a spec is built once whatever bounds admit it.  The build
+    proves gen * check_poly = x^n - 1.
     """
-    bound = DEFAULT_MAX_N if max_n is None else max_n
+    bound = min(DEFAULT_MAX_N if max_n is None else max_n, MATERIALIZE_LIMIT)
     if spec.n > bound:
         raise TooLarge(f"n = {spec.n} exceeds the construction bound {bound}")
     return _build(spec)

@@ -11,6 +11,9 @@ the maximal set worth computing.
 ``coset_of`` is the one orbit walk: ``coset_partition`` calls it once per
 coset, behind the size gate of ``index_set``, and the maximal set and the
 generators of the codes read the cosets of a partition.
+
+``EXPONENT_LIMIT`` = 2^128 bounds q^m - 1 here, in ``QadicParams``, and the
+field order p^s in ``gf``, which imports it from this module.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from itertools import combinations, product
 from math import comb
 
 from .errors import InternalError, TooLarge
-from .gf import EXPONENT_LIMIT
 
+EXPONENT_LIMIT = 1 << 128
 MATERIALIZE_LIMIT = 1 << 26
 _MAXIMAL_LIMIT = 1 << 16  # largest index set with a maximal set; (2, 17, 8) takes 0.5 s (2-vCPU VM)
 
@@ -48,20 +51,6 @@ class QadicParams:
     @property
     def n(self) -> int:
         return self.q**self.m - 1
-
-
-def q_digits(params: QadicParams, a: int) -> tuple[int, ...]:
-    """The m base-q digits of a, lowest first; requires 0 <= a <= n-1."""
-    if type(a) is not int:
-        raise ValueError(f"need an int a, got {a!r}")
-    if not 0 <= a <= params.n - 1:
-        raise ValueError(f"need 0 <= a <= {params.n - 1}, got {a}")
-    q = params.q
-    digits = []
-    for _ in range(params.m):
-        digits.append(a % q)
-        a //= q
-    return tuple(digits)
 
 
 def q_weight(params: QadicParams, x: int) -> int:

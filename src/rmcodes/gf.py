@@ -13,12 +13,13 @@ primitive element is the least index x (for s >= 2 from index p on) with
 x^((q-1)/r) != 1 for each prime r of q - 1, q = p^s (Lidl and Niederreiter,
 *Finite Fields*, ch. 2); the exp/log walk of a tabled field proves it.
 The characteristic p must be below ``ntheory.PROVEN_PRIME_BOUND``, where
-the primality test is a proof.  ``build_field(p, s)`` is the one cached
-constructor.  Fields of at most ``TABLE_THRESHOLD`` elements, a constant
-read when the field is constructed, carry discrete exp/log tables and, for
-odd p, a Zech table zech[i] = log(1 + alpha^i), so that x + y is
-x * (1 + y/x) in three lookups (for p = 2 it is XOR); larger fields fall
-back to direct polynomial arithmetic.  The tables come from a walk in
+the primality test is a proof, and p^s at most ``cyclotomy.EXPONENT_LIMIT``
+= 2^128.  ``build_field(p, s)`` is the one cached constructor.  Fields of
+at most ``TABLE_THRESHOLD`` elements, a constant read when the field is
+constructed, carry discrete exp/log tables and, for odd p, a Zech table
+zech[i] = log(1 + alpha^i), so that x + y is x * (1 + y/x) in three lookups
+(for p = 2 it is XOR); larger fields fall back to direct polynomial
+arithmetic, where an odd-p sum adds the digits of ``element_coeffs``.  The tables come from a walk in
 which multiplying by alpha is an F_p-linear map of the digits, a few
 lookups per step.
 
@@ -59,11 +60,11 @@ from itertools import product
 from math import gcd
 from sys import byteorder
 
+from .cyclotomy import EXPONENT_LIMIT
 from .errors import InternalError, TooLarge
 from .ntheory import PROVEN_PRIME_BOUND, factorize, is_probable_prime
 
 TABLE_THRESHOLD = 1 << 20
-EXPONENT_LIMIT = 1 << 128
 
 
 class FieldCtx:
@@ -98,14 +99,8 @@ class FieldCtx:
         if self.p == 2:
             return x ^ y
         p = self.p
-        out = 0
-        mult = 1
-        while x or y:
-            out += (x % p + y % p) % p * mult
-            x //= p
-            y //= p
-            mult *= p
-        return out
+        return self.element_from_coeffs(
+            (a + b) % p for a, b in zip(self.element_coeffs(x), self.element_coeffs(y)))
 
     def _raw_mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
@@ -324,14 +319,6 @@ class SubfieldEmbedding:
         self.beta = beta
         self.to_big = to_big
         self.to_small = {b: a for a, b in enumerate(to_big)}
-
-    def lift(self, x: int) -> int:
-        """Small-field element index -> big-field element index."""
-        return self.to_big[x]
-
-    def to_subfield(self, x: int) -> int:
-        """Big-field element index -> small-field index; KeyError if outside."""
-        return self.to_small[x]
 
     def evaluate(self, terms, a: int) -> int:
         """The word sum c * x^j, given as its (position j, small-field c) terms, at x = alpha^a."""

@@ -39,8 +39,9 @@ divisors it yields; ``divisors`` is the walk run to its end.
 
 ``UnitGroup(e)`` factors a modulus e once per group, and each p - 1 once,
 and holds the Carmichael exponent lambda(e); orders reduce from lambda(e).
-``mult_order`` and ``odd_order_test`` each build one group for one unit, so a
-caller with many units mod the same e builds the group once and asks it.
+Its ``odd_order_test`` is the one odd-order test.  ``mult_order`` builds one
+group for one unit, so a caller with many units mod the same e builds the
+group once and asks it.
 """
 
 from __future__ import annotations
@@ -92,10 +93,13 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-# ECM: (B1, curves) per round, the usual choice for factors of 15, 20 and 25
-# digits; stage 2 covers the primes up to B2 = _ECM_B2_RATIO * B1 in giant
-# steps of _ECM_D, against the baby steps i < D/2 prime to D.
-_ECM_ROUNDS = ((2_000, 25), (11_000, 90), (50_000, 300))
+# ECM: (B1, curves) per round, the usual choice for factors of 15 and 20
+# digits.  A curve costs 14,110 budget units at B1 = 2000 and 77,508 at
+# 11,000, so _BUDGET runs all 25 curves of the first round and 49 of the 90 of
+# the second, and leaves 43,662 units.  Stage 2 covers the primes up to
+# B2 = _ECM_B2_RATIO * B1 in giant steps of _ECM_D, against the baby steps
+# i < D/2 prime to D.
+_ECM_ROUNDS = ((2_000, 25), (11_000, 90))
 _ECM_B2_RATIO = 50
 _ECM_D = 210
 _ECM_BABY = tuple(i for i in range(1, _ECM_D // 2, 2) if gcd(i, _ECM_D) == 1)
@@ -457,8 +461,11 @@ def divisors_ascending(x: int, stop: int | None = None):
     goes on over the larger factorization, past what it has yielded.  It ends
     at the first divisor above ``stop``, or once its bound is at least
     ``stop``, so it never factors further for a divisor it will not yield.
+    An ``x`` or ``stop`` of the wrong type is refused at the call.
     """
     _check_positive(x)
+    if stop is not None and type(stop) is not int:
+        raise ValueError(f"need an int stop or None, got {stop!r}")
     return _ascending(_pieces(x) if x > 1 else [], stop)
 
 
@@ -595,12 +602,6 @@ def mult_order(b: int, e: int) -> int:
     """Least l >= 1 with b**l == 1 (mod e); b may be negative.  Factors e once,
     through ``UnitGroup(e)``, and reduces from lambda(e)."""
     return UnitGroup(e).order(b)
-
-
-def odd_order_test(b: int, e: int) -> OddOrderResult:
-    """``UnitGroup(e).odd_order_test(b)``: factors e once; see there.  To test
-    many b mod one e, build the group once and call its method."""
-    return UnitGroup(e).odd_order_test(b)
 
 
 def prime_power_split(q: int) -> tuple[int, int]:

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from collections import Counter
 from functools import lru_cache
 from itertools import takewhile, zip_longest
 from math import comb, gcd, prod
@@ -173,6 +174,16 @@ class TestFactorize:
         cofactor = (7**43 - 1) // 6
         assert nt._ecm(cofactor, 1 << 22) in (166003607842448777, 2192537062271178641)
         assert nt._ecm(cofactor, nt._ecm_cost(2_000) - 1) == 0
+
+    def test_every_ecm_round_runs(self, monkeypatch):
+        # with no curve splitting, _BUDGET runs all 25 curves at B1 = 2000 and
+        # 49 of the 90 at 11,000: every configured round runs at least one curve
+        calls = []
+        monkeypatch.setattr(nt, "_ecm_curve", lambda n, sigma, b1: calls.append((sigma, b1)) or 1)
+        assert nt._ecm((2**31 - 1) * (2**61 - 1), nt._BUDGET) == 0
+        assert [sigma for sigma, _ in calls] == list(range(6, 6 + len(calls)))
+        assert Counter(b1 for _, b1 in calls) == {2_000: 25, 11_000: 49}
+        assert {b1 for b1, _ in nt._ECM_ROUNDS} == {b1 for _, b1 in calls}
 
     def test_every_small_and_seeded_x(self):
         for x, fac in factorized_samples():
@@ -405,7 +416,7 @@ class TestTrialDivisionProof:
         for x in (*range(2, 5000), 7 * self.P, 1_000_003 * 1_000_033, (1 << 40) - 87):
             nt.factorize(x)
         for e in range(3, 2000, 7):
-            nt.odd_order_test(2, e | 1)
+            nt.UnitGroup(e | 1).odd_order_test(2)
 
 
 class TestDivisorWalk:
@@ -571,6 +582,11 @@ class TestDivisorWalk:
                 nt.divisors_ascending(x)
             with pytest.raises(ValueError, match="need an int x >= 1"):
                 nt.divisors(x)
+        # a stop is refused at the call, not at the first next()
+        for stop in ("6", 6.5, True, False):
+            with pytest.raises(ValueError, match="need an int stop or None"):
+                nt.divisors_ascending(12, stop)
+        assert list(nt.divisors_ascending(12, -1)) == []
 
     def test_prefix_of_a_large_walk(self):
         # 19^30 - 1 has 393,216 divisors; certify needs only the first 16
@@ -647,17 +663,17 @@ class TestPhiAndOrder:
         with pytest.raises(ValueError, match=r"gcd\(6, 27\) != 1"):
             nt.mult_order(6, 27)
         with pytest.raises(ValueError, match=r"gcd\(6, 27\) != 1"):
-            nt.odd_order_test(6, 27)
+            nt.UnitGroup(27).odd_order_test(6)
 
 
 class TestOddOrder:
     def test_goldens(self):
-        assert nt.odd_order_test(-2, 27).is_odd
+        assert nt.UnitGroup(27).odd_order_test(-2).is_odd
         for q in (4, 5, 7, 9, 16, 25):
-            assert not nt.odd_order_test(-1, q + 1).is_odd
+            assert not nt.UnitGroup(q + 1).odd_order_test(-1).is_odd
 
     def test_trace_present(self):
-        result = nt.odd_order_test(-2, 27)
+        result = nt.UnitGroup(27).odd_order_test(-2)
         assert result.steps and result.steps[0].startswith("3^3")
 
     def test_matches_parity_sampled(self):
@@ -667,7 +683,7 @@ class TestOddOrder:
             b = rng.randrange(1, e)
             if gcd(b, e) != 1:
                 continue
-            assert nt.odd_order_test(b, e).is_odd == (nt.mult_order(b, e) % 2 == 1)
+            assert nt.UnitGroup(e).odd_order_test(b).is_odd == (nt.mult_order(b, e) % 2 == 1)
 
     def test_steps_on_quadratic_residue_pairs(self):
         # sha256 of every (b, p, is_odd, steps) of verify check 7.d, recorded
@@ -676,7 +692,7 @@ class TestOddOrder:
         pairs = 0
         for p in filter(nt.is_probable_prime, range(3, 500, 4)):
             for b in range(2, p):
-                r = nt.odd_order_test(b, p)
+                r = nt.UnitGroup(p).odd_order_test(b)
                 digest.update(repr((b, p, r.is_odd, r.steps)).encode())
                 pairs += 1
         assert pairs == 11470
@@ -718,7 +734,6 @@ class TestUnitGroup:
             if gcd(b, e) != 1:
                 continue
             r = nt.UnitGroup(e).odd_order_test(b)
-            assert r == nt.odd_order_test(b, e)
             assert r.order == nt.mult_order(b, e) and r.is_odd == (r.order % 2 == 1)
 
     def test_gates(self):

@@ -61,6 +61,13 @@ class TestCode:
         code, _, _ = run(capsys, "code", "3", "2", "1", "--max-n", "100")
         assert code == 0
 
+    def test_max_n_above_the_materialize_limit(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "code", "2", "100", "1", "--max-n", str(2**101))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == f"error: n = {2**100 - 1} exceeds the construction bound {2**26}\n"
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "code", "3", "2", "1", "--format", "csv")
         assert code == 0

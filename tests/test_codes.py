@@ -1,4 +1,5 @@
 import json
+import time
 from itertools import product
 
 import pytest
@@ -105,6 +106,15 @@ class TestBuildCode:
         with pytest.raises(TooLarge, match="n = 31 exceeds the construction bound 10"):
             build_code(CodeSpec(2, 5, 1), max_n=10)
         assert build_code(CodeSpec(2, 5, 1), max_n=100).n == 31
+
+    def test_no_bound_above_the_materialize_limit(self):
+        # a build holds tuples of n + 1 coefficients: max_n cannot lift n past 2^26
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=f"n = {2**100 - 1} exceeds the construction bound {2**26}"):
+            build_code(CodeSpec(2, 100, 1), max_n=2**101)
+        with pytest.raises(TooLarge, match=f"n = {2**27 - 1} exceeds the construction bound {2**26}"):
+            build_code(CodeSpec(2, 27, 1), max_n=2**27)
+        assert time.perf_counter() - start < 1.0
 
     def test_one_build_per_spec(self):
         spec = CodeSpec(3, 4, 2)

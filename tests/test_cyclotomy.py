@@ -12,7 +12,6 @@ from rmcodes.cyclotomy import (
     index_set,
     index_set_size,
     maximal_representatives,
-    q_digits,
     q_weight,
 )
 from rmcodes.errors import TooLarge
@@ -34,25 +33,6 @@ def brute_index_set(q, m, h):
 
 
 class TestDigitsAndWeight:
-    def test_zero(self):
-        assert q_digits(QadicParams(3, 4), 0) == (0, 0, 0, 0)
-
-    def test_20_base_3(self):
-        assert q_digits(QadicParams(3, 4), 20) == (2, 0, 2, 0)
-
-    def test_n_minus_1(self):
-        for q, m in [(3, 4), (2, 5), (4, 3)]:
-            params = QadicParams(q, m)
-            digits = q_digits(params, params.n - 1)
-            assert digits == (q - 2,) + (q - 1,) * (m - 1)
-
-    def test_out_of_range(self):
-        params = QadicParams(3, 4)
-        with pytest.raises(ValueError, match="need 0 <= a <= 79, got 80"):
-            q_digits(params, params.n)
-        with pytest.raises(ValueError, match="need 0 <= a <= 79, got -1"):
-            q_digits(params, -1)
-
     def test_128_bit_range(self):
         QadicParams(2, 128)
         with pytest.raises(TooLarge, match=r"7\^46 - 1 exceeds the supported 128-bit range"):
@@ -77,8 +57,6 @@ class TestDigitsAndWeight:
             index_set(QadicParams(2.0, 3), 1)
         params = QadicParams(2, 3)
         for a in (2.5, 2.0, True, "2"):
-            with pytest.raises(ValueError, match="need an int a"):
-                q_digits(params, a)
             with pytest.raises(ValueError, match="need an int a"):
                 fold_exponent(params, a)
 

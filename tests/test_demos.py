@@ -1,5 +1,8 @@
-"""Each script under demos/ runs to completion against this source tree."""
+"""Each script under demos/ runs to completion against this source tree, and
+every function the benchmark tracer wraps exists in it."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -26,3 +29,15 @@ def test_demo_runs(demo):
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_traced_names_resolve():
+    # benchmarks/tracing.py imports only the stdlib; its install() calls
+    # getattr on each traced name, so a deleted one would crash every traced run
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "benchmarks" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, names in tracing.TRACED.items():
+        home = importlib.import_module(f"rmcodes.{module}")
+        for name in names:
+            assert callable(getattr(home, name, None)), f"rmcodes.{module}.{name}"

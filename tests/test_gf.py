@@ -212,8 +212,8 @@ class TestEmbedding:
         emb = embed_subfield(big, small)
         for a in range(3):
             for b in range(3):
-                assert emb.lift(small.add(a, b)) == big.add(emb.lift(a), emb.lift(b))
-                assert emb.lift(small.mul(a, b)) == big.mul(emb.lift(a), emb.lift(b))
+                assert emb.to_big[small.add(a, b)] == big.add(emb.to_big[a], emb.to_big[b])
+                assert emb.to_big[small.mul(a, b)] == big.mul(emb.to_big[a], emb.to_big[b])
 
     def test_gf289_into_gf83521_all_pairs(self):
         # q = 17^2 > 256: every sum and product in GF(289) must survive the lift
@@ -307,7 +307,7 @@ def _horner_lifted(emb, f, x):
     """Horner's rule for the small-field polynomial f at the big-field point x; the oracle."""
     big, acc = emb.big, 0
     for c in reversed(f):
-        acc = big.add(big.mul(acc, x), emb.lift(c))
+        acc = big.add(big.mul(acc, x), emb.to_big[c])
     return acc
 
 
