@@ -6,12 +6,12 @@
 # construction gives d <= e for every length exponent that is an odd
 # multiple of l -- often beating the generic upper bound 2q - 1.
 
-from rmcodes import bounded_divisor_check, odd_order_search, table_rows
+from rmcodes import bounded_divisor_check, table_rows
 from rmcodes.bounds import table_csv
 
 for q in (7, 13, 25):
     print(f"q = {q}: generic range [q+1, 2q-1] = [{q + 1}, {2 * q - 1}]")
-    for row in odd_order_search(q):
+    for row in table_rows(q, q)[0].rows:
         print(f"  a = {row.a:2d}  ->  order of {-row.a} mod {row.e} is {row.l}"
               f"  =>  d(q, {row.l}*odd, 1) <= {row.e}")
     print()

@@ -51,7 +51,6 @@ from .bounds import (
     certify,
     distance_optimal,
     generic_bounds,
-    odd_order_search,
     positivity_certificates,
     repunit_certificate,
     search_condition_divisors,

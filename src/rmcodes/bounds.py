@@ -17,6 +17,9 @@ it.  An enumerated bound keeps its witness codeword and word count:
   enumeration:<route>              exact distance by enumeration, given a budget
   <lower via>+<upper via>          no exact source, but lower meets upper
 
+The h = 1 odd-order table has one entry point, ``table_rows``, and its
+rows and blocks are plain dataclasses, serialized by ``dataclasses.asdict``.
+
 The sphere-packing side provides the exclusion test q^(n-k) >= volume sum
 and the distance-optimality check (parameters fine at d, excluded at d+1),
 plus exact positivity certificates for the two integer polynomials that
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 from math import comb, gcd
 
 from .cyclotomy import QadicParams, q_weight
-from .codes import CodeSpec, build_code, condition_star_holds
+from .codes import CodeSpec, _condition_star, build_code
 from .distance import Bound, SearchBudget, exact_distance
 from .errors import InternalError, TooLarge
 from .ntheory import UnitGroup, divisors_ascending, is_prime_power, prime_power_split
@@ -151,12 +154,17 @@ def certify(spec: CodeSpec, *, budget: SearchBudget | None = None) -> BoundRepor
 
 
 def _condition_divisors(q: int, m: int, h: int, max_e: int | None = None):
-    """The divisors e of q^m - 1 in [2, min(max_e, n-1)] passing the divisor condition, ascending."""
-    n = CodeSpec(q, m, h).n
+    """The divisors e of q^m - 1 in [2, min(max_e, n-1)] passing the divisor condition, ascending.
+
+    The arguments are checked once, at the call; ``codes._condition_star``
+    decides each e and reads the maximal set, or raises TooLarge, at the first e >= 2.
+    """
+    params = CodeSpec(q, m, h).params
     if max_e is not None and type(max_e) is not int:
         raise ValueError(f"max_e must be an integer or None, got {max_e!r}")
+    n = params.n
     top = n - 1 if max_e is None else min(max_e, n - 1)
-    return (e for e in divisors_ascending(n, top) if e >= 2 and condition_star_holds(q, m, h, e))
+    return (e for e in divisors_ascending(n, top) if e >= 2 and _condition_star(params, h, e))
 
 
 def search_condition_divisors(q: int, m: int, h: int, max_e: int | None = None) -> list[int]:
@@ -243,27 +251,16 @@ def positivity_certificates() -> PositivityReport:
 
 @dataclass(frozen=True)
 class OrderSearchRow:
-    """One admissible offset a for q: e = q + a and the odd order l of -a mod e."""
+    """One admissible offset a for q: e = q + a and the odd order l of -a mod e.
+
+    As q = -a mod e, e divides q^l - 1, so the row certifies d <= e for h = 1
+    at every length exponent that is an odd multiple of l.
+    """
 
     q: int
     a: int
     l: int
     e: int
-
-    def to_json(self) -> dict:
-        return {"q": self.q, "a": self.a, "l": self.l, "e": self.e}
-
-
-def odd_order_search(q: int) -> list[OrderSearchRow]:
-    """All a in [2, q-2] coprime to q whose negation has odd order modulo q + a.
-
-    Each row certifies distance <= q + a for the h = 1 code at every length
-    exponent that is an odd multiple of l (since q = -a mod q + a, the
-    order of q mod e is l, so e divides q^l - 1).
-    """
-    if q < 4 or not is_prime_power(q):
-        raise ValueError(f"need a prime power q >= 4, got {q}")
-    return list(table_rows(q, q)[0].rows)
 
 
 def bounded_divisor_check(q: int, m: int, e: int) -> bool:
@@ -291,18 +288,13 @@ class TableBlock:
     d_lower: int  # q + 1
     d_upper: int  # 2q - 1
 
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "rows": [r.to_json() for r in self.rows],
-            "d_lower": self.d_lower,
-            "d_upper": self.d_upper,
-        }
-
 
 def table_rows(q_min: int, q_max: int) -> list[TableBlock]:
-    """Order-search table over every prime power in [q_min, q_max]: for each
-    q, the rows of ``odd_order_search(q)``, and the generic h = 1 bounds.
+    """The h = 1 odd-order table over every prime power q in [q_min, q_max], and
+    the one entry point of that search: the block of q holds the generic h = 1
+    bounds and, as ``OrderSearchRow``s certifying d <= q + a at every odd
+    multiple of l, every a in [2, q-2] coprime to q whose negation has odd
+    order l modulo q + a.  ``table_rows(q, q)[0].rows`` are the rows of one q >= 4.
 
     The walk goes over the moduli e in ascending order instead of over q.
     A pair (q, a = e - q) with 2 <= a <= q - 2 has (e + 3) // 2 <= q <= e - 2,

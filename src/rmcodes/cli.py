@@ -9,6 +9,7 @@ bounds the construction size of code (default 2^20).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -104,7 +105,7 @@ def cmd_search_e(args) -> int:
 def cmd_tables(args) -> int:
     blocks = bd.table_rows(args.q_min, args.q_max)
     if args.format == "json":
-        print(json.dumps([b.to_json() for b in blocks], indent=2))
+        print(json.dumps([dataclasses.asdict(b) for b in blocks], indent=2))
     elif args.format == "csv":
         print(bd.table_csv(blocks), end="")
     else:

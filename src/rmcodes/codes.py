@@ -178,12 +178,14 @@ def _build(spec: CodeSpec) -> CodeInstance:
 def build_code(spec: CodeSpec, *, max_n: int | None = None) -> CodeInstance:
     """Build the code for ``spec`` over the least primitive element of F_{q^m}.
 
-    ``max_n`` bounds n, by default ``DEFAULT_MAX_N`` = 2^20, and no bound
-    exceeds ``MATERIALIZE_LIMIT`` = 2^26, as a build holds tuples of n + 1
-    coefficients.  It is checked first, and the build is cached by ``spec``
-    alone, so a spec is built once whatever bounds admit it.  The build
+    ``max_n``, an int or None, bounds n, by default ``DEFAULT_MAX_N`` = 2^20,
+    and no bound exceeds ``MATERIALIZE_LIMIT`` = 2^26, as a build holds tuples
+    of n + 1 coefficients.  It is checked first, and the build is cached by
+    ``spec`` alone, so a spec is built once whatever bounds admit it.  The build
     proves gen * check_poly = x^n - 1.
     """
+    if max_n is not None and type(max_n) is not int:
+        raise ValueError(f"max_n must be an integer or None, got {max_n!r}")
     bound = min(DEFAULT_MAX_N if max_n is None else max_n, MATERIALIZE_LIMIT)
     if spec.n > bound:
         raise TooLarge(f"n = {spec.n} exceeds the construction bound {bound}")
@@ -239,9 +241,14 @@ def is_member(inst: CodeInstance, word) -> bool:
     return not any(inst.emb.evaluate(terms, a) for a in inst.zero_representatives)
 
 
+def _condition_star(params: QadicParams, h: int, e: int) -> bool:
+    """The divisor condition on a checked e, for ``condition_star_holds`` and the divisor walk."""
+    return all(a % e for a in maximal_representatives(params, h))
+
+
 def condition_star_holds(q: int, m: int, h: int, e: int) -> bool:
     """True iff the divisor e of n = q^m - 1, 2 <= e < n, divides no bounded-weight
-    exponent (decided on the maximal set).
+    exponent (decided on the maximal set); the checked entry point for one e.
 
     When true, the quotient codeword certifies distance <= e (and <= 2e for
     the mirrored code) at every extension length m*l.
@@ -254,7 +261,7 @@ def condition_star_holds(q: int, m: int, h: int, e: int) -> bool:
         raise ValueError(f"need 2 <= e < n = {n}, got {e}")
     if n % e:
         raise ValueError(f"{e} does not divide {n}")
-    return all(a % e for a in maximal_representatives(params, h))
+    return _condition_star(params, h, e)
 
 
 def quotient_codeword(

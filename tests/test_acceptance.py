@@ -11,7 +11,7 @@ from functools import lru_cache
 import pytest
 
 from rmcodes import verify
-from rmcodes.bounds import odd_order_search
+from rmcodes.bounds import table_rows
 from rmcodes.cyclotomy import QadicParams, maximal_representatives
 from rmcodes.ntheory import mult_order
 
@@ -76,7 +76,7 @@ def test_reference_maximal_set_362_literal_value():
     reason=verify.REFERENCE_ERRATA["order-table-19"],
 )
 def test_reference_order_table_19_literal_row():
-    rows = {(r.a, r.l, r.e) for r in odd_order_search(19)}
+    rows = {(r.a, r.l, r.e) for r in table_rows(19, 19)[0].rows}
     assert (4, 11, 23) in rows
 
 

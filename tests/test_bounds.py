@@ -11,6 +11,7 @@ import pytest
 from rmcodes import bounds as bd
 from rmcodes import codes as cd
 from rmcodes import ntheory as nt
+from rmcodes.cli import main
 from rmcodes.codes import CodeSpec, build_code
 from rmcodes.cyclotomy import QadicParams, coset_partition, index_set, maximal_representatives
 from rmcodes.distance import SearchBudget, exact_distance, find_weight_witness
@@ -382,6 +383,12 @@ class TestPrimality:
         # psi_13 is composite yet passes every base, so it bounds the proof
         assert PSI_13 == nt.PROVEN_PRIME_BOUND == 1287836182261 * 2575672364521
         assert nt.is_probable_prime(PSI_13)
+
+    def test_prime_power_split(self):
+        assert nt.prime_power_split(2) == (2, 1) and nt.prime_power_split(81) == (3, 4)
+        for q in (1, 0, -4):
+            with pytest.raises(ValueError, match=f"{q} is not a prime power"):
+                nt.prime_power_split(q)
 
     def test_matches_sympy_below_1e5(self):
         sympy = pytest.importorskip("sympy")
@@ -883,6 +890,15 @@ class TestConditionStar:
         assert 13 in bd.search_condition_divisors(3, 6, 2)
         assert bd.search_condition_divisors(2, 3, 1, max_e=6) == []
 
+    def test_search_builds_one_spec(self, monkeypatch):
+        # (q, m, h) is checked once per search, not once per divisor: every
+        # CodeSpec splits its q, and 2^48 - 1 has 768 divisors
+        calls = []
+        split = cd.prime_power_split
+        monkeypatch.setattr(cd, "prime_power_split", lambda q: calls.append(q) or split(q))
+        assert len(bd.search_condition_divisors(2, 48, 1)) == 766
+        assert calls == [2]
+
     def test_non_integer_max_e_rejected(self):
         for max_e in (True, False, 100.0, "100"):
             with pytest.raises(ValueError, match="max_e must be an integer or None"):
@@ -966,20 +982,25 @@ class TestSpherePacking:
         assert report.all_positive
 
 
+def rows_of(q):
+    """The order-search rows of one q, through the table's one entry point."""
+    return bd.table_rows(q, q)[0].rows
+
+
 class TestOrderSearch:
     def test_exact_blocks(self):
-        assert [(r.a, r.l, r.e) for r in bd.odd_order_search(7)] == [(2, 3, 9)]
-        assert [(r.a, r.l, r.e) for r in bd.odd_order_search(13)] == [(5, 3, 18), (10, 11, 23)]
-        assert [(r.a, r.l, r.e) for r in bd.odd_order_search(27)] == [(19, 11, 46), (20, 23, 47)]
-        assert [(r.a, r.l, r.e) for r in bd.odd_order_search(29)] == [
+        assert [(r.a, r.l, r.e) for r in rows_of(7)] == [(2, 3, 9)]
+        assert [(r.a, r.l, r.e) for r in rows_of(13)] == [(5, 3, 18), (10, 11, 23)]
+        assert [(r.a, r.l, r.e) for r in rows_of(27)] == [(19, 11, 46), (20, 23, 47)]
+        assert [(r.a, r.l, r.e) for r in rows_of(29)] == [
             (17, 11, 46),
             (20, 7, 49),
             (23, 3, 52),
         ]
-        assert [(r.a, r.l, r.e) for r in bd.odd_order_search(32)] == [(15, 23, 47), (17, 21, 49)]
+        assert [(r.a, r.l, r.e) for r in rows_of(32)] == [(15, 23, 47), (17, 21, 49)]
 
     def test_q25_superset_with_extras(self):
-        rows = {(r.a, r.l, r.e) for r in bd.odd_order_search(25)}
+        rows = {(r.a, r.l, r.e) for r in rows_of(25)}
         for cell in [(2, 9, 27), (3, 3, 28), (4, 7, 29), (8, 5, 33), (22, 23, 47)]:
             assert cell in rows
         # a valid admissible offset absent from the published table
@@ -987,27 +1008,21 @@ class TestOrderSearch:
         assert pow(-6, 3, 31) == 1 and pow(-6, 1, 31) != 1
 
     def test_q16_includes_omitted_row(self):
-        rows = {(r.a, r.l, r.e) for r in bd.odd_order_search(16)}
+        rows = {(r.a, r.l, r.e) for r in rows_of(16)}
         assert (11, 9, 27) in rows
         assert pow(-11, 9, 27) == 1 and pow(-11, 3, 27) != 1
 
     def test_q8_empty(self):
-        assert bd.odd_order_search(8) == []
+        assert rows_of(8) == ()
         assert nt.mult_order(-3, 11) % 2 == 0
         assert nt.mult_order(-5, 13) % 2 == 0
 
     def test_row_invariants(self):
         for q in (7, 9, 16, 25, 31):
-            for r in bd.odd_order_search(q):
+            for r in rows_of(q):
                 assert gcd(r.a, q) == 1 and 2 <= r.a <= q - 2
                 assert r.l % 2 == 1
                 assert pow(-r.a, r.l, r.e) == 1
-
-    def test_gates(self):
-        with pytest.raises(ValueError, match="need a prime power q >= 4, got 3"):
-            bd.odd_order_search(3)
-        with pytest.raises(ValueError, match="need a prime power q >= 4, got 6"):
-            bd.odd_order_search(6)
 
 
 class TestDivisorCheckAndTables:
@@ -1042,7 +1057,7 @@ class TestDivisorCheckAndTables:
                 l = nt.mult_order(-a, b.q + a) if gcd(a, b.q) == 1 else 0
                 if l % 2 == 1:
                     want.append(bd.OrderSearchRow(b.q, a, l, b.q + a))
-            assert b.rows == tuple(want) == tuple(bd.odd_order_search(b.q)), b.q
+            assert b.rows == tuple(want), b.q
         assert bd.table_rows(5, 6) == [bd.TableBlock(5, (), 6, 9)]
         assert bd.table_rows(6, 6) == bd.table_rows(20, 10) == []
 
@@ -1052,6 +1067,14 @@ class TestDivisorCheckAndTables:
         csv = bd.table_csv(bd.table_rows(4, 700))
         assert hashlib.sha256(csv.encode()).hexdigest() == (
             "46266c8dd5546b7937823575a1b8eed3d60e378ed8cc98df5b5e04c2682417fa"
+        )
+
+    def test_tables_json_digest(self, capsys):
+        # sha256 of `tables --q-min 7 --q-max 32 --format json`, recorded when
+        # each table dataclass still wrote its own JSON fields
+        assert main(["tables", "--q-min", "7", "--q-max", "32", "--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "c9f3eff41dd3162e4f7eb8616311cfb595a67ff6c724ba7bc4e27cae2114b695"
         )
 
     def test_table_csv(self):
@@ -1219,11 +1242,11 @@ class TestCertify:
     def test_divisor_search_stops_at_first_hit(self, monkeypatch):
         calls = []
 
-        def counted(q, m, h, e):
+        def counted(params, h, e):
             calls.append(e)
-            return cd.condition_star_holds(q, m, h, e)
+            return cd._condition_star(params, h, e)
 
-        monkeypatch.setattr(bd, "condition_star_holds", counted)
+        monkeypatch.setattr(bd, "_condition_star", counted)
         report = bd.certify(CodeSpec(3, 80, 1))
         assert calls == [2, 4]  # 3^80 - 1 has 16128 divisors
         assert ("divisor_e", 4) in report.witnesses

@@ -10,6 +10,7 @@ import pytest
 import rmcodes
 from rmcodes import codes as cd
 from rmcodes import ntheory as nt
+from rmcodes import verify
 from rmcodes.cli import main
 
 
@@ -210,6 +211,23 @@ class TestBounds:
         assert code == 0
         assert "d_bar" in out and "upper = 10" in out
 
+    @pytest.mark.parametrize("argv, row", [(("2", "5", "1"), "2,5,1,omega,3,3,3"),
+                                           (("3", "5", "2", "--variant", "omega_bar"),
+                                            "3,5,2,omega_bar,26,44,")])
+    def test_csv(self, capsys, argv, row):
+        # an empty last cell when no source gives the exact value
+        code, out, _ = run(capsys, "bounds", *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == ["q,m,h,variant,lower,upper,exact", row]
+
+    def test_text_note_on_a_skipped_divisor_search(self, capsys):
+        code, out, _ = run(capsys, "bounds", "2", "30", "10")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "  note: divisor search skipped: the index set of (q=2, m=30, h=10) has 53009101 "
+            "exponents, more than the maximal-set limit 65536"
+        )
+
 
 class TestSearchE:
     def test_342(self, capsys):
@@ -241,6 +259,16 @@ class TestSearchE:
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "search-e", "3", "4", "2", "--format", "csv")
         assert out.splitlines() == ["q,m,h,e", "3,4,2,16", "3,4,2,40"]
+
+    @pytest.mark.parametrize("argv, lines", [
+        (("3", "4", "2"), ["divisors e of n = 80 with e dividing no weight-<= 2 exponent:", "  [16, 40]"]),
+        (("2", "3", "1", "--max-e", "6"),
+         ["divisors e of n = 7 with e dividing no weight-<= 1 exponent:", "  none"]),
+    ])
+    def test_text(self, capsys, argv, lines):
+        code, out, _ = run(capsys, "search-e", *argv)
+        assert code == 0
+        assert out.splitlines() == lines
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -370,6 +398,15 @@ class TestVerifyPaper:
             assert lines[cid].startswith("FAIL") and "FAILED: structural odd-order answer True" in lines[cid]
         for cid in ("7.a", "7.b", "7.e"):
             assert lines[cid].startswith("PASS")
+
+
+def test_per_check_time_limit(monkeypatch):
+    # every check of a group with a per-check limit is held to it
+    monkeypatch.setattr(verify, "PER_CHECK_TIME_LIMITS", {"3": 0.0})
+    results = verify.run_checks(only="3")
+    assert [r.cid for r in results] == [f"3.{i}" for i in range(1, 8)]
+    for r in results:
+        assert not r.passed and r.detail.endswith(" [exceeded per-check time limit 0s]"), r
 
 
 def test_deterministic_output(capsys):

@@ -107,6 +107,13 @@ class TestBuildCode:
             build_code(CodeSpec(2, 5, 1), max_n=10)
         assert build_code(CodeSpec(2, 5, 1), max_n=100).n == 31
 
+    @pytest.mark.parametrize("max_n", ["5", 5.5, 100.0, True, False])
+    def test_non_integer_max_n_rejected(self, max_n, monkeypatch):
+        # refused before the build; a bool is not an int
+        monkeypatch.setattr(cd, "_build", None)
+        with pytest.raises(ValueError, match=f"max_n must be an integer or None, got {max_n!r}"):
+            build_code(CodeSpec(2, 3, 1), max_n=max_n)
+
     def test_no_bound_above_the_materialize_limit(self):
         # a build holds tuples of n + 1 coefficients: max_n cannot lift n past 2^26
         start = time.perf_counter()
@@ -423,6 +430,11 @@ class TestQuotientCodeword:
             quotient_codeword(3, 4, 2, 16.0)
         with pytest.raises(ValueError, match="e and l must be integers"):
             quotient_codeword(3, 4, 2, 16, l=True)
+
+    def test_extension_factor_below_one(self):
+        for l in (0, -1):
+            with pytest.raises(ValueError, match=f"need l >= 1, got {l}"):
+                quotient_codeword(3, 4, 2, 16, l=l)
 
     def test_too_large_target(self):
         with pytest.raises(TooLarge, match="target length 3486784400 exceeds the construction bound"):

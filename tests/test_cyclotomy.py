@@ -40,6 +40,10 @@ class TestDigitsAndWeight:
         with pytest.raises(TooLarge, match=r"2\^129 - 1 exceeds"):
             QadicParams(2, 129)
 
+    def test_q_below_two(self):
+        with pytest.raises(ValueError, match="need q >= 2, got 1"):
+            QadicParams(1, 3)
+
     def test_long_m_rejected_promptly(self):
         # 3^(10^7) has about 16 million bits; m alone rules it out
         start = time.perf_counter()

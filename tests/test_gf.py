@@ -151,6 +151,14 @@ def test_primitive_powers_pairwise_distinct():
         assert len(seen) == F.order - 1
 
 
+def test_zero_has_no_order():
+    # tabled and raw-power fields alike
+    for F in (build_field(3, 2), build_field(2, 21)):
+        with pytest.raises(ZeroDivisionError, match="0 has no multiplicative order"):
+            F.order_of(0)
+        assert F.order_of(F.primitive_elem) == F.order - 1
+
+
 def test_negative_exponent():
     F = build_field(3, 2)
     for x in range(1, 9):
