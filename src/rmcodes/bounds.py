@@ -35,7 +35,7 @@ from math import comb, gcd
 from .cyclotomy import QadicParams, q_weight
 from .codes import CodeSpec, _condition_star, build_code
 from .distance import Bound, SearchBudget, exact_distance
-from .errors import InternalError, TooLarge
+from .errors import InternalError, TooLarge, check_int
 from .ntheory import UnitGroup, divisors_ascending, is_prime_power, prime_power_split
 
 
@@ -160,8 +160,7 @@ def _condition_divisors(q: int, m: int, h: int, max_e: int | None = None):
     decides each e and reads the maximal set, or raises TooLarge, at the first e >= 2.
     """
     params = CodeSpec(q, m, h).params
-    if max_e is not None and type(max_e) is not int:
-        raise ValueError(f"max_e must be an integer or None, got {max_e!r}")
+    check_int("max_e", max_e, optional=True)
     n = params.n
     top = n - 1 if max_e is None else min(max_e, n - 1)
     return (e for e in divisors_ascending(n, top) if e >= 2 and _condition_star(params, h, e))
@@ -178,10 +177,8 @@ def repunit_certificate(q: int, h: int) -> tuple[int, list[str]]:
     Every multiple t*e with 1 <= t <= q-2 has all h+1 base-q digits equal
     to t, hence q-weight h+1 > h, so e divides no bounded-weight exponent.
     """
-    if q < 3:
-        raise ValueError(f"need q >= 3, got {q}")
-    if h < 1:
-        raise ValueError(f"need h >= 1, got {h}")
+    check_int("q", q, 3)
+    check_int("h", h, 1)
     prime_power_split(q)  # raises if q is not a prime power
     params = QadicParams(q, h + 1)  # rejects q^(h+1) - 1 beyond 128 bits before building it
     e = params.n // (q - 1)
@@ -196,10 +193,11 @@ def repunit_certificate(q: int, h: int) -> tuple[int, list[str]]:
 
 def sphere_packing_ok(n: int, k: int, q: int, d: int) -> bool:
     """Exact sphere-packing feasibility: q^(n-k) >= sum of ball volumes up to t."""
+    for name, value in (("n", n), ("k", k), ("q", q)):
+        check_int(name, value)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+    check_int("d", d, 1)
     t = (d - 1) // 2
     volume = sum((q - 1) ** i * comb(n, i) for i in range(t + 1))
     return q ** (n - k) >= volume
@@ -270,8 +268,8 @@ def bounded_divisor_check(q: int, m: int, e: int) -> bool:
     because e exceeds every h = 1 coset representative 1..q-1.
     """
     prime_power_split(q)  # raises if q is not a prime power
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    check_int("m", m, 1)
+    check_int("e", e)
     if m % 2 == 0:
         raise ValueError(f"need odd m, got {m}")
     if not q + 1 <= e <= 2 * q - 1:
@@ -302,6 +300,8 @@ def table_rows(q_min: int, q_max: int) -> list[TableBlock]:
     every q of that window, so e and the p - 1 of its primes are factored
     once per call.  The rows of each q come out in ascending a.
     """
+    check_int("q_min", q_min)
+    check_int("q_max", q_max)
     qs = [q for q in range(max(4, q_min), q_max + 1) if is_prime_power(q)]
     if not qs:
         return []

@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 from . import gf
 from .cyclotomy import (MATERIALIZE_LIMIT, QadicParams, check_h, coset_partition, index_set_size,
                         maximal_representatives)
-from .errors import InternalError, TooLarge
+from .errors import InternalError, TooLarge, check_int
 from .gf import SubfieldEmbedding, build_field, embed_subfield
 from .ntheory import prime_power_split
 
@@ -49,10 +49,8 @@ class CodeSpec:
     variant: str = "omega"
 
     def __post_init__(self):
-        if type(self.h) is not int:
-            raise ValueError(f"h must be an integer, got {self.h!r}")
         # (q, m) and h first: they are O(1), and reject q^m - 1 beyond 128 bits
-        # before q is factored; QadicParams refuses a q or m that is not an int
+        # before q is factored
         check_h(self.params, self.h)
         prime_power_split(self.q)  # raises if q is not a prime power
         if self.variant not in VARIANTS:
@@ -184,8 +182,7 @@ def build_code(spec: CodeSpec, *, max_n: int | None = None) -> CodeInstance:
     ``spec`` alone, so a spec is built once whatever bounds admit it.  The build
     proves gen * check_poly = x^n - 1.
     """
-    if max_n is not None and type(max_n) is not int:
-        raise ValueError(f"max_n must be an integer or None, got {max_n!r}")
+    check_int("max_n", max_n, optional=True)
     bound = min(DEFAULT_MAX_N if max_n is None else max_n, MATERIALIZE_LIMIT)
     if spec.n > bound:
         raise TooLarge(f"n = {spec.n} exceeds the construction bound {bound}")
@@ -254,8 +251,7 @@ def condition_star_holds(q: int, m: int, h: int, e: int) -> bool:
     the mirrored code) at every extension length m*l.
     """
     params = CodeSpec(q, m, h).params  # checks (q, m, h) as every loose-argument entry does
-    if type(e) is not int:
-        raise ValueError(f"e must be an integer, got {e!r}")
+    check_int("e", e)
     n = params.n
     if not 2 <= e < n:
         raise ValueError(f"need 2 <= e < n = {n}, got {e}")
@@ -282,10 +278,8 @@ def quotient_codeword(
     bounded by ``DEFAULT_MAX_N``, as is the length of a built code.
     """
     spec = CodeSpec(q, m, h)  # validates parameter ranges
-    if type(e) is not int or type(l) is not int:
-        raise ValueError(f"e and l must be integers, got {(e, l)!r}")
-    if l < 1:
-        raise ValueError(f"need l >= 1, got {l}")
+    check_int("e", e)
+    check_int("l", l, 1)
     if e != spec.n and not condition_star_holds(q, m, h, e):
         raise ValueError(f"{e} divides a maximal bounded-weight exponent for (q={q}, m={m}, h={h})")
     if m * l > DEFAULT_MAX_N.bit_length():  # q >= 2, so N >= 2^(m*l) - 1 > the bound

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
-from .errors import InternalError, TooLarge
+from .errors import InternalError, TooLarge, check_int
 
 EXPONENT_LIMIT = 1 << 128
 MATERIALIZE_LIMIT = 1 << 26
@@ -38,12 +38,8 @@ class QadicParams:
     m: int
 
     def __post_init__(self):
-        if type(self.q) is not int or type(self.m) is not int:
-            raise ValueError(f"q and m must be integers, got {(self.q, self.m)!r}")
-        if self.q < 2:
-            raise ValueError(f"need q >= 2, got {self.q}")
-        if self.m < 2:
-            raise ValueError(f"need m >= 2, got {self.m}")
+        check_int("q", self.q, 2)
+        check_int("m", self.m, 2)
         # q >= 2, so q^m >= 2^m: a long m is rejected before the power
         if self.m > EXPONENT_LIMIT.bit_length() or self.q**self.m - 1 > EXPONENT_LIMIT:
             raise TooLarge(f"{self.q}^{self.m} - 1 exceeds the supported 128-bit range")
@@ -55,6 +51,7 @@ class QadicParams:
 
 def q_weight(params: QadicParams, x: int) -> int:
     """Number of nonzero base-q digits of the least nonnegative residue of x mod n."""
+    check_int("x", x)
     q = params.q
     x %= params.n
     w = 0
@@ -66,7 +63,8 @@ def q_weight(params: QadicParams, x: int) -> int:
 
 
 def check_h(params: QadicParams, h: int):
-    """Raise ValueError unless 1 <= h <= m - 1."""
+    """Raise ValueError unless h is an int with 1 <= h <= m - 1."""
+    check_int("h", h)
     if not 1 <= h <= params.m - 1:
         raise ValueError(f"need 1 <= h <= m-1 = {params.m - 1}, got {h}")
 
@@ -89,7 +87,7 @@ def _index_exponents(params: QadicParams, h: int):
             for digits in product(range(1, q), repeat=r))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def index_set(params: QadicParams, h: int) -> tuple[int, ...]:
     """Sorted exponents a in [1, n-1] with q_weight(a) <= h."""
     return tuple(sorted(_index_exponents(params, h)))
@@ -97,6 +95,7 @@ def index_set(params: QadicParams, h: int) -> tuple[int, ...]:
 
 def coset_of(params: QadicParams, a: int) -> tuple[int, ...]:
     """The q-cyclotomic coset of a mod n, sorted ascending: the one orbit walk."""
+    check_int("a", a)
     n = params.n
     a %= n
     orbit = []
@@ -133,14 +132,14 @@ def _partition(params: QadicParams, h: int) -> CosetPartition:
     return CosetPartition(params, h, tuple(classes), tuple(c[0] for c in classes))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def coset_partition(params: QadicParams, h: int) -> CosetPartition:
     """Partition the index set into cosets, each walked once; representatives are
     per-orbit minima.  Above ``MATERIALIZE_LIMIT`` exponents, TooLarge before any walk."""
     return _partition(params, h)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def maximal_representatives(params: QadicParams, h: int) -> tuple[int, ...]:
     """Representatives that properly divide no other representative.
 
@@ -166,10 +165,7 @@ def fold_exponent(params: QadicParams, a: int) -> int:
     bounded-weight exponent of any extension length therefore folds to a
     bounded-weight exponent mod n: 0 stays 0, and a >= 1 ends in [1, n].
     """
-    if type(a) is not int:
-        raise ValueError(f"need an int a, got {a!r}")
-    if a < 0:
-        raise ValueError(f"need a >= 0, got {a}")
+    check_int("a", a, 0)
     qm = params.q**params.m
     while a >= qm:
         a = a % qm + a // qm

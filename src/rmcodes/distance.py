@@ -34,15 +34,14 @@ from math import comb
 
 from . import gf
 from .codes import Codeword, CodeInstance, encode, is_member
-from .errors import InternalError, TooLarge
+from .errors import InternalError, TooLarge, check_int
 
 @dataclass(frozen=True)
 class SearchBudget:
     max_messages: int = 1 << 24
 
     def __post_init__(self):
-        if self.max_messages < 1:
-            raise ValueError("max_messages must be >= 1")
+        check_int("max_messages", self.max_messages, 1)
 
 
 @dataclass(frozen=True)
@@ -276,6 +275,7 @@ def find_weight_witness(inst: CodeInstance, weight: int) -> Codeword | None:
     the search is complete at the true minimum weight.
     """
     n, q = inst.n, inst.q
+    check_int("weight", weight)
     if weight < 1 or weight > n:
         raise ValueError(f"need 1 <= weight <= n, got {weight}")
     slots = weight - 1

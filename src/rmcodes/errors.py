@@ -1,9 +1,11 @@
-"""The exception types of rmcodes.
+"""The exception types of rmcodes, and its one argument check.
 
 Bad input raises the builtin ValueError (ZeroDivisionError for an inverse of
 zero); an input beyond a size or budget bound raises ``TooLarge``, which is
 a ValueError too.  ``InternalError`` means the program contradicted itself,
 and ``FactorizationIncomplete`` that an integer could not be fully factored.
+``check_int`` states the one rule for an integer argument, which every public
+entry point runs ahead of any cache: an int, not a bool, and not below its bound.
 """
 
 
@@ -21,3 +23,16 @@ class FactorizationIncomplete(RuntimeError):
     def __init__(self, cofactor: int):
         super().__init__(f"composite cofactor {cofactor} not factored within budget")
         self.cofactor = cofactor
+
+
+def check_int(name: str, value, low: int | None = None, *, optional: bool = False) -> None:
+    """ValueError unless ``value`` is an int, not a bool, and at least ``low``
+    if one is given, or is None when ``optional``; int subclasses pass.  As it
+    runs on every call, an exact int is decided by the first test."""
+    if type(value) is int or isinstance(value, int) and not isinstance(value, bool):
+        if low is None or value >= low:
+            return
+    elif optional and value is None:
+        return
+    bound = "" if low is None else f" >= {low}"
+    raise ValueError(f"need an int {name}{bound}{' or None' if optional else ''}, got {value!r}")

@@ -61,7 +61,7 @@ from math import gcd
 from sys import byteorder
 
 from .cyclotomy import EXPONENT_LIMIT
-from .errors import InternalError, TooLarge
+from .errors import InternalError, TooLarge, check_int
 from .ntheory import PROVEN_PRIME_BOUND, factorize, is_probable_prime
 
 TABLE_THRESHOLD = 1 << 20
@@ -71,12 +71,12 @@ class FieldCtx:
     """Immutable arithmetic context for F_{p^s}; safe to share freely."""
 
     def __init__(self, p: int, s: int):
+        check_int("p", p)
         if p >= PROVEN_PRIME_BOUND:
             raise TooLarge(f"primality of {p} cannot be proven (needs p < {PROVEN_PRIME_BOUND})")
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
-        if s < 1:
-            raise ValueError(f"need exponent s >= 1, got {s}")
+        check_int("s", s, 1)
         # p >= 2, so p^s >= 2^s: a long exponent is rejected before the power
         if s > EXPONENT_LIMIT.bit_length() or p**s > EXPONENT_LIMIT:
             raise TooLarge(f"{p}^{s} exceeds the supported 128-bit range")
@@ -292,7 +292,7 @@ def _power(mul, one, x, e: int):
     return result
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def build_field(p: int, s: int) -> FieldCtx:
     """Construct F_{p^s} deterministically (cached; the result is immutable)."""
     return FieldCtx(p, s)
@@ -538,8 +538,7 @@ def poly_xn_minus_1_quotient(ctx: FieldCtx, n: int, g) -> tuple[int, ...] | None
     g*h = -1 mod x^N; Newton's step h <- h + h*(g*h + 1) doubles the precision
     of that series.  The closing check g*h == x^n - 1 is exact.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    check_int("n", n, 1)
     g = poly_normalize(g)
     target = (ctx.neg(1),) + (0,) * (n - 1) + (1,)
     if not g or g[0] == 0 or len(g) > n + 1:

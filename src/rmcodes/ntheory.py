@@ -52,7 +52,7 @@ from heapq import heappop, heappush
 from itertools import accumulate, chain, combinations, compress, cycle
 from math import gcd, isqrt, prod
 
-from .errors import FactorizationIncomplete, InternalError
+from .errors import FactorizationIncomplete, InternalError, check_int
 
 
 TRIAL_LIMIT = 1 << 20
@@ -68,6 +68,7 @@ PROVEN_PRIME_BOUND = 3317044064679887385961981
 
 def is_probable_prime(n: int) -> bool:
     """Strong-pseudoprime test to the bases ``_MR_BASES``; exact for n < PROVEN_PRIME_BOUND."""
+    check_int("n", n)
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -419,8 +420,7 @@ def factorize(x: int) -> dict[int, int]:
     if a composite cofactor survives ``_BUDGET``, which bounds the ECM work
     on each cofactor.
     """
-    if x < 2:
-        raise ValueError(f"need x >= 2, got {x}")
+    check_int("x", x, 2)
     if x <= TRIAL_LIMIT:  # one piece, which trial division alone factors
         return dict(_wheel(x)(TRIAL_LIMIT)[1])
     pieces = _pieces(x)
@@ -442,12 +442,6 @@ def _walk(factors: dict[int, int]):
             heappush(heap, (d * fac[j][0], j, 1))
 
 
-def _check_positive(x) -> None:
-    """ValueError unless ``x`` is an int >= 1; a bool is not an int."""
-    if type(x) is not int or x < 1:
-        raise ValueError(f"need an int x >= 1, got {x!r}")
-
-
 def divisors_ascending(x: int, stop: int | None = None):
     """The divisors of ``x`` >= 1, smallest first, lazily, up to ``stop`` if one
     is given; ``x`` is factored only as far as the walk goes.
@@ -461,11 +455,10 @@ def divisors_ascending(x: int, stop: int | None = None):
     goes on over the larger factorization, past what it has yielded.  It ends
     at the first divisor above ``stop``, or once its bound is at least
     ``stop``, so it never factors further for a divisor it will not yield.
-    An ``x`` or ``stop`` of the wrong type is refused at the call.
+    A bad ``x`` or ``stop`` is refused at the call, not at the first step.
     """
-    _check_positive(x)
-    if stop is not None and type(stop) is not int:
-        raise ValueError(f"need an int stop or None, got {stop!r}")
+    check_int("x", x, 1)
+    check_int("stop", stop, optional=True)
     return _ascending(_pieces(x) if x > 1 else [], stop)
 
 
@@ -493,8 +486,7 @@ def divisors(x: int) -> list[int]:
 
 
 def euler_phi(e: int) -> int:
-    if e < 1:
-        raise ValueError(f"need e >= 1, got {e}")
+    check_int("e", e, 1)
     if e == 1:
         return 1
     out = e
@@ -524,8 +516,7 @@ class UnitGroup:
     """
 
     def __init__(self, e: int):
-        if e < 2:
-            raise ValueError(f"need modulus e >= 2, got {e}")
+        check_int("e", e, 2)
         self.e = e
         # (p, a, t, N) per prime power p^a of e, with p - 1 = 2^t * N, N odd
         self._parts = []
@@ -548,6 +539,7 @@ class UnitGroup:
         self.carmichael_primes = tuple(sorted(lam))
 
     def _unit(self, b: int) -> int:
+        check_int("b", b)
         b %= self.e
         if gcd(b, self.e) != 1:
             raise ValueError(f"gcd({b}, {self.e}) != 1")
@@ -573,9 +565,10 @@ class UnitGroup:
 
         The structural answer is cross-checked against the parity of the order
         computed directly, which the result carries; a disagreement raises
-        InternalError.
+        InternalError.  The order comes first: ``order`` is the one check of b.
         """
-        b = self._unit(b)
+        order = self.order(b)
+        b %= self.e
         steps = []
         is_odd = True
         for p, a, t, n_odd in self._parts:
@@ -589,7 +582,6 @@ class UnitGroup:
                 steps.append(f"{p}^{a}: p-1 = 2^{t}*{n_odd}; b^{n_odd} mod {p} = {r}")
             if not part:
                 is_odd = False
-        order = self.order(b)
         if (order % 2 == 1) != is_odd:
             raise InternalError(
                 f"structural odd-order answer {is_odd} != direct parity {order % 2 == 1} "
@@ -606,6 +598,7 @@ def mult_order(b: int, e: int) -> int:
 
 def prime_power_split(q: int) -> tuple[int, int]:
     """Write q = p**s for prime p, or raise ValueError."""
+    check_int("q", q)
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
     fac = factorize(q)
@@ -616,6 +609,7 @@ def prime_power_split(q: int) -> tuple[int, int]:
 
 
 def is_prime_power(q: int) -> bool:
+    check_int("q", q)  # a non-int is refused; False is only for an int that is no prime power
     try:
         prime_power_split(q)
     except ValueError:

@@ -83,7 +83,7 @@ class TestFactorize:
             assert nt.factorize(p**2 * r) == {p: 2, r: 1}
 
     def test_rejects_small(self):
-        with pytest.raises(ValueError, match="need x >= 2, got 1"):
+        with pytest.raises(ValueError, match="need an int x >= 2, got 1"):
             nt.factorize(1)
 
     def test_divisors(self):
@@ -743,8 +743,19 @@ class TestUnitGroup:
             r = nt.UnitGroup(e).odd_order_test(b)
             assert r.order == nt.mult_order(b, e) and r.is_odd == (r.order % 2 == 1)
 
+    def test_odd_order_test_checks_b_once(self, monkeypatch):
+        # the direct order checks and reduces b; the structural steps reuse it
+        calls = []
+        unit = nt.UnitGroup._unit
+        monkeypatch.setattr(nt.UnitGroup, "_unit", lambda self, b: calls.append(b) or unit(self, b))
+        group = nt.UnitGroup(3 * 5 * 7 * 16)
+        bs = [b for b in range(-40, 80) if gcd(b, group.e) == 1]
+        for b in bs:
+            group.odd_order_test(b)
+        assert calls == bs
+
     def test_gates(self):
-        with pytest.raises(ValueError, match="need modulus e >= 2, got 1"):
+        with pytest.raises(ValueError, match="need an int e >= 2, got 1"):
             nt.UnitGroup(1)
         group = nt.UnitGroup(27)
         with pytest.raises(ValueError, match=r"gcd\(6, 27\) != 1"):
@@ -875,7 +886,7 @@ class TestConditionStar:
             cd.condition_star_holds(6, 2, 1, 5)
 
     def test_non_integer_e_rejected(self):
-        with pytest.raises(ValueError, match="e must be an integer, got 16.0"):
+        with pytest.raises(ValueError, match="need an int e, got 16.0"):
             cd.condition_star_holds(3, 4, 2, 16.0)
 
     def test_long_m_rejected_promptly(self):
@@ -901,7 +912,7 @@ class TestConditionStar:
 
     def test_non_integer_max_e_rejected(self):
         for max_e in (True, False, 100.0, "100"):
-            with pytest.raises(ValueError, match="max_e must be an integer or None"):
+            with pytest.raises(ValueError, match="need an int max_e or None"):
                 bd.search_condition_divisors(3, 4, 2, max_e=max_e)
 
     def test_accepted_divisors_at_least_repunit(self):
@@ -937,7 +948,7 @@ class TestRepunitCertificate:
         assert bd.repunit_certificate(25, 1)[0] == 26
 
     def test_gate(self):
-        with pytest.raises(ValueError, match="need q >= 3, got 2"):
+        with pytest.raises(ValueError, match="need an int q >= 3, got 2"):
             bd.repunit_certificate(2, 1)
         with pytest.raises(ValueError, match="6 is not a prime power"):
             bd.repunit_certificate(6, 1)
@@ -1034,7 +1045,7 @@ class TestDivisorCheckAndTables:
                 assert not bd.bounded_divisor_check(q, m, q + 1)
         with pytest.raises(ValueError, match="need odd m, got 4"):
             bd.bounded_divisor_check(7, 4, 9)
-        with pytest.raises(ValueError, match="need m >= 1, got -1"):
+        with pytest.raises(ValueError, match="need an int m >= 1, got -1"):
             bd.bounded_divisor_check(7, -1, 9)
         # 7 has order 3 mod 9; q^m is never built
         assert bd.bounded_divisor_check(7, 3 * (10**18 + 1), 9)

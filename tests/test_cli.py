@@ -1,9 +1,11 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -407,6 +409,20 @@ def test_per_check_time_limit(monkeypatch):
     assert [r.cid for r in results] == [f"3.{i}" for i in range(1, 8)]
     for r in results:
         assert not r.passed and r.detail.endswith(" [exceeded per-check time limit 0s]"), r
+
+
+def test_runtime_detail_names_only_the_limit(monkeypatch):
+    # a group's time is in its seconds field, so two runs of the same code
+    # differ in no detail, even under clocks of different speeds
+    details, seconds = [], []
+    for step in (0.001, 0.01):
+        ticks = itertools.count()
+        monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: next(ticks) * step))
+        rows = [r for r in verify.run_checks(only="1") if r.cid.endswith(".runtime")]
+        details.append([(r.cid, r.passed, r.detail) for r in rows])
+        seconds.append([r.seconds for r in rows])
+    assert details[0] == details[1] == [("1.runtime", True, "1s allowed")]
+    assert seconds[0] != seconds[1]
 
 
 def test_deterministic_output(capsys):
