@@ -193,8 +193,9 @@ def repunit_certificate(q: int, h: int) -> tuple[int, list[str]]:
 
 def sphere_packing_ok(n: int, k: int, q: int, d: int) -> bool:
     """Exact sphere-packing feasibility: q^(n-k) >= sum of ball volumes up to t."""
-    for name, value in (("n", n), ("k", k), ("q", q)):
-        check_int(name, value)
+    check_int("n", n)
+    check_int("k", k)
+    check_int("q", q, 2)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     check_int("d", d, 1)

@@ -87,7 +87,6 @@ def _index_exponents(params: QadicParams, h: int):
             for digits in product(range(1, q), repeat=r))
 
 
-@lru_cache(maxsize=256, typed=True)
 def index_set(params: QadicParams, h: int) -> tuple[int, ...]:
     """Sorted exponents a in [1, n-1] with q_weight(a) <= h."""
     return tuple(sorted(_index_exponents(params, h)))

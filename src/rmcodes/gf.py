@@ -21,7 +21,8 @@ zech[i] = log(1 + alpha^i), so that x + y is x * (1 + y/x) in three lookups
 (for p = 2 it is XOR); larger fields fall back to direct polynomial
 arithmetic, where an odd-p sum adds the digits of ``element_coeffs``.  The tables come from a walk in
 which multiplying by alpha is an F_p-linear map of the digits, a few
-lookups per step.
+lookups per step.  Only ``mul``, ``add`` and ``alpha_pow`` read them; every
+other field power, the inverse x^(q-2) included, is ``_power`` over ``mul``.
 
 A subfield F_q of F_{q^m} is embedded by matching the powers of a primitive
 element of F_q with the powers of beta = alpha^((q^m-1)/(q-1)).  Such a map
@@ -57,7 +58,6 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from itertools import product
-from math import gcd
 from sys import byteorder
 
 from .cyclotomy import EXPONENT_LIMIT
@@ -122,9 +122,6 @@ class FieldCtx:
                 for i in range(self.s):
                     r[off + i] = (r[off + i] - c * f[i]) % p
         return self.element_from_coeffs(r[: self.s])
-
-    def _raw_pow(self, x: int, e: int) -> int:
-        return _power(self._raw_mul, 1, x, e)
 
     def _build_log_tables(self):
         """exp/log, and for odd p the Zech table, by the walk t -> t * alpha.
@@ -217,40 +214,23 @@ class FieldCtx:
         return self._raw_mul(x, y)
 
     def inv(self, x: int) -> int:
+        """1/x, as x^(q-2)."""
         if x == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self.log is not None:
-            return self.exp[-self.log[x] % (self.order - 1)]
-        return self._raw_pow(x, self.order - 2)
+        return self.pow(x, self.order - 2)
 
     def pow(self, x: int, e: int) -> int:
+        """x**e by ``_power`` over ``mul``; a negative e inverts x first."""
         if e < 0:
             return self.pow(self.inv(x), -e)
-        if x == 0:
-            return 1 if e == 0 else 0
-        if self.log is not None:
-            return self.exp[self.log[x] * e % (self.order - 1)]
-        return self._raw_pow(x, e)
+        return _power(self.mul, 1, x, e)
 
     def alpha_pow(self, e: int) -> int:
-        """primitive_elem ** e, for any integer e."""
+        """primitive_elem ** e, for any integer e: one lookup on a tabled field."""
         e %= self.order - 1
         if self.exp is not None:
             return self.exp[e]
-        return self._raw_pow(self.primitive_elem, e)
-
-    def order_of(self, x: int) -> int:
-        """Multiplicative order of a nonzero element (raw powers while the tables are unbuilt)."""
-        if x == 0:
-            raise ZeroDivisionError("0 has no multiplicative order")
-        n = self.order - 1
-        if self.log is not None:
-            return n // gcd(n, self.log[x])
-        order = n
-        for r in self._group_primes:
-            while order % r == 0 and self._raw_pow(x, order // r) == 1:
-                order //= r
-        return order
+        return self.pow(self.primitive_elem, e)
 
     def primitives(self):
         """The primitive elements, in ascending index order; for s >= 2 from
@@ -345,8 +325,10 @@ def embed_subfield(big: FieldCtx, small: FieldCtx) -> SubfieldEmbedding:
     if t != big.order:
         raise ValueError(f"{big.order} is not a power of {q}")
     beta = big.alpha_pow((big.order - 1) // (q - 1))
-    if big.order_of(beta) != q - 1:
-        raise InternalError(f"beta has order {big.order_of(beta)}, expected {q - 1}")
+    # beta^(q-1) = 1, and beta^((q-1)/r) != 1 for each prime r of q - 1 (``primitives``' rule)
+    n = q - 1
+    if big.pow(beta, n) != 1 or any(big.pow(beta, n // r) == 1 for r in small._group_primes):
+        raise InternalError(f"beta = {beta} does not have order {n}")
 
     for g in small.primitives():
         to_big = [0] * q
@@ -504,8 +486,6 @@ def _unpack(x: int, width: int, count: int):
 
 
 def poly_scale(ctx: FieldCtx, c: int, f) -> tuple[int, ...]:
-    if c == 0:
-        return ()
     return poly_normalize([ctx.mul(c, x) for x in f])
 
 

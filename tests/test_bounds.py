@@ -982,6 +982,13 @@ class TestSpherePacking:
         assert bd.distance_optimal(8, 4, 3, 4)
         assert not bd.distance_optimal(7, 4, 2, 3)  # regression pin: d+1 still packs
 
+    def test_alphabet_below_two_rejected(self):
+        # q = 1 and q = 0 passed the int check and answered True and False
+        for q in (1, 0):
+            for check in (bd.sphere_packing_ok, bd.distance_optimal):
+                with pytest.raises(ValueError, match=f"^need an int q >= 2, got {q}$"):
+                    check(7, 4, q, 3)
+
     def test_exact_volume(self):
         # 2^9 = 512 < 576 = sum_{i<=3} C(15, i)
         assert sum(comb(15, i) for i in range(4)) == 576

@@ -17,7 +17,7 @@ from rmcodes.errors import check_int
 P34 = cy.QadicParams(3, 4)
 
 # the caches keyed by loose ints, typed so that 2.0 and True miss the entry of 2
-TYPED_CACHES = (gf.build_field, cy.index_set, cy.coset_partition, cy.maximal_representatives)
+TYPED_CACHES = (gf.build_field, cy.coset_partition, cy.maximal_representatives)
 
 # (entry, the call with one argument left open, its name, its least value, None allowed, a good int)
 ENTRIES = [
@@ -61,7 +61,7 @@ ENTRIES = [
      "weight", None, False, 3),
     ("sphere_packing_ok.n", lambda n: bd.sphere_packing_ok(n, 4, 2, 3), "n", None, False, 7),
     ("sphere_packing_ok.k", lambda k: bd.sphere_packing_ok(7, k, 2, 3), "k", None, False, 4),
-    ("sphere_packing_ok.q", lambda q: bd.sphere_packing_ok(7, 4, q, 3), "q", None, False, 2),
+    ("sphere_packing_ok.q", lambda q: bd.sphere_packing_ok(7, 4, q, 3), "q", 2, False, 2),
     ("sphere_packing_ok.d", lambda d: bd.sphere_packing_ok(7, 4, 2, d), "d", 1, False, 3),
     ("bounded_divisor_check.q", lambda q: bd.bounded_divisor_check(q, 3, 9), "q", None, False, 7),
     ("bounded_divisor_check.m", lambda m: bd.bounded_divisor_check(7, m, 9), "m", 1, False, 3),

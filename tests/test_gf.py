@@ -151,14 +151,6 @@ def test_primitive_powers_pairwise_distinct():
         assert len(seen) == F.order - 1
 
 
-def test_zero_has_no_order():
-    # tabled and raw-power fields alike
-    for F in (build_field(3, 2), build_field(2, 21)):
-        with pytest.raises(ZeroDivisionError, match="0 has no multiplicative order"):
-            F.order_of(0)
-        assert F.order_of(F.primitive_elem) == F.order - 1
-
-
 def test_negative_exponent():
     F = build_field(3, 2)
     for x in range(1, 9):
@@ -180,6 +172,24 @@ def test_tableless_field_matches_table_field():
         if a:
             assert raw.inv(a) == ref.inv(a)
         assert raw.pow(a, 17) == ref.pow(a, 17)
+    # every power is square-and-multiply over mul: check it against repeated
+    # products, on tabled fields and on their untabled twins
+    for p, s in ((2, 4), (3, 3), (5, 2), (2, 8), (7, 2)):
+        for F in (build_field(p, s), untabled(p, s)):
+            n = F.order - 1
+            exponents = [*range(-3, 21), n - 1, n]
+            for x in range(1, F.order):
+                inverse = F.inv(x)
+                assert F.mul(x, inverse) == 1, (F, x)
+                powers = {0: 1}
+                for e in range(1, max(n, 20) + 1):
+                    powers[e] = F.mul(powers[e - 1], x)
+                for e in range(1, 4):
+                    powers[-e] = F.mul(powers[1 - e], inverse)
+                for e in exponents:
+                    assert F.pow(x, e) == powers[e], (F, x, e)
+            for e in exponents:
+                assert F.alpha_pow(e) == F.pow(F.primitive_elem, e), (F, e)
 
 
 def test_element_coeffs_roundtrip():
@@ -187,6 +197,15 @@ def test_element_coeffs_roundtrip():
     for x in range(9):
         assert F.element_from_coeffs(F.element_coeffs(x)) == x
     assert F.element_coeffs(5) == (2, 1)  # 5 = 2 + 1*3
+
+
+def _order_brute(F, x):
+    """The least k >= 1 with x^k = 1, by repeated products."""
+    y, k = x, 1
+    while y != 1:
+        y = F.mul(y, x)
+        k += 1
+    return k
 
 
 class TestEmbedding:
@@ -200,13 +219,13 @@ class TestEmbedding:
         big, small = build_field(3, 2), build_field(3, 1)
         emb = embed_subfield(big, small)
         assert emb.beta == big.alpha_pow(4)
-        assert big.order_of(emb.beta) == 2
+        assert _order_brute(big, emb.beta) == 2
 
     def test_gf4_into_gf16(self):
         big, small = build_field(2, 4), build_field(2, 2)
         emb = embed_subfield(big, small)
         assert emb.beta == big.alpha_pow(5)
-        assert big.order_of(emb.beta) == 3
+        assert _order_brute(big, emb.beta) == 3
         image = set(emb.to_big)
         assert len(image) == 4
         for a in image:
@@ -214,6 +233,13 @@ class TestEmbedding:
             for b in image:
                 assert big.add(a, b) in image
                 assert big.mul(a, b) in image
+
+    def test_beta_of_wrong_order_is_internal_error(self):
+        # beta = 1 has order 1, not q - 1 = 2: beta^((q-1)/2) = 1
+        big = gf.FieldCtx(3, 2)
+        big.alpha_pow = lambda e: 1
+        with pytest.raises(InternalError, match="beta .*order.* 2"):
+            embed_subfield.__wrapped__(big, build_field(3, 1))
 
     def test_embedding_is_homomorphism(self):
         big, small = build_field(3, 3), build_field(3, 1)
@@ -529,15 +555,16 @@ def test_primitive_search_stops_at_first_failing_prime():
     # candidate's full order
     build_field(3, 1)  # the modulus search reads the cached prime field
     calls = 0
-    raw_pow = gf.FieldCtx._raw_pow
+    field_pow = gf.FieldCtx.pow
 
     def counting(self, x, e):
         nonlocal calls
-        calls += 1
-        return raw_pow(self, x, e)
+        if self.order == 3**10:  # not the prime field's inverses in the modulus search
+            calls += 1
+        return field_pow(self, x, e)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gf.FieldCtx, "_raw_pow", counting)
+        mp.setattr(gf.FieldCtx, "pow", counting)
         F = gf.FieldCtx(3, 10)
     assert F.primitive_elem == build_field(3, 10).primitive_elem
     assert calls <= 34
