@@ -13,7 +13,8 @@ it.  An enumerated bound keeps its witness codeword and word count:
   repunit-divisor-exact            (h+1) | m, via the divisor 1 + q + ... + q^h
   binary-h1-bar-exact              mirrored q = 2, h = 1, m >= 4 exact value 6
   ternary-h1-bar-upper             mirrored (3, 1), odd m, upper bound 10
-  divisor-witness                  quotient-codeword divisor found by search
+  divisor-witness                  least quotient-codeword divisor, searched up to
+                                   the closed-form upper bound
   enumeration:<route>              exact distance by enumeration, given a budget
   <lower via>+<upper via>          no exact source, but lower meets upper
 
@@ -129,19 +130,25 @@ def generic_bounds(q: int, m: int, h: int, variant: str = "omega") -> BoundRepor
 def certify(spec: CodeSpec, *, budget: SearchBudget | None = None) -> BoundReport:
     """Every distance bound for ``spec`` in one report: the closed forms, the least
     divisor passing the divisor condition (d <= e, or 2e for omega_bar) and, given
-    a budget, the enumerated distance.  A search or enumeration too large to run,
-    or a code beyond the default length bound, leaves a note.  Without a budget
-    nothing is built.
+    a budget, the enumerated distance.  The divisor walk stops at the closed-form
+    upper bound (e <= upper, or upper // 2 for omega_bar): a larger divisor can
+    tighten nothing.  It walks every divisor only when there is no upper bound.
+    A capped walk that finds no divisor leaves a note when no value is exact; a
+    search or enumeration too large to run, or a code beyond the default length
+    bound, leaves a note too.  Without a budget nothing is built.
     """
     report = generic_bounds(spec.q, spec.m, spec.h, spec.variant)
+    scale = 1 if spec.variant == "omega" else 2
+    cap = None if report.upper is None else report.upper.value // scale
     try:
-        e = next(_condition_divisors(spec.q, spec.m, spec.h), None)
+        e = next(_condition_divisors(spec.q, spec.m, spec.h, cap), None)
     except TooLarge as exc:
         report.notes.append(f"divisor search skipped: {exc}")
-        e = None
-    if e is not None:
-        value = e if spec.variant == "omega" else 2 * e
-        _merge(report, Bound(value, "divisor-witness"), witness=("divisor_e", e))
+    else:
+        if e is not None:
+            _merge(report, Bound(scale * e, "divisor-witness"), witness=("divisor_e", e))
+        elif cap is not None and report.exact is None:
+            report.notes.append(f"no divisor e <= {cap} passes the divisor condition")
     if budget is not None:
         try:
             result = exact_distance(build_code(spec), budget)

@@ -470,8 +470,9 @@ class TestDivisorWalk:
             assert prefix == self.product_list(x, prefix[-1])[:300], x
 
     def test_finisher_runs_only_past_the_trial_bound(self, monkeypatch):
-        # certify reads the least divisor passing the condition; only these five
-        # moduli need one above TRIAL_LIMIT or beyond the stage-1 divisors
+        # the uncapped walk of search-e reads the least divisor passing the
+        # condition; only these five moduli need one above TRIAL_LIMIT or beyond
+        # the stage-1 divisors. certify stops at 2q - 1, below each of them
         calls = []
         finish = nt._finish
         monkeypatch.setattr(nt, "_finish", lambda y: calls.append(y) or finish(y))
@@ -1106,15 +1107,22 @@ class TestDivisorCheckAndTables:
 
 
 def cli_merge(spec, budget=None):
-    """The merge ``rmcodes bounds`` did in the CLI before ``certify``: the reference."""
+    """The merge ``rmcodes bounds`` did in the CLI before ``certify``: the reference.
+
+    It walks every divisor. It keeps the least passing one only when its bound
+    is at most the upper bound, and otherwise, with no exact value, names the
+    cap in a note.
+    """
     report = bd.generic_bounds(spec.q, spec.m, spec.h, spec.variant)
-    divs = bd.search_condition_divisors(spec.q, spec.m, spec.h)
-    if divs:
-        e = divs[0]
-        value = e if spec.variant == "omega" else 2 * e
+    e = next(bd._condition_divisors(spec.q, spec.m, spec.h), None)
+    scale = 1 if spec.variant == "omega" else 2
+    if e is not None and (report.upper is None or scale * e <= report.upper.value):
+        value = scale * e
         if report.upper is None or value < report.upper.value:
             report.upper = bd.Bound(value, "divisor-witness")
         report.witnesses.append(("divisor_e", e))
+    elif report.upper is not None and report.exact is None:
+        report.notes.append(f"no divisor e <= {report.upper.value // scale} passes the divisor condition")
     if budget is not None:
         try:
             result = exact_distance(build_code(spec), budget)
@@ -1222,6 +1230,32 @@ class TestCertify:
         assert len(specs) == 29
         for spec in specs:
             self.assert_matches_cli_merge(spec, BUDGET)
+
+    def test_capped_walk_matches_the_uncapped_walk(self):
+        # certify walks divisors only up to the upper bound; a larger divisor
+        # tightens nothing, so every value and via is that of the uncapped walk
+        def values(report):
+            bounds = (report.lower, report.upper, report.exact)
+            return [None if b is None else (b.value, b.via) for b in bounds]
+
+        grid = list(nonzero_grid_specs())
+        moduli = [CodeSpec(q, m, 1) for q, m in TestDivisorWalk.certify_moduli()]
+        assert (len(grid), len(moduli)) == (79, 126)
+        for spec in grid + moduli:
+            want = cli_merge(spec)
+            if spec == MEET:
+                want.exact = bd.Bound(14, "generic-lower-doubled+divisor-witness")
+            assert values(bd.certify(spec)) == values(want), spec
+
+    def test_certify_moduli_run_no_curve(self, monkeypatch):
+        calls = []
+        curve = nt._ecm_curve
+        monkeypatch.setattr(nt, "_ecm_curve", lambda *args: calls.append(args) or curve(*args))
+        nt._finish.cache_clear()
+        nt._piece.cache_clear()
+        for q, m in TestDivisorWalk.certify_moduli():
+            bd.certify(CodeSpec(q, m, 1))
+        assert calls == []
 
     def test_enumerated_exact_keeps_its_witness(self):
         routes = []

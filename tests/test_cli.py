@@ -138,11 +138,12 @@ class TestBounds:
     def test_factoring_budget_exhausted(self, capsys, monkeypatch):
         # Phi_43(7) = (7^43 - 1)/6 is a 119-bit product of two primes, which
         # no ECM curve within a budget of 1 splits; the finisher cache would
-        # otherwise answer from an earlier, full-budget factorization
+        # otherwise answer from an earlier, full-budget factorization. The
+        # uncapped walk of search-e needs that split; bounds stops at 13
         monkeypatch.setattr(nt, "_BUDGET", 1)
         nt._finish.cache_clear()
         try:
-            code, out, err = run(capsys, "bounds", "7", "43", "1")
+            code, out, err = run(capsys, "search-e", "7", "43", "1")
         finally:
             nt._finish.cache_clear()
         assert code == 2 and out == ""
@@ -152,20 +153,22 @@ class TestBounds:
                                          (7, 43, 166003607842448777), (29, 23, 131327761273),
                                          (31, 23, 1509997)])
     def test_divisor_witness_past_the_trial_bound(self, capsys, monkeypatch, q, m, e):
-        # the five certify moduli whose least divisor needs the finisher; for
-        # 7^43 - 1 the stage-1 divisors 1, 2, 3, 6 run out below TRIAL_LIMIT.
-        # Each takes the ECM curves of FINISHER_CURVES, 42 in all; the cache
-        # is cleared so that the finisher runs
+        # the five certify moduli whose least passing divisor needs the
+        # finisher; for 7^43 - 1 the stage-1 divisors 1, 2, 3, 6 run out below
+        # TRIAL_LIMIT. bounds stops below e, so the uncapped walk of search-e
+        # reaches it. Each takes the ECM curves of FINISHER_CURVES, 42 in all;
+        # the cache is cleared so that the finisher runs
         calls = []
         curve = nt._ecm_curve
         monkeypatch.setattr(nt, "_ecm_curve", lambda *args: calls.append(args) or curve(*args))
         nt._finish.cache_clear()
         try:
-            code, out, _ = run(capsys, "bounds", str(q), str(m), "1", "--format", "json")
+            code, out, _ = run(capsys, "search-e", str(q), str(m), "1", "--max-e", str(e),
+                               "--format", "json")
         finally:
             nt._finish.cache_clear()
         assert code == 0
-        assert ["divisor_e", e] in json.loads(out)["witnesses"]
+        assert json.loads(out)["divisors"] == [e]
         assert len(calls) == FINISHER_CURVES[q, m]
 
     @pytest.mark.parametrize("q, m, e", [(19, 29, 59), (11, 31, 50159)])
@@ -175,11 +178,36 @@ class TestBounds:
         monkeypatch.setattr(nt, "_BUDGET", 1)
         nt._finish.cache_clear()
         try:
+            code, out, err = run(capsys, "search-e", str(q), str(m), "1", "--max-e", str(e),
+                                 "--format", "json")
+        finally:
+            nt._finish.cache_clear()
+        assert code == 0, err
+        assert json.loads(out)["divisors"] == [e]
+
+    @pytest.mark.parametrize("q, m", FINISHER_CURVES)
+    def test_finisher_moduli_need_no_split(self, capsys, monkeypatch, q, m):
+        # the walk of bounds stops at the upper bound, below the least passing
+        # divisor, so it splits no cofactor, even within a budget no ECM curve fits
+        monkeypatch.setattr(nt, "_BUDGET", 1)
+        nt._finish.cache_clear()
+        try:
             code, out, err = run(capsys, "bounds", str(q), str(m), "1", "--format", "json")
         finally:
             nt._finish.cache_clear()
         assert code == 0, err
-        assert ["divisor_e", e] in json.loads(out)["witnesses"]
+        assert all(kind != "divisor_e" for kind, _ in json.loads(out)["witnesses"])
+
+    def test_note_when_no_divisor_passes_below_the_cap(self, capsys):
+        note = "no divisor e <= 17 passes the divisor condition"
+        code, out, _ = run(capsys, "bounds", "3", "5", "2", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["upper"]["via"] == "generic-upper" and doc["exact"] is None
+        assert doc["witnesses"] == [] and doc["notes"] == [note]
+        code, out, _ = run(capsys, "bounds", "3", "5", "2")
+        assert code == 0
+        assert out.splitlines()[-2:] == ["  upper = 17  [generic-upper]", f"  note: {note}"]
 
     @pytest.mark.parametrize("q, m, h, size, lower, upper", [(2, 30, 10, 53009101, 2047, 2047),
                                                           (3, 20, 8, 45235088, 9841, 13121)])
