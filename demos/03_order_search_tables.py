@@ -6,7 +6,7 @@
 # construction gives d <= e for every length exponent that is an odd
 # multiple of l -- often beating the generic upper bound 2q - 1.
 
-from rmcodes import bounded_divisor_check, table_rows
+from rmcodes import table_rows
 from rmcodes.bounds import table_csv
 
 for q in (7, 13, 25):
@@ -18,7 +18,7 @@ for q in (7, 13, 25):
 
 # The direct form of the same fact: any divisor of q^m - 1 landing in
 # [q+1, 2q-1] bounds the distance for that specific odd m.
-print("9 divides 7^3 - 1 and 8 <= 9 <= 13:", bounded_divisor_check(7, 3, 9))
+print("9 divides 7^3 - 1 and 8 <= 9 <= 13:", pow(7, 3, 9) == 1 and 7 + 1 <= 9 <= 2 * 7 - 1)
 
 # ## Full table as CSV
 #

@@ -24,7 +24,6 @@ from .cyclotomy import (
     CosetPartition,
     QadicParams,
     coset_partition,
-    fold_exponent,
     index_set,
     index_set_size,
     maximal_representatives,
@@ -35,19 +34,16 @@ from .codes import (
     CodeSpec,
     Codeword,
     build_code,
-    code_from_json,
     code_to_json,
     condition_star_holds,
     encode,
     is_member,
     minimal_poly,
     quotient_codeword,
-    verify_roots,
 )
 from .bounds import (
     BoundReport,
     OrderSearchRow,
-    bounded_divisor_check,
     certify,
     distance_optimal,
     generic_bounds,
@@ -57,7 +53,7 @@ from .bounds import (
     sphere_packing_ok,
     table_rows,
 )
-from .ntheory import euler_phi, factorize, mult_order
+from .ntheory import factorize, mult_order
 from .distance import (
     Bound,
     SearchBudget,

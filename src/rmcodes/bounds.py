@@ -269,22 +269,6 @@ class OrderSearchRow:
     e: int
 
 
-def bounded_divisor_check(q: int, m: int, e: int) -> bool:
-    """For odd m: does e divide q^m - 1 with q+1 <= e <= 2q-1?
-
-    A passing e certifies distance <= e (mirrored <= 2e) for h = 1,
-    because e exceeds every h = 1 coset representative 1..q-1.
-    """
-    prime_power_split(q)  # raises if q is not a prime power
-    check_int("m", m, 1)
-    check_int("e", e)
-    if m % 2 == 0:
-        raise ValueError(f"need odd m, got {m}")
-    if not q + 1 <= e <= 2 * q - 1:
-        return False
-    return pow(q, m, e) == 1
-
-
 @dataclass(frozen=True)
 class TableBlock:
     """Search rows for one q plus the generic h = 1 distance bounds."""

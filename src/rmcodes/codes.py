@@ -189,29 +189,6 @@ def build_code(spec: CodeSpec, *, max_n: int | None = None) -> CodeInstance:
     return _build(spec)
 
 
-_EXHAUSTIVE_LIMIT = 1 << 16  # verify_roots: longest n whose every exponent is tested
-_SAMPLES = 64  # verify_roots: exponents sampled, besides the zeros, above that
-
-
-def verify_roots(inst: CodeInstance) -> None:
-    """Check gen(alpha^a) = 0 exactly for a in the zero set, both directions.
-
-    Exhaustive over all n exponents when n <= ``_EXHAUSTIVE_LIMIT``, otherwise
-    all zeros plus a deterministic sample of ``_SAMPLES`` non-zeros.
-    """
-    n = inst.n
-    zeros = set(inst.zero_exponents)
-    if n <= _EXHAUSTIVE_LIMIT:
-        exponents = range(n)
-    else:
-        step = max(1, n // _SAMPLES)
-        exponents = sorted(zeros | set(range(0, n, step)))
-    terms = [(j, c) for j, c in enumerate(inst.gen_poly) if c]
-    for a in exponents:
-        if (inst.emb.evaluate(terms, a) == 0) != (a in zeros):
-            raise InternalError(f"root test failed at exponent {a}")
-
-
 def _check_indices(entries: tuple, q: int, what: str) -> None:
     """ValueError unless every entry is an int index in [0, q); a bool is not an int."""
     if entries and (set(map(type, entries)) != {int} or min(entries) < 0 or max(entries) >= q):
@@ -248,7 +225,12 @@ def condition_star_holds(q: int, m: int, h: int, e: int) -> bool:
     exponent (decided on the maximal set); the checked entry point for one e.
 
     When true, the quotient codeword certifies distance <= e (and <= 2e for
-    the mirrored code) at every extension length m*l.
+    the mirrored code) at every extension length m*l.  The fold
+    a -> (a mod q^m) + floor(a / q^m), repeated, takes a bounded-weight
+    exponent of length m*l to one below q^m: q^m = 1 mod n, so each step keeps
+    the class mod n, and the two parts split a's base-q digits, so the q-ary
+    weight never grows.  An e that divides no bounded-weight exponent mod n
+    therefore divides none at length m*l either.
     """
     params = CodeSpec(q, m, h).params  # checks (q, m, h) as every loose-argument entry does
     check_int("e", e)
@@ -318,17 +300,3 @@ def code_to_json(inst: CodeInstance) -> dict:
         "gen_poly": list(inst.gen_poly),
         "zero_exponents": list(inst.zero_exponents),
     }
-
-
-def code_from_json(doc: dict) -> CodeInstance:
-    """Rebuild from the serialized parameters; a missing, malformed or mismatched field is a ValueError."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"a serialized code is a JSON object, got {type(doc).__name__}")
-    try:
-        spec = CodeSpec(doc["q"], doc["m"], doc["h"], doc["variant"])
-    except KeyError as exc:
-        raise ValueError(f"serialized code lacks the field {exc}") from None
-    inst = build_code(spec)
-    if any(doc.get(key) != value for key, value in code_to_json(inst).items()):
-        raise ValueError("serialized code does not match its parameters")
-    return inst

@@ -154,18 +154,3 @@ def maximal_representatives(params: QadicParams, h: int) -> tuple[int, ...]:
     reps = _partition(params, h).representatives
     # ascending, and a proper multiple of r is larger than r: scan only what follows
     return tuple(r for i, r in enumerate(reps) if not any(s % r == 0 for s in reps[i + 1:]))
-
-
-def fold_exponent(params: QadicParams, a: int) -> int:
-    """Fold a >= 0 below q^m by a -> (a mod q^m) + floor(a / q^m), repeated.
-
-    q^m = 1 mod n, so each step keeps the residue class mod n, and the two
-    parts split a's base-q digits, so the q-ary weight never grows.  A
-    bounded-weight exponent of any extension length therefore folds to a
-    bounded-weight exponent mod n: 0 stays 0, and a >= 1 ends in [1, n].
-    """
-    check_int("a", a, 0)
-    qm = params.q**params.m
-    while a >= qm:
-        a = a % qm + a // qm
-    return a

@@ -1,4 +1,4 @@
-"""Exact integer number theory: factorization, Euler phi, multiplicative orders.
+"""Exact integer number theory: factorization and multiplicative orders.
 
 Everything here is deterministic and uses arbitrary-precision integers only.
 Factoring runs in two stages.  Stage 1 is trial division, then Miller-Rabin
@@ -483,17 +483,6 @@ def divisors(x: int) -> list[int]:
     """All positive divisors of ``x`` >= 1, sorted ascending: the divisor walk
     run to its end."""
     return list(divisors_ascending(x))
-
-
-def euler_phi(e: int) -> int:
-    check_int("e", e, 1)
-    if e == 1:
-        return 1
-    out = e
-    for p in factorize(e):
-        out //= p
-        out *= p - 1
-    return out
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from rmcodes import gf
 from rmcodes.codes import VARIANTS, CodeSpec, build_code, encode, is_member, quotient_codeword
 from rmcodes.cyclotomy import QadicParams, coset_of, coset_partition, index_set
 from rmcodes.bounds import search_condition_divisors
-from rmcodes.errors import InternalError, TooLarge
+from rmcodes.errors import TooLarge
 from rmcodes.gf import (
     poly_degree,
     poly_divmod,
@@ -21,6 +21,15 @@ from rmcodes.gf import (
 )
 from rmcodes.ntheory import prime_power_split
 from rmcodes.verify import BARRED_GRID, GRID
+
+
+def root_failures(inst, exponents=None) -> list[int]:
+    """The exponents a, of ``exponents`` or else all n, at which gen(alpha^a) = 0
+    disagrees with a being in the zero set."""
+    zeros = set(inst.zero_exponents)
+    terms = [(j, c) for j, c in enumerate(inst.gen_poly) if c]
+    return [a for a in (range(inst.n) if exponents is None else exponents)
+            if (inst.emb.evaluate(terms, a) == 0) != (a in zeros)]
 
 
 class TestCodeSpec:
@@ -157,11 +166,12 @@ class TestBuildCode:
         ],
     )
     def test_roots_exhaustive(self, spec):
-        cd.verify_roots(build_code(spec))
+        assert root_failures(build_code(spec)) == []
 
-    def test_roots_sampled_large(self, monkeypatch):
-        monkeypatch.setattr(cd, "_EXHAUSTIVE_LIMIT", 256)
-        cd.verify_roots(build_code(CodeSpec(4, 6, 1)))
+    def test_roots_sampled_large(self):
+        inst = build_code(CodeSpec(4, 6, 1))
+        sample = set(inst.zero_exponents) | set(range(0, inst.n, inst.n // 64))
+        assert root_failures(inst, sample) == []
 
     @pytest.mark.parametrize("spec", [CodeSpec(3, 4, 2), CodeSpec(2, 4, 1, "omega_bar")])
     def test_roots_catch_a_dropped_factor(self, spec):
@@ -173,8 +183,7 @@ class TestBuildCode:
         broken = cd.CodeInstance(
             spec, inst.zero_exponents, gen, inst.check_poly, inst.emb, inst.zero_representatives
         )
-        with pytest.raises(InternalError, match="root test failed"):
-            cd.verify_roots(broken)
+        assert root_failures(broken) == list(coset_of(spec.params, last))
 
     def test_mirrored_zero_set(self):
         inst = build_code(CodeSpec(3, 4, 2, "omega_bar"))
@@ -447,37 +456,10 @@ class TestQuotientCodeword:
 class TestSerialization:
     def test_round_trip(self):
         inst = build_code(CodeSpec(3, 2, 1))
-        doc = json.loads(json.dumps(cd.code_to_json(inst)))
-        again = cd.code_from_json(doc)
-        assert again.gen_poly == inst.gen_poly
-        assert again.k == inst.k
-
-    def test_detects_corruption(self):
-        doc = cd.code_to_json(build_code(CodeSpec(3, 2, 1)))
-        doc["k"] += 1
-        with pytest.raises(ValueError):
-            cd.code_from_json(doc)
-
-    @pytest.mark.parametrize("field", ["q", "variant", "n", "gen_poly"])
-    def test_missing_field(self, field):
-        doc = cd.code_to_json(build_code(CodeSpec(3, 2, 1)))
-        del doc[field]
-        with pytest.raises(ValueError):
-            cd.code_from_json(doc)
-
-    @pytest.mark.parametrize(
-        "field,value", [("q", "3"), ("m", 2.0), ("h", None), ("variant", None), ("k", "4"), ("gen_poly", 5)]
-    )
-    def test_malformed_field(self, field, value):
-        doc = cd.code_to_json(build_code(CodeSpec(3, 2, 1)))
-        doc[field] = value
-        with pytest.raises(ValueError):
-            cd.code_from_json(doc)
-
-    @pytest.mark.parametrize("doc", [[1, 2], None, "{}"], ids=["list", "null", "string"])
-    def test_non_object_document(self, doc):
-        with pytest.raises(ValueError, match="a serialized code is a JSON object"):
-            cd.code_from_json(doc)
+        doc = cd.code_to_json(inst)
+        assert json.loads(json.dumps(doc)) == doc
+        assert doc["gen_poly"] == list(inst.gen_poly)
+        assert doc["k"] == inst.k
 
     def test_element_ordering_documented(self):
         # gen poly entries are indices whose base-p digits are the coefficients

