@@ -291,6 +291,12 @@ def table_rows(q_min: int, q_max: int) -> list[TableBlock]:
     and gcd(a, q) = gcd(e, q).  Each e gets one ``UnitGroup``, which serves
     every q of that window, so e and the p - 1 of its primes are factored
     once per call.  The rows of each q come out in ascending a.
+
+    One power screens each offset: -a has odd order mod e exactly when its
+    power to the odd part of lambda(e), ``UnitGroup.carmichael_odd``, is 1.
+    Only an offset that passes gets its exact order ``l`` from
+    ``UnitGroup.order``, and an even ``l`` there raises InternalError, so
+    every row cross-checks the screen.
     """
     check_int("q_min", q_min)
     check_int("q_max", q_max)
@@ -305,9 +311,13 @@ def table_rows(q_min: int, q_max: int) -> list[TableBlock]:
                 continue
             if group is None:
                 group = UnitGroup(e)
+            if pow(q - e, group.carmichael_odd, e) != 1:
+                continue
             l = group.order(q - e)
-            if l % 2 == 1:
-                rows[q].append(OrderSearchRow(q, e - q, l, e))
+            if l % 2 == 0:
+                raise InternalError(f"internal: {q - e} has even order {l} mod {e} "
+                                    "but passed the odd-order screen")
+            rows[q].append(OrderSearchRow(q, e - q, l, e))
     return [TableBlock(q, tuple(rows[q]), q + 1, 2 * q - 1) for q in qs]
 
 

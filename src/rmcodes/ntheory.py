@@ -500,8 +500,12 @@ class UnitGroup:
     lambda(e), the least common multiple of the lambda(p^a): p^(a-1)(p - 1)
     for odd p, 1, 2 and 2^(a-2) for 2, 4 and 2^a with a >= 3, and the primes
     of lambda(e) in ``carmichael_primes``.  Every order divides lambda(e), so
-    ``order`` reduces from it.  One group serves any number of ``order`` and
-    ``odd_order_test`` calls without factoring again.
+    ``order`` reduces from it.  It also holds the odd part of lambda(e) in
+    ``carmichael_odd``: an order is odd exactly when it divides that part, so a
+    unit has odd order exactly when its power to ``carmichael_odd`` is 1, one
+    power where ``order`` makes one per prime of lambda(e) at least.  One group
+    serves any number of ``order`` and ``odd_order_test`` calls without
+    factoring again.
     """
 
     def __init__(self, e: int):
@@ -525,6 +529,7 @@ class UnitGroup:
                 if k > lam.get(r, 0):
                     lam[r] = k
         self.carmichael = prod(r**k for r, k in lam.items())
+        self.carmichael_odd = prod(r**k for r, k in lam.items() if r != 2)
         self.carmichael_primes = tuple(sorted(lam))
 
     def _unit(self, b: int) -> int:

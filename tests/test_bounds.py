@@ -742,6 +742,29 @@ class TestUnitGroup:
                 largest = max(largest, l)
             assert group.carmichael == largest, e
 
+    def test_odd_part_screens_odd_orders(self):
+        # b^carmichael_odd == 1 exactly when the order of b is odd
+        for e in range(2, 301):
+            group = nt.UnitGroup(e)
+            odd = group.carmichael_odd
+            assert odd % 2 == 1 and (group.carmichael // odd).bit_count() == 1, e
+            for b in range(1, e):
+                if gcd(b, e) == 1:
+                    assert (pow(b, odd, e) == 1) == (group.order(b) % 2 == 1), (b, e)
+
+    def test_table_cross_checks_the_screen(self, monkeypatch):
+        # with lambda(e) as the screen's exponent every unit passes, and the
+        # first admitted offset of even order raises
+        init = nt.UnitGroup.__init__
+
+        def admit_all(self, e):
+            init(self, e)
+            self.carmichael_odd = self.carmichael
+
+        monkeypatch.setattr(nt.UnitGroup, "__init__", admit_all)
+        with pytest.raises(InternalError, match="has even order .* but passed the odd-order screen"):
+            bd.table_rows(7, 64)
+
     def test_odd_order_result_carries_the_order(self):
         rng = random.Random(61)
         for _ in range(500):

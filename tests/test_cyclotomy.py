@@ -168,16 +168,36 @@ class TestCosets:
                 for x in cls:
                     assert (x * q) % params.n in cls
 
-    def test_streaming_matches_partition(self):
-        for q, m, h in [(3, 4, 2), (3, 6, 2), (2, 6, 3), (4, 3, 2)]:
+    def test_streaming_matches_partition(self, monkeypatch):
+        # every (q, m, h) with q in {2, 3, 4, 5, 7, 8, 9}, q^m - 1 in the
+        # 128-bit range and at most 2^12 exponents, so the cosets shorter than
+        # m are covered too
+        specs = [(q, m, h)
+                 for q in (2, 3, 4, 5, 7, 8, 9)
+                 for m in range(2, 129) if q**m - 1 <= cyclotomy.EXPONENT_LIMIT
+                 for h in range(1, m)
+                 if index_set_size(QadicParams(q, m), h) <= 1 << 12]
+        assert len(specs) == 773
+        walked = []
+        walk = cyclotomy.coset_of
+        monkeypatch.setattr(cyclotomy, "coset_of", lambda params, a: walked.append(walk(params, a)) or walked[-1])
+        short = set()
+        for q, m, h in specs:
             params = QadicParams(q, m)
+            coset_partition.cache_clear()
+            maximal_representatives.cache_clear()
+            walked.clear()
             part = coset_partition(params, h)
+            # the partition walks each coset exactly once
+            assert sorted(walked) == list(part.classes)
             # the per-orbit minima of the materialized index set, independently
             want = sorted({min(coset_of(params, a)) for a in index_set(params, h)})
             assert part.representatives == tuple(want)
             assert maximal_representatives(params, h) == tuple(
                 r for r in want if not any(r != s and s % r == 0 for s in want)
             )
+            short.update((q, m, h, c) for c in part.classes if len(c) < m)
+        assert {(2, 6, 3, (21, 42)), (4, 4, 2, (17, 68)), (2, 8, 4, (85, 170))} <= short
 
     def test_maximal_set_size_limit(self, monkeypatch):
         # (2, 30, 10) has 53,009,101 exponents: rejected from the size formula
