@@ -284,7 +284,8 @@ def table_rows(q_min: int, q_max: int) -> list[TableBlock]:
     the one entry point of that search: the block of q holds the generic h = 1
     bounds and, as ``OrderSearchRow``s certifying d <= q + a at every odd
     multiple of l, every a in [2, q-2] coprime to q whose negation has odd
-    order l modulo q + a.  ``table_rows(q, q)[0].rows`` are the rows of one q >= 4.
+    order l modulo q + a.  ``table_rows(q, q)[0].rows`` are the rows of one
+    prime power q >= 4.
 
     The walk goes over the moduli e in ascending order instead of over q.
     A pair (q, a = e - q) with 2 <= a <= q - 2 has (e + 3) // 2 <= q <= e - 2,

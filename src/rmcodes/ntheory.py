@@ -39,20 +39,20 @@ divisors it yields; ``divisors`` is the walk run to its end.
 
 ``UnitGroup(e)`` factors a modulus e once per group, and each p - 1 once,
 and holds the Carmichael exponent lambda(e); orders reduce from lambda(e).
-Its ``odd_order_test`` is the one odd-order test.  ``mult_order`` builds one
-group for one unit, so a caller with many units mod the same e builds the
-group once and asks it.
+Its odd part, ``carmichael_odd``, is the one odd-order test: a unit has odd
+order exactly when its power to it is 1.  ``mult_order`` builds one group for
+one unit, so a caller with many units mod the same e builds the group once
+and asks it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from heapq import heappop, heappush
 from itertools import accumulate, chain, combinations, compress, cycle
 from math import gcd, isqrt, prod
 
-from .errors import FactorizationIncomplete, InternalError, check_int
+from .errors import FactorizationIncomplete, check_int
 
 
 TRIAL_LIMIT = 1 << 20
@@ -485,13 +485,6 @@ def divisors(x: int) -> list[int]:
     return list(divisors_ascending(x))
 
 
-@dataclass(frozen=True)
-class OddOrderResult:
-    is_odd: bool
-    steps: tuple[str, ...]
-    order: int  # the order itself, computed directly as the cross-check
-
-
 class UnitGroup:
     """The group of units mod ``e`` >= 2, with ``e`` factored once.
 
@@ -503,28 +496,22 @@ class UnitGroup:
     ``order`` reduces from it.  It also holds the odd part of lambda(e) in
     ``carmichael_odd``: an order is odd exactly when it divides that part, so a
     unit has odd order exactly when its power to ``carmichael_odd`` is 1, one
-    power where ``order`` makes one per prime of lambda(e) at least.  One group
-    serves any number of ``order`` and ``odd_order_test`` calls without
-    factoring again.
+    power where ``order`` makes one per prime of lambda(e) at least.  That
+    power is the one odd-order test.  One group serves any number of ``order``
+    calls and odd-order tests without factoring again.
     """
 
     def __init__(self, e: int):
         check_int("e", e, 2)
         self.e = e
-        # (p, a, t, N) per prime power p^a of e, with p - 1 = 2^t * N, N odd
-        self._parts = []
         lam: dict[int, int] = {}
         for p, a in factorize(e).items():
             if p == 2:
                 piece = {2: a - 1 if a < 3 else a - 2}
-                t = n_odd = 0
             else:
                 piece = factorize(p - 1)
-                t = piece[2]
-                n_odd = (p - 1) >> t
                 if a > 1:
                     piece = {**piece, p: a - 1}
-            self._parts.append((p, a, t, n_odd))
             for r, k in piece.items():
                 if k > lam.get(r, 0):
                     lam[r] = k
@@ -547,41 +534,6 @@ class UnitGroup:
             while l % r == 0 and pow(b, l // r, e) == 1:
                 l //= r
         return l
-
-    def odd_order_test(self, b: int) -> OddOrderResult:
-        """Decide whether the order of ``b`` mod ``e`` is odd, structurally.
-
-        The decision splits ``e`` into prime powers (the order mod ``e`` is the
-        lcm of the orders mod each prime power): for 2**a the order is odd only
-        when it is 1; for an odd prime power the parity equals the parity of the
-        order mod p, which is odd exactly when b is a 2**t-th power mod p where
-        p - 1 = 2**t * N with N odd, i.e. when b**N == 1 (mod p).
-
-        The structural answer is cross-checked against the parity of the order
-        computed directly, which the result carries; a disagreement raises
-        InternalError.  The order comes first: ``order`` is the one check of b.
-        """
-        order = self.order(b)
-        b %= self.e
-        steps = []
-        is_odd = True
-        for p, a, t, n_odd in self._parts:
-            pa = p**a
-            if p == 2:
-                part = b % pa == 1
-                steps.append(f"2^{a}: odd order iff b = 1 mod {pa}; b mod {pa} = {b % pa}")
-            else:
-                r = pow(b, n_odd, p)
-                part = r == 1
-                steps.append(f"{p}^{a}: p-1 = 2^{t}*{n_odd}; b^{n_odd} mod {p} = {r}")
-            if not part:
-                is_odd = False
-        if (order % 2 == 1) != is_odd:
-            raise InternalError(
-                f"structural odd-order answer {is_odd} != direct parity {order % 2 == 1} "
-                f"for b={b}, e={self.e}"
-            )
-        return OddOrderResult(is_odd, tuple(steps), order)
 
 
 def mult_order(b: int, e: int) -> int:

@@ -324,10 +324,10 @@ def check_odd_order_parity(seed=DEFAULT_SEED):
         b = rng.randrange(1, e)
         if gcd(b, e) != 1:
             continue
-        result = nt.UnitGroup(e).odd_order_test(b)
-        _require(result.is_odd == (result.order % 2 == 1), (b, e))
+        group = nt.UnitGroup(e)
+        _require((pow(b, group.carmichael_odd, e) == 1) == (group.order(b) % 2 == 1), (b, e))
         count += 1
-    return "structural odd-order test matches direct order parity on 10^4 seeded coprime pairs"
+    return "one-power odd-order screen matches direct order parity on 10^4 seeded coprime pairs"
 
 
 def check_quadratic_residue_rule():
@@ -338,7 +338,9 @@ def check_quadratic_residue_rule():
         residues = {b * b % p for b in range(1, p)}
         group = nt.UnitGroup(p)
         for b in range(2, p):
-            _require(group.odd_order_test(b).is_odd == (b in residues), (b, p))
+            residue = b in residues
+            _require((pow(b, group.carmichael_odd, p) == 1) == residue, (b, p))
+            _require((group.order(b) % 2 == 1) == residue, (b, p))
             checked += 1
     return f"odd order iff quadratic residue verified for {checked} pairs (p = 3 mod 4, p < 500)"
 

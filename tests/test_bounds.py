@@ -423,7 +423,7 @@ class TestTrialDivisionProof:
         for x in (*range(2, 5000), 7 * self.P, 1_000_003 * 1_000_033, (1 << 40) - 87):
             nt.factorize(x)
         for e in range(3, 2000, 7):
-            nt.UnitGroup(e | 1).odd_order_test(2)
+            nt.UnitGroup(e | 1).order(2)
 
 
 class TestDivisorWalk:
@@ -678,19 +678,18 @@ class TestPhiAndOrder:
     def test_not_coprime(self):
         with pytest.raises(ValueError, match=r"gcd\(6, 27\) != 1"):
             nt.mult_order(6, 27)
-        with pytest.raises(ValueError, match=r"gcd\(6, 27\) != 1"):
-            nt.UnitGroup(27).odd_order_test(6)
+
+
+def odd_order(e, b):
+    """Whether b has odd order mod e, by the one-power screen of UnitGroup."""
+    return pow(b, nt.UnitGroup(e).carmichael_odd, e) == 1
 
 
 class TestOddOrder:
     def test_goldens(self):
-        assert nt.UnitGroup(27).odd_order_test(-2).is_odd
+        assert odd_order(27, -2)
         for q in (4, 5, 7, 9, 16, 25):
-            assert not nt.UnitGroup(q + 1).odd_order_test(-1).is_odd
-
-    def test_trace_present(self):
-        result = nt.UnitGroup(27).odd_order_test(-2)
-        assert result.steps and result.steps[0].startswith("3^3")
+            assert not odd_order(q + 1, -1)
 
     def test_matches_parity_sampled(self):
         rng = random.Random(31)
@@ -699,21 +698,20 @@ class TestOddOrder:
             b = rng.randrange(1, e)
             if gcd(b, e) != 1:
                 continue
-            assert nt.UnitGroup(e).odd_order_test(b).is_odd == (nt.mult_order(b, e) % 2 == 1)
+            assert odd_order(e, b) == (nt.mult_order(b, e) % 2 == 1)
 
     def test_steps_on_quadratic_residue_pairs(self):
-        # sha256 of every (b, p, is_odd, steps) of verify check 7.d, recorded
-        # while mult_order still factored phi(e) afresh
+        # sha256 of every (b, p, is_odd) of verify check 7.d, recorded from the
+        # per-prime-power structural test that the screen replaced
         digest = hashlib.sha256()
         pairs = 0
         for p in filter(nt.is_probable_prime, range(3, 500, 4)):
             for b in range(2, p):
-                r = nt.UnitGroup(p).odd_order_test(b)
-                digest.update(repr((b, p, r.is_odd, r.steps)).encode())
+                digest.update(repr((b, p, odd_order(p, b))).encode())
                 pairs += 1
         assert pairs == 11470
         assert digest.hexdigest() == (
-            "98246c035c1fc8dfb8dd8795b31768e05003f44a8af07b63c831882d35b45ac2"
+            "ccb2d0aca396054f9e2a4f987abb1c41a55deb14d0b6c2c6629be971b36b3be7"
         )
 
 
@@ -765,35 +763,12 @@ class TestUnitGroup:
         with pytest.raises(InternalError, match="has even order .* but passed the odd-order screen"):
             bd.table_rows(7, 64)
 
-    def test_odd_order_result_carries_the_order(self):
-        rng = random.Random(61)
-        for _ in range(500):
-            e = rng.randrange(3, 10**6)
-            b = rng.randrange(1, e)
-            if gcd(b, e) != 1:
-                continue
-            r = nt.UnitGroup(e).odd_order_test(b)
-            assert r.order == nt.mult_order(b, e) and r.is_odd == (r.order % 2 == 1)
-
-    def test_odd_order_test_checks_b_once(self, monkeypatch):
-        # the direct order checks and reduces b; the structural steps reuse it
-        calls = []
-        unit = nt.UnitGroup._unit
-        monkeypatch.setattr(nt.UnitGroup, "_unit", lambda self, b: calls.append(b) or unit(self, b))
-        group = nt.UnitGroup(3 * 5 * 7 * 16)
-        bs = [b for b in range(-40, 80) if gcd(b, group.e) == 1]
-        for b in bs:
-            group.odd_order_test(b)
-        assert calls == bs
-
     def test_gates(self):
         with pytest.raises(ValueError, match="need an int e >= 2, got 1"):
             nt.UnitGroup(1)
         group = nt.UnitGroup(27)
         with pytest.raises(ValueError, match=r"gcd\(6, 27\) != 1"):
             group.order(33)
-        with pytest.raises(ValueError, match=r"gcd\(0, 27\) != 1"):
-            group.odd_order_test(27)
 
     def test_check_7d_factors_each_prime_once(self, monkeypatch):
         from rmcodes import verify

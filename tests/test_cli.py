@@ -415,18 +415,22 @@ class TestVerifyPaper:
         assert "2.1" in out and "2.runtime" in out and "3.1" not in out
 
     def test_internal_error_is_a_failed_check(self, capsys, monkeypatch):
-        # a direct order of twice the true one breaks the cross-check inside
-        # odd_order_test whenever the true order is odd
-        order = nt.UnitGroup.order
-        monkeypatch.setattr(nt.UnitGroup, "order", lambda self, b: 2 * order(self, b))
-        code, out, err = run(capsys, "verify-paper", "--only", "7")
+        # with lambda(e) as the screen's exponent every unit passes, and the
+        # first admitted offset of even order breaks table_rows' cross-check
+        init = nt.UnitGroup.__init__
+
+        def admit_all(self, e):
+            init(self, e)
+            self.carmichael_odd = self.carmichael
+
+        monkeypatch.setattr(nt.UnitGroup, "__init__", admit_all)
+        code, out, err = run(capsys, "verify-paper", "--only", "2")
         assert code == 1 and "Traceback" not in err
         lines = {line.split()[1]: line for line in out.splitlines() if line[:4] in ("PASS", "FAIL")}
-        assert sorted(lines) == ["7.a", "7.b", "7.c", "7.d", "7.e"]
-        for cid in ("7.c", "7.d"):
-            assert lines[cid].startswith("FAIL") and "FAILED: structural odd-order answer True" in lines[cid]
-        for cid in ("7.a", "7.b", "7.e"):
-            assert lines[cid].startswith("PASS")
+        assert sorted(lines) == ["2.1", "2.2", "2.3", "2.runtime"]
+        for cid in ("2.1", "2.2", "2.3"):
+            assert lines[cid].startswith("FAIL") and "but passed the odd-order screen" in lines[cid]
+        assert lines["2.runtime"].startswith("PASS")
 
 
 def test_per_check_time_limit(monkeypatch):

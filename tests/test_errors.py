@@ -27,7 +27,6 @@ ENTRIES = [
     ("divisors_ascending.stop", lambda stop: nt.divisors_ascending(12, stop), "stop", None, True, 6),
     ("UnitGroup", nt.UnitGroup, "e", 2, False, 9),
     ("UnitGroup.order", lambda b: nt.UnitGroup(9).order(b), "b", None, False, 2),
-    ("UnitGroup.odd_order_test", lambda b: nt.UnitGroup(9).odd_order_test(b), "b", None, False, 2),
     ("mult_order.b", lambda b: nt.mult_order(b, 9), "b", None, False, 2),
     ("mult_order.e", lambda e: nt.mult_order(2, e), "e", 2, False, 9),
     ("prime_power_split", nt.prime_power_split, "q", None, False, 9),
