@@ -497,7 +497,7 @@ def poly_divmod(ctx: FieldCtx, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
     db = len(b) - 1
     if len(a) - 1 < db:
         return (), poly_normalize(a)
-    inv_lead = ctx.inv(b[-1])
+    inv_lead = 1 if b[-1] == 1 else ctx.inv(b[-1])  # a monic divisor needs no inverse
     quot = [0] * (len(a) - db)
     add, mul, neg = ctx.add, ctx.mul, ctx.neg
     for i in range(len(quot) - 1, -1, -1):

@@ -26,9 +26,14 @@ that product's gcd with n.  ``_BUDGET`` bounds the ECM work on each
 composite; a composite cofactor that survives it is reported, never
 mislabeled as prime.
 
-``factorize`` runs stage 1 straight to ``TRIAL_LIMIT`` and then the finisher;
-it is the one factoring entry point, and the cyclotomic pieces and
-``UnitGroup`` call it too.  ``divisors_ascending`` is the one divisor walk,
+``factorize`` is the one factoring entry point; the cyclotomic pieces,
+``UnitGroup`` and ``prime_power_split`` call its body, ``_factor``, without
+the argument check.  An x <= ``TRIAL_LIMIT`` takes one gcd with the product
+of the primes up to 1024 and is divided only by the primes of that gcd; what
+is left has no prime up to 1024, and TRIAL_LIMIT < 1031^2, so it is 1 or a
+prime, proven by the division as in stage 1.  A larger x runs stage 1
+straight to ``TRIAL_LIMIT`` and then the finisher.
+``divisors_ascending`` is the one divisor walk,
 lazy in both stages: its trial bound starts at 16 and squares, up to
 ``TRIAL_LIMIT``, only when its walk needs a larger divisor, and it runs the
 finisher only when the walk gets past ``TRIAL_LIMIT`` or past the divisors
@@ -320,7 +325,7 @@ def _power_base(y: int) -> tuple[int, int]:
 
 def _cyclotomic_value(b: int, d: int) -> int:
     """Phi_d(b), the Moebius product of the b^e - 1 over the divisors e of d."""
-    primes = list(factorize(d)) if d > 1 else []
+    primes = list(_factor(d)) if d > 1 else []
     num = den = 1
     for r in range(len(primes) + 1):
         for subset in combinations(primes, r):
@@ -367,7 +372,7 @@ def _piece(b: int, d: int, bound: int) -> tuple[int, tuple[tuple[int, int], ...]
     dividing 2d is odd, and b has order d mod r, so every other prime is
     1 mod lcm(2, d): a candidate, as ``_trial`` requires."""
     step = d if d % 2 == 0 else 2 * d
-    return _trial(_cyclotomic_value(b, d), tuple(factorize(2 * d)), 1 + step, step, 2 * step, bound)
+    return _trial(_cyclotomic_value(b, d), tuple(_factor(2 * d)), 1 + step, step, 2 * step, bound)
 
 
 def _pieces(x: int) -> list:
@@ -384,6 +389,7 @@ def _pieces(x: int) -> list:
 
 
 _SMALL_PRIMES = _primes(isqrt(TRIAL_LIMIT))  # the primes up to 1024
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)  # their product, a 1420-bit int
 
 
 def _wheel(x: int) -> partial:
@@ -409,9 +415,53 @@ def _stage(pieces: list, bound: int | None) -> tuple[dict[int, int], bool]:
     return factors, open_
 
 
+def _smooth(x: int) -> dict[int, int]:
+    """{prime: exponent} of 2 <= ``x`` <= TRIAL_LIMIT, keys ascending: the
+    factorization that ``_wheel(x)`` gives at TRIAL_LIMIT, by one gcd.
+
+    g = gcd(x, _SMALL_PRODUCT) is the product of the primes <= 1024 of x, each
+    once, and x is divided by those alone.  They are taken out of g smallest
+    first while c^2 <= g, so what is left of g is 1 or one prime, larger than
+    the primes taken.  What is left of x then has no prime <= 1024, and as x
+    <= TRIAL_LIMIT < 1031^2 it is 1 or one prime: the proof by division of
+    ``_trial``, with no Miller-Rabin."""
+    g = gcd(x, _SMALL_PRODUCT)
+    factors = {}
+    for c in _SMALL_PRIMES:
+        if c * c > g:
+            break
+        if g % c == 0:
+            g //= c
+            x, a = x // c, 1
+            while x % c == 0:
+                x, a = x // c, a + 1
+            factors[c] = a
+    if g > 1:
+        x, a = x // g, 1
+        while x % g == 0:
+            x, a = x // g, a + 1
+        factors[g] = a
+    if x > 1:
+        factors[x] = 1
+    return factors
+
+
+def _factor(x: int) -> dict[int, int]:
+    """``factorize`` without the argument check, for an x >= 2 the library
+    computed itself; a new dict on each call, which the caller may change."""
+    if x <= TRIAL_LIMIT:
+        return _smooth(x)
+    pieces = _pieces(x)
+    factors = _stage(pieces, None)[0]
+    return factors if len(pieces) == 1 else dict(sorted(factors.items()))
+
+
 def factorize(x: int) -> dict[int, int]:
-    """Factor ``x`` >= 2 into a {prime: exponent} map: stage 1, then the
-    finisher on each composite cofactor.
+    """Factor ``x`` >= 2 into a {prime: exponent} map, keys ascending.  An
+    x <= TRIAL_LIMIT is divided by the primes of its gcd with the product of
+    the primes up to 1024 (``_smooth``), and its leftover is prime as x <
+    1031^2.  A larger x runs stage 1, then the finisher on each composite
+    cofactor.
 
     A factor that trial division finds, or leaves below the square of its
     next candidate, is proven prime by the division.  Any other factor is
@@ -421,11 +471,7 @@ def factorize(x: int) -> dict[int, int]:
     on each cofactor.
     """
     check_int("x", x, 2)
-    if x <= TRIAL_LIMIT:  # one piece, which trial division alone factors
-        return dict(_wheel(x)(TRIAL_LIMIT)[1])
-    pieces = _pieces(x)
-    factors = _stage(pieces, None)[0]
-    return factors if len(pieces) == 1 else dict(sorted(factors.items()))
+    return _factor(x)
 
 
 def _walk(factors: dict[int, int]):
@@ -505,18 +551,18 @@ class UnitGroup:
         check_int("e", e, 2)
         self.e = e
         lam: dict[int, int] = {}
-        for p, a in factorize(e).items():
+        for p, a in _factor(e).items():
             if p == 2:
                 piece = {2: a - 1 if a < 3 else a - 2}
             else:
-                piece = factorize(p - 1)
+                piece = _factor(p - 1)
                 if a > 1:
-                    piece = {**piece, p: a - 1}
+                    piece[p] = a - 1
             for r, k in piece.items():
                 if k > lam.get(r, 0):
                     lam[r] = k
-        self.carmichael = prod(r**k for r, k in lam.items())
         self.carmichael_odd = prod(r**k for r, k in lam.items() if r != 2)
+        self.carmichael = self.carmichael_odd << lam.get(2, 0)
         self.carmichael_primes = tuple(sorted(lam))
 
     def _unit(self, b: int) -> int:
@@ -545,19 +591,14 @@ def mult_order(b: int, e: int) -> int:
 def prime_power_split(q: int) -> tuple[int, int]:
     """Write q = p**s for prime p, or raise ValueError."""
     check_int("q", q)
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    fac = factorize(q)
-    if len(fac) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    ((p, s),) = fac.items()
-    return p, s
+    if q >= 2:
+        fac = _factor(q)
+        if len(fac) == 1:
+            ((p, s),) = fac.items()
+            return p, s
+    raise ValueError(f"{q} is not a prime power")
 
 
 def is_prime_power(q: int) -> bool:
     check_int("q", q)  # a non-int is refused; False is only for an int that is no prime power
-    try:
-        prime_power_split(q)
-    except ValueError:
-        return False
-    return True
+    return q >= 2 and len(_factor(q)) == 1

@@ -16,7 +16,7 @@ from rmcodes.codes import CodeSpec, build_code
 from rmcodes.cyclotomy import QadicParams, coset_partition, index_set, maximal_representatives
 from rmcodes.distance import SearchBudget, exact_distance, find_weight_witness
 from rmcodes.errors import InternalError, TooLarge
-from rmcodes.verify import GRID
+from rmcodes.verify import DEFAULT_SEED, GRID
 
 
 def dimension(q, m, h, variant):
@@ -185,6 +185,18 @@ class TestFactorize:
         assert [sigma for sigma, _ in calls] == list(range(6, 6 + len(calls)))
         assert Counter(b1 for _, b1 in calls) == {2_000: 25, 11_000: 49}
         assert {b1 for b1, _ in nt._ECM_ROUNDS} == {b1 for _, b1 in calls}
+
+    def test_small_kernel_matches_trial_division(self):
+        # _factor's one-gcd kernel against stage 1 over the primes up to 1024,
+        # key order included, on its whole domain's edges and a dense sample
+        rng = random.Random(67)
+        below = [x for x in range(nt.TRIAL_LIMIT - 1, nt.TRIAL_LIMIT - 200, -2) if nt.is_probable_prime(x)][:5]
+        edges = [1021**2, 1019 * 1021, 2 * 1021, nt.TRIAL_LIMIT - 1, nt.TRIAL_LIMIT, *below]
+        xs = [*range(2, 1 << 16), *(rng.randrange(2, nt.TRIAL_LIMIT + 1) for _ in range(10_000)), *edges]
+        for x in xs:
+            want = nt._wheel(x)(nt.TRIAL_LIMIT)[1]
+            assert tuple(nt._factor(x).items()) == want, x
+        assert below[0] == 1_048_573 and len(below) == 5
 
     def test_every_small_and_seeded_x(self):
         for x, fac in factorized_samples():
@@ -774,12 +786,44 @@ class TestUnitGroup:
         from rmcodes import verify
 
         calls = []
-        factorize = nt.factorize
-        monkeypatch.setattr(nt, "factorize", lambda x: calls.append(x) or factorize(x))
+        factor = nt._factor
+        monkeypatch.setattr(nt, "_factor", lambda x: calls.append(x) or factor(x))
         verify.check_quadratic_residue_rule()
         primes = [p for p in range(3, 500, 4) if nt.is_probable_prime(p)]
         assert len(primes) == 50
         assert len(calls) <= 2 * len(primes)  # p and p - 1; a group per pair makes ~2 per pair
+
+    def test_check_7c_group_factors_e_and_each_p_minus_1_once(self, monkeypatch):
+        # the first 50 moduli that check 7.c draws: a group factors e, then p - 1
+        # for each odd prime p of e, and nothing else
+        calls = []
+        factor = nt._factor
+        monkeypatch.setattr(nt, "_factor", lambda x: calls.append(x) or factor(x))
+        rng = random.Random(DEFAULT_SEED)
+        for _ in range(50):
+            e = rng.randrange(3, 1_000_000)
+            rng.randrange(1, e)
+            odd_primes = [p for p in factor(e) if p > 2]
+            calls.clear()
+            nt.UnitGroup(e)
+            assert calls == [e, *(p - 1 for p in odd_primes)], e  # 1 + len(odd_primes) calls
+
+    def test_argument_checked_once(self, monkeypatch):
+        # the public entry checks its argument, and nothing it computes from it
+        # is checked again (values whose leftovers trial division proves prime,
+        # as is_probable_prime checks its own argument)
+        checked = []
+        check_int = nt.check_int
+        monkeypatch.setattr(nt, "check_int", lambda name, *args, **kwargs: checked.append(name)
+                            or check_int(name, *args, **kwargs))
+        for e in (2, 9, 720720, 999_983, 1 << 20, (1 << 20) + 7, 3 * 1_048_583):
+            checked.clear()
+            nt.UnitGroup(e)
+            assert checked == ["e"], e
+        for q in (1, 6, 7, 8, 1024, 1021 * 1021, 1_048_583, 3**25):
+            checked.clear()
+            nt.is_prime_power(q)
+            assert checked == ["q"], q
 
     def test_table_builds_one_group_per_modulus(self, monkeypatch):
         built = []

@@ -310,9 +310,10 @@ class TestSearchE:
 
     def test_past_128_bits_fails_before_factoring(self, capsys, monkeypatch):
         def no_factoring(x, **kwargs):
-            raise AssertionError(f"factorize({x}) ran before the parameters were checked")
+            raise AssertionError(f"{x} was factored before the parameters were checked")
 
         monkeypatch.setattr(nt, "factorize", no_factoring)
+        monkeypatch.setattr(nt, "_factor", no_factoring)  # the unchecked body the library itself calls
         code, out, err = run(capsys, "search-e", "7", "46", "1")
         assert code == 2
         assert out == "" and err == "error: 7^46 - 1 exceeds the supported 128-bit range\n"

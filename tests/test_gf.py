@@ -282,20 +282,27 @@ class TestPolys:
         assert quot == (1, 1, 1, 1, 1, 1, 1)
         assert rem == ()
 
-    def test_divmod_reconstruction(self):
-        F = build_field(2, 2)
-        rng = random.Random(11)
-        for _ in range(200):
-            a = poly_normalize([rng.randrange(4) for _ in range(rng.randrange(1, 12))])
-            b = poly_normalize([rng.randrange(4) for _ in range(rng.randrange(1, 8))])
-            if not b:
-                continue
-            quot, rem = poly_divmod(F, a, b)
-            assert poly_degree(rem) < poly_degree(b)
-            recon = poly_normalize(
-                [x for x in _poly_add(F, poly_mul(F, quot, b), rem)]
-            )
-            assert recon == a
+    def test_divmod_reconstruction(self, monkeypatch):
+        # a = quot * b + rem with deg rem < deg b, which fixes quot and rem; the
+        # divisor's lead is inverted only when it is not 1
+        inverted = []
+        for p, s in ((2, 1), (3, 1), (2, 2), (3, 2)):
+            F = build_field(p, s)
+            monkeypatch.setattr(F, "inv", lambda x, inv=F.inv: inverted.append(x) or inv(x))
+            rng = random.Random(11)
+            for _ in range(200):
+                a = poly_normalize([rng.randrange(F.order) for _ in range(rng.randrange(1, 12))])
+                b = poly_normalize([rng.randrange(F.order) for _ in range(rng.randrange(1, 8))])
+                if not b:
+                    continue
+                inverted.clear()
+                quot, rem = poly_divmod(F, a, b)
+                assert poly_degree(rem) < poly_degree(b)
+                recon = poly_normalize(
+                    [x for x in _poly_add(F, poly_mul(F, quot, b), rem)]
+                )
+                assert recon == a
+                assert inverted == ([] if b[-1] == 1 or len(a) < len(b) else [b[-1]]), (p, s, a, b)
 
     def test_divmod_by_zero(self):
         F = build_field(2, 1)
