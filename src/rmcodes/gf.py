@@ -523,10 +523,11 @@ def poly_xn_minus_1_quotient(ctx: FieldCtx, n: int, g) -> tuple[int, ...] | None
     target = (ctx.neg(1),) + (0,) * (n - 1) + (1,)
     if not g or g[0] == 0 or len(g) > n + 1:
         return None
+    inv0 = 1 if g[0] == 1 else ctx.inv(g[0])  # a constant term of 1 needs no inverse
     if len(g) == 1:
-        h = poly_scale(ctx, ctx.inv(g[0]), target)
+        h = poly_scale(ctx, inv0, target)
     else:
-        N, h, k = n - len(g) + 2, (ctx.neg(ctx.inv(g[0])),), 1
+        N, h, k = n - len(g) + 2, (ctx.neg(inv0),), 1
         while k < N:
             k2 = min(2 * k, N)
             e = poly_mul(ctx, g[:k2], h)[k:k2]  # g*h + 1 = x^k * e mod x^k2

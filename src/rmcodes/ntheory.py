@@ -2,14 +2,16 @@
 
 Everything here is deterministic and uses arbitrary-precision integers only.
 Factoring runs in two stages.  Stage 1 is trial division, then Miller-Rabin
-on what is left: a pure function of x and the trial bound.  An
-x = b^k - 1 beyond the reach of trial division is split into its cyclotomic
-pieces Phi_d(b), d | k (Brillhart et al., *Factorizations of b^n +- 1*),
-each cached per bound.  A prime factor of Phi_d(b) divides d or is 1 mod d,
-so its candidates are the primes of 2d, then 1 + lcm(2, d)*j.  Any other x
-is divided by the primes up to 1024, then over the 6k +- 1 wheel.  Both go
-up to ``TRIAL_LIMIT``; a leftover below the square of the next candidate is
-prime by the division itself, so x < TRIAL_LIMIT**2 needs no Miller-Rabin.
+on what is left: a pure function of x and the trial bound.  Each stage-1
+call starts with one screen, ``_screen``: a gcd with the product of the
+primes up to 1024, then division by the primes of that gcd alone.  An
+x = b^k - 1, k <= 1024, beyond the reach of trial division is split into its
+cyclotomic pieces Phi_d(b), d | k (Brillhart et al., *Factorizations of
+b^n +- 1*), each cached per bound.  A prime of Phi_d(b) divides d, inside
+the screen, or is 1 mod d, so the screen is followed by 1 + lcm(2, d)*j
+above 1024; any other x by the 6k +- 1 wheel from 1025.  Both go up to
+``TRIAL_LIMIT``; a leftover below the square of the next candidate is prime
+by the division itself, so x < TRIAL_LIMIT**2 needs no Miller-Rabin.
 A larger leftover is a prime by Miller-Rabin (a proof below
 ``PROVEN_PRIME_BOUND``) or a composite cofactor, every prime of which
 exceeds ``TRIAL_LIMIT``.  Stage 2, the finisher, splits each composite
@@ -28,19 +30,18 @@ mislabeled as prime.
 
 ``factorize`` is the one factoring entry point; the cyclotomic pieces,
 ``UnitGroup`` and ``prime_power_split`` call its body, ``_factor``, without
-the argument check.  An x <= ``TRIAL_LIMIT`` takes one gcd with the product
-of the primes up to 1024 and is divided only by the primes of that gcd; what
-is left has no prime up to 1024, and TRIAL_LIMIT < 1031^2, so it is 1 or a
+the argument check.  An x <= ``TRIAL_LIMIT`` takes the screen alone: what is
+left has no prime up to 1024, and TRIAL_LIMIT < 1031^2, so it is 1 or a
 prime, proven by the division as in stage 1.  A larger x runs stage 1
 straight to ``TRIAL_LIMIT`` and then the finisher.
-``divisors_ascending`` is the one divisor walk,
-lazy in both stages: its trial bound starts at 16 and squares, up to
-``TRIAL_LIMIT``, only when its walk needs a larger divisor, and it runs the
-finisher only when the walk gets past ``TRIAL_LIMIT`` or past the divisors
-stage 1 knows.  A divisor <= the bound has no prime above it, so stage 1 has
-found all of its primes.  Given a ``stop``, the walk ends at the first divisor
-above it, or once its bound reaches it, so it factors no further than the
-divisors it yields; ``divisors`` is the walk run to its end.
+``divisors_ascending`` is the one divisor walk, lazy in both stages: it runs
+stage 1 at the bounds 1024 (no lower bound finds less), 2^16 and
+``TRIAL_LIMIT`` in turn, each only when its walk needs a larger divisor, and
+the finisher only when the walk gets past ``TRIAL_LIMIT`` or past the
+divisors stage 1 knows.  A divisor <= the bound has no prime above it, so
+stage 1 has found all of its primes.  Given a ``stop``, the walk ends at the first divisor above it,
+or once its bound reaches it, so it factors no further than the divisors it
+yields; ``divisors`` is the walk run to its end.
 
 ``UnitGroup(e)`` factors a modulus e once per group, and each p - 1 once,
 and holds the Carmichael exponent lambda(e); orders reduce from lambda(e).
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache, partial
 from heapq import heappop, heappush
-from itertools import accumulate, chain, combinations, compress, cycle
+from itertools import accumulate, combinations, compress, cycle
 from math import gcd, isqrt, prod
 
 from .errors import FactorizationIncomplete, check_int
@@ -336,67 +337,90 @@ def _cyclotomic_value(b: int, d: int) -> int:
     return num // den
 
 
-def _trial(x: int, known: tuple[int, ...], d: int, step: int, wheel: int,
+_SCREEN_BOUND = isqrt(TRIAL_LIMIT)  # 1024: every stage-1 call divides by the primes up to it
+_SMALL_PRIMES = _primes(_SCREEN_BOUND)
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)  # their product, a 1420-bit int
+
+
+def _screen(x: int) -> tuple[int, dict[int, int]]:
+    """(what is left of ``x`` >= 1, {prime: exponent} of its primes <= 1024, keys
+    ascending).  g = gcd(x, _SMALL_PRODUCT) is the product of those primes,
+    each once, and x is divided by them alone, taken out of g smallest first
+    while c^2 <= g; what is left of g is then 1 or one prime, the largest."""
+    g = gcd(x, _SMALL_PRODUCT)
+    factors = {}
+    for c in _SMALL_PRIMES:
+        if c * c > g:
+            break
+        if g % c == 0:
+            g //= c
+            x, a = x // c, 1
+            while x % c == 0:
+                x, a = x // c, a + 1
+            factors[c] = a
+    if g > 1:
+        x, a = x // g, 1
+        while x % g == 0:
+            x, a = x // g, a + 1
+        factors[g] = a
+    return x, factors
+
+
+def _trial(x: int, d: int, step: int, wheel: int,
            bound: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Stage 1 on ``x`` up to ``bound``: (what is left of x, the (prime, exponent)
-    pairs found).  The candidates, the ``known`` primes and then d, d + step, ...
-    (steps alternate with wheel - step), are divided out up to min(bound, isqrt(x)).
+    pairs found).  ``_screen`` divides out the primes up to 1024 at any bound;
+    then the candidates d > 1024, d + step, ... (steps alternate with wheel -
+    step) are divided out up to min(bound, isqrt(x)).
 
-    Every prime factor of x must be a candidate, so a leftover 1 < x < c^2 at the
-    first untried candidate c is prime; past TRIAL_LIMIT, so is one that passes
-    Miller-Rabin.  Either is recorded and x becomes 1.  Any other leftover has
-    only prime factors above the last candidate tried."""
-    found, limit = [], min(bound, isqrt(x))
-    candidates = known  # the progression is built only if the loop can reach it
-    if known[-1] <= limit:
-        candidates = chain(known, accumulate(cycle((step, wheel - step)), initial=d))
-    for c in candidates:
+    Every prime factor of x above 1024 must be a candidate, so a leftover 1 < x
+    < c^2 at the first untried candidate c is prime; past TRIAL_LIMIT, so is one
+    that passes Miller-Rabin.  Either is recorded and x becomes 1.  Any other
+    leftover has only prime factors above the last candidate tried."""
+    x, found = _screen(x)
+    limit = min(bound, isqrt(x))
+    for c in accumulate(cycle((step, wheel - step)), initial=d):
         if c > limit:
             break
         if x % c == 0:
             x, a = x // c, 1
             while x % c == 0:
                 x, a = x // c, a + 1
-            found.append((c, a))
+            found[c] = a
             limit = min(bound, isqrt(x))
     if 1 < x and (x < c * c or c > TRIAL_LIMIT and is_probable_prime(x)):
-        found.append((x, 1))
+        found[x] = 1
         x = 1
-    return x, tuple(found)
+    return x, tuple(found.items())
 
 
 @lru_cache(maxsize=1024)
 def _piece(b: int, d: int, bound: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Stage 1 on Phi_d(b) up to ``bound``, as ``_trial`` returns it.  The primes
-    of 2d are known candidates, then 1 + lcm(2, d)*j.  A prime r of Phi_d(b) not
-    dividing 2d is odd, and b has order d mod r, so every other prime is
-    1 mod lcm(2, d): a candidate, as ``_trial`` requires."""
+    """Stage 1 on Phi_d(b) up to ``bound``, as ``_trial`` returns it, for d <=
+    1024, so the primes of 2d are inside the screen.  Any other prime r of
+    Phi_d(b) is odd, and b has order d mod r, so r is 1 mod lcm(2, d): one of
+    the candidates 1 + lcm(2, d)*j above 1024, as ``_trial`` requires."""
     step = d if d % 2 == 0 else 2 * d
-    return _trial(_cyclotomic_value(b, d), tuple(_factor(2 * d)), 1 + step, step, 2 * step, bound)
+    return _trial(_cyclotomic_value(b, d), 1 + step * -(-_SCREEN_BOUND // step), step, 2 * step, bound)
 
 
 def _pieces(x: int) -> list:
     """The pieces of ``x`` >= 2, each stage 1 on it as a function of the trial
-    bound.  Above TRIAL_LIMIT**2, an x with x + 1 = b^k, k >= 2, is the product
-    of its cyclotomic pieces, ``_piece(b, d, bound)`` for d | k; any other x is
-    one piece, ``_wheel(x)``, memoized for the life of the list, as the
-    finisher step of a walk asks it again at TRIAL_LIMIT."""
+    bound.  Above TRIAL_LIMIT**2, an x with x + 1 = b^k, 2 <= k <= 1024 (k <=
+    128 for x <= 2^128), is the product of ``_piece(b, d, bound)`` over d | k;
+    any other x is one piece, ``_wheel(x)``, memoized for the life of the list,
+    as the finisher step of a walk asks it again at TRIAL_LIMIT."""
     if x > TRIAL_LIMIT * TRIAL_LIMIT:
         b, k = _power_base(x + 1)
-        if k > 1:
+        if 1 < k <= _SCREEN_BOUND:
             return [partial(_piece, b, d) for d in range(1, k + 1) if k % d == 0]
     return [cache(_wheel(x))]
 
 
-_SMALL_PRIMES = _primes(isqrt(TRIAL_LIMIT))  # the primes up to 1024
-_SMALL_PRODUCT = prod(_SMALL_PRIMES)  # their product, a 1420-bit int
-
-
 def _wheel(x: int) -> partial:
     """Stage 1 on ``x`` as one piece, as a function of the trial bound: the
-    candidates are the primes up to isqrt(TRIAL_LIMIT) = 1024, then the
-    6k +- 1 wheel from 1025."""
-    return partial(_trial, x, _SMALL_PRIMES, 1025, 2, 6)
+    screen, then the 6k +- 1 wheel from 1025."""
+    return partial(_trial, x, 1025, 2, 6)
 
 
 def _stage(pieces: list, bound: int | None) -> tuple[dict[int, int], bool]:
@@ -415,42 +439,14 @@ def _stage(pieces: list, bound: int | None) -> tuple[dict[int, int], bool]:
     return factors, open_
 
 
-def _smooth(x: int) -> dict[int, int]:
-    """{prime: exponent} of 2 <= ``x`` <= TRIAL_LIMIT, keys ascending: the
-    factorization that ``_wheel(x)`` gives at TRIAL_LIMIT, by one gcd.
-
-    g = gcd(x, _SMALL_PRODUCT) is the product of the primes <= 1024 of x, each
-    once, and x is divided by those alone.  They are taken out of g smallest
-    first while c^2 <= g, so what is left of g is 1 or one prime, larger than
-    the primes taken.  What is left of x then has no prime <= 1024, and as x
-    <= TRIAL_LIMIT < 1031^2 it is 1 or one prime: the proof by division of
-    ``_trial``, with no Miller-Rabin."""
-    g = gcd(x, _SMALL_PRODUCT)
-    factors = {}
-    for c in _SMALL_PRIMES:
-        if c * c > g:
-            break
-        if g % c == 0:
-            g //= c
-            x, a = x // c, 1
-            while x % c == 0:
-                x, a = x // c, a + 1
-            factors[c] = a
-    if g > 1:
-        x, a = x // g, 1
-        while x % g == 0:
-            x, a = x // g, a + 1
-        factors[g] = a
-    if x > 1:
-        factors[x] = 1
-    return factors
-
-
 def _factor(x: int) -> dict[int, int]:
     """``factorize`` without the argument check, for an x >= 2 the library
     computed itself; a new dict on each call, which the caller may change."""
     if x <= TRIAL_LIMIT:
-        return _smooth(x)
+        x, factors = _screen(x)
+        if x > 1:  # no prime <= 1024 and x <= TRIAL_LIMIT < 1031^2: a prime
+            factors[x] = 1
+        return factors
     pieces = _pieces(x)
     factors = _stage(pieces, None)[0]
     return factors if len(pieces) == 1 else dict(sorted(factors.items()))
@@ -459,9 +455,9 @@ def _factor(x: int) -> dict[int, int]:
 def factorize(x: int) -> dict[int, int]:
     """Factor ``x`` >= 2 into a {prime: exponent} map, keys ascending.  An
     x <= TRIAL_LIMIT is divided by the primes of its gcd with the product of
-    the primes up to 1024 (``_smooth``), and its leftover is prime as x <
-    1031^2.  A larger x runs stage 1, then the finisher on each composite
-    cofactor.
+    the primes up to 1024 (``_screen``), and its leftover is prime as x <
+    1031^2.  A larger x runs stage 1, the same screen and then the
+    progressions, then the finisher on each composite cofactor.
 
     A factor that trial division finds, or leaves below the square of its
     next candidate, is proven prime by the division.  Any other factor is
@@ -492,8 +488,9 @@ def divisors_ascending(x: int, stop: int | None = None):
     """The divisors of ``x`` >= 1, smallest first, lazily, up to ``stop`` if one
     is given; ``x`` is factored only as far as the walk goes.
 
-    Stage 1 raises its trial bound, from 16 by squaring up to TRIAL_LIMIT, only
-    when the walk needs a larger divisor, and runs afresh at each bound.
+    Stage 1 runs at the bounds 1024, 2^16 and TRIAL_LIMIT in turn, afresh at
+    each, and raises the bound only when the walk needs a larger divisor.
+    Below 1024 a bound would find no more than the screen does at 1024.
     A divisor <= the bound is a product of primes <= it, all found, so the walk
     yields every such divisor.  The finisher splits the cofactors only when the
     walk needs more past TRIAL_LIMIT: a divisor above it, or more than the
@@ -509,8 +506,8 @@ def divisors_ascending(x: int, stop: int | None = None):
 
 
 def _ascending(pieces: list, stop: int | None):
-    bound, last = 16, 0
-    while True:
+    last = 0
+    for bound in (_SCREEN_BOUND, 1 << 16, TRIAL_LIMIT, None):
         factors, open_ = _stage(pieces, bound)
         for d in _walk(factors):
             if open_ and d > bound:
@@ -522,7 +519,6 @@ def _ascending(pieces: list, stop: int | None):
                 last = d
         if not open_ or stop is not None and bound >= stop:
             return
-        bound = None if bound == TRIAL_LIMIT else min(bound * bound, TRIAL_LIMIT)
 
 
 def divisors(x: int) -> list[int]:

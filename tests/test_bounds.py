@@ -187,15 +187,25 @@ class TestFactorize:
         assert {b1 for b1, _ in nt._ECM_ROUNDS} == {b1 for _, b1 in calls}
 
     def test_small_kernel_matches_trial_division(self):
-        # _factor's one-gcd kernel against stage 1 over the primes up to 1024,
-        # key order included, on its whole domain's edges and a dense sample
+        # _factor's one-gcd screen against a plain trial division by every
+        # integer up to isqrt of what is left, key order included, on its
+        # whole domain's edges and a dense sample
+        def trial(x):
+            fac, c = {}, 2
+            while c * c <= x:
+                while x % c == 0:
+                    x, fac[c] = x // c, fac.get(c, 0) + 1
+                c += 1
+            if x > 1:
+                fac[x] = fac.get(x, 0) + 1
+            return fac
+
         rng = random.Random(67)
         below = [x for x in range(nt.TRIAL_LIMIT - 1, nt.TRIAL_LIMIT - 200, -2) if nt.is_probable_prime(x)][:5]
         edges = [1021**2, 1019 * 1021, 2 * 1021, nt.TRIAL_LIMIT - 1, nt.TRIAL_LIMIT, *below]
         xs = [*range(2, 1 << 16), *(rng.randrange(2, nt.TRIAL_LIMIT + 1) for _ in range(10_000)), *edges]
         for x in xs:
-            want = nt._wheel(x)(nt.TRIAL_LIMIT)[1]
-            assert tuple(nt._factor(x).items()) == want, x
+            assert tuple(nt._factor(x).items()) == tuple(trial(x).items()), x
         assert below[0] == 1_048_573 and len(below) == 5
 
     def test_every_small_and_seeded_x(self):
@@ -499,9 +509,11 @@ class TestDivisorWalk:
                          31**23 - 1: 1509997}
 
     def test_trial_bound_follows_the_walk(self, monkeypatch):
-        # stage 1 raises its trial bound, 16 -> 256 -> 65536 -> TRIAL_LIMIT,
-        # only when the walk needs a larger divisor, so reaching e tries no
-        # candidate above max(16, e^2)
+        # every stage-1 call divides by the primes up to 1024 in one screen;
+        # the walk raises its trial bound, 1024 -> 65536 -> TRIAL_LIMIT, only
+        # when it needs a larger divisor. So a walk that reaches e <= 1024
+        # reduces the modulus only by its own primes, with no progression
+        # candidate, and any other tries no candidate above max(1024, e^2)
         tried = []
 
         class Spy(int):
@@ -516,26 +528,32 @@ class TestDivisorWalk:
 
         value = nt._cyclotomic_value
         monkeypatch.setattr(nt, "_cyclotomic_value", lambda b, d: Spy(value(b, d)))
-        checked = 0
+        checked = screened = 0
         try:
             for q, m in self.certify_moduli():
                 nt._piece.cache_clear()
                 tried.clear()
                 e = next(bd._condition_divisors(q, m, 1), None)
-                if e is not None and e <= nt.TRIAL_LIMIT:
-                    assert tried and max(tried) <= max(16, e * e), (q, m, e, max(tried))
-                    checked += 1
+                if e is not None and e <= 1024:
+                    assert all(c <= 1024 and (q**m - 1) % c == 0 for c in tried), (q, m, e)
+                    screened += 1
+                elif e is not None and e <= nt.TRIAL_LIMIT:
+                    assert tried and max(tried) <= max(1024, e * e), (q, m, e, max(tried))
+                checked += e is not None and e <= nt.TRIAL_LIMIT
         finally:
             nt._piece.cache_clear()
-        assert checked == 119
+        assert (checked, screened) == (119, 108)
 
     def test_stage_one_is_a_function_of_piece_and_bound(self):
         # 3^78 - 1 and 3^52 - 1 share Phi_d(3) for d in {1, 2, 13, 26}; factoring
-        # the one must not change what stage 1 reports on the other
+        # the one must not change what stage 1 reports on the other. At the
+        # walk's first bound, 1024, stage 1 has screened every piece and proven
+        # two leftovers prime; Phi_52(3) = 53 * 4795973261 stays open
         nt._piece.cache_clear()
-        fresh = nt._stage(nt._pieces(3**52 - 1), 16)
+        fresh = nt._stage(nt._pieces(3**52 - 1), 1024)
         nt.factorize(3**78 - 1)
-        assert fresh == nt._stage(nt._pieces(3**52 - 1), 16) == ({2: 4, 5: 1}, True)
+        assert fresh == nt._stage(nt._pieces(3**52 - 1), 1024)
+        assert fresh == ({2: 4, 5: 1, 797161: 1, 398581: 1, 53: 1}, True)
 
     def test_interleaved_walks_on_shared_pieces(self):
         # each of two walks over shared pieces, advanced in turn, yields what
@@ -557,7 +575,7 @@ class TestDivisorWalk:
 
     def test_walk_across_the_schedule_bounds(self):
         # s and r are the primes next to each trial bound, below and above it
-        for s, bound, r in ((13, 16, 17), (251, 256, 257), (65521, 1 << 16, 65537),
+        for s, bound, r in ((1021, 1024, 1031), (65521, 1 << 16, 65537),
                             (1048573, nt.TRIAL_LIMIT, 1048583)):
             assert [p for p in range(s, r + 1) if nt.is_probable_prime(p)] == [s, r] and s < bound < r
             for x in (r * s, r * r):
@@ -571,8 +589,9 @@ class TestDivisorWalk:
 
     def test_walk_matches_the_eager_walk(self):
         # the reference is the eager walk over the full factorization; the
-        # stops sit on each trial bound of the walk's schedule and next to it
-        stops = (0, 1, 15, 16, 17, 255, 256, 257, 65535, 65536, 65537,
+        # stops sit on each trial bound of the walk's schedule, 1024, 65536 and
+        # TRIAL_LIMIT, and next to it, and on the bounds of an earlier schedule
+        stops = (0, 1, 15, 16, 17, 255, 256, 257, 1023, 1024, 1025, 65535, 65536, 65537,
                  nt.TRIAL_LIMIT - 1, nt.TRIAL_LIMIT, nt.TRIAL_LIMIT + 1)
         rng = random.Random(83)
         xs = [q**m - 1 for q, m in self.certify_moduli()]
@@ -582,6 +601,16 @@ class TestDivisorWalk:
             assert nt.divisors(x) == ref, x
             for s in (*stops, x - 1, x, 2 * x):
                 assert list(nt.divisors_ascending(x, s)) == [d for d in ref if d <= s], (x, s)
+
+    def test_power_past_the_screen_is_one_piece(self):
+        # 1030^2062 - 1 = b^k - 1 with k = 2 * 1031: its piece Phi_2062(1030)
+        # would need the prime 1031 of 2d, above the screen, as a candidate,
+        # so x stays one piece. 1031^2 divides it (1030 = -1 mod 1031), and
+        # stage 1 at 2^16 finds both; split into pieces, it found one
+        x = 1030**2062 - 1
+        pieces = nt._pieces(x)
+        assert len(pieces) == 1 and nt._stage(pieces, 1 << 16)[0][1031] == 2 and x % 1031**3 != 0
+        assert list(nt.divisors_ascending(x, 2100)) == [d for d in range(1, 2101) if x % d == 0]
 
     def test_capped_walk_runs_no_curve(self, monkeypatch):
         # the five certify moduli whose least passing divisor needs the

@@ -10,10 +10,12 @@ from types import SimpleNamespace
 import pytest
 
 import rmcodes
+from rmcodes import bounds as bd
 from rmcodes import codes as cd
 from rmcodes import ntheory as nt
 from rmcodes import verify
 from rmcodes.cli import main
+from rmcodes.errors import TooLarge
 
 
 def run(capsys, *argv):
@@ -359,6 +361,19 @@ class TestTables:
         blocks = json.loads(out)
         assert len(blocks) == 1
         assert [(r["a"], r["l"], r["e"]) for r in blocks[0]["rows"]] == [(5, 3, 18), (10, 11, 23)]
+
+    def test_q_max_above_the_table_bound_is_refused_at_once(self, capsys, monkeypatch):
+        # q_max 2^13 is the last one accepted; above it the refusal comes
+        # before any prime-power test or unit group
+        assert [b.q for b in bd.table_rows(8192, 8192)] == [8192]
+        monkeypatch.setattr(bd, "is_prime_power", lambda q: pytest.fail("table work before the refusal"))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "tables", "--q-max", "8193")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == "error: q_max = 8193 exceeds the table bound 8192 (2^13)\n"
+        with pytest.raises(TooLarge, match="exceeds the table bound 8192"):
+            bd.table_rows(7, 10**9)
 
 
 class TestVerifyPaper:

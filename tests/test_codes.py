@@ -255,6 +255,21 @@ class TestXnMinus1Quotient:
         assert rem == ()
         assert poly_xn_minus_1_quotient(inst.small, inst.n, inst.gen_poly) == quot
 
+    @pytest.mark.parametrize("spec", [CodeSpec(3, 4, 2), CodeSpec(4, 3, 1)], ids=str)
+    def test_constant_term_inverted_only_when_not_1(self, spec, monkeypatch):
+        # every nonzero multiple c*g of the generator, and the constant c,
+        # divides x^n - 1; the constant term is inverted once, unless it is 1
+        inst = build_code(spec)
+        F, n = inst.small, inst.n
+        inverted = []
+        monkeypatch.setattr(F, "inv", lambda x, inv=F.inv: inverted.append(x) or inv(x))
+        for c in range(1, F.order):
+            for g in (tuple(F.mul(c, a) for a in inst.gen_poly), (c,)):
+                inverted.clear()
+                h = poly_xn_minus_1_quotient(F, n, g)
+                assert h is not None and poly_mul(F, g, h) == _xn_minus_1(F, n), (c, g)
+                assert inverted == ([] if g[0] == 1 else [g[0]]), (c, g)
+
     def test_rejects_non_divisors(self):
         inst = build_code(CodeSpec(3, 4, 2))
         F, n, g = inst.small, inst.n, inst.gen_poly
