@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 from . import gf
 from .cyclotomy import (MATERIALIZE_LIMIT, QadicParams, check_h, coset_partition, index_set_size,
                         maximal_representatives)
-from .errors import InternalError, TooLarge, check_int
+from .errors import InternalError, TooLarge, check_indices, check_int
 from .gf import SubfieldEmbedding, build_field, embed_subfield
 from .ntheory import prime_power_split
 
@@ -189,18 +189,12 @@ def build_code(spec: CodeSpec, *, max_n: int | None = None) -> CodeInstance:
     return _build(spec)
 
 
-def _check_indices(entries: tuple, q: int, what: str) -> None:
-    """ValueError unless every entry is an int index in [0, q); a bool is not an int."""
-    if entries and (set(map(type, entries)) != {int} or min(entries) < 0 or max(entries) >= q):
-        raise ValueError(f"{what} entries must be field element indices")
-
-
 def encode(inst: CodeInstance, msg) -> Codeword:
     """Non-systematic encoding msg(x) * gen(x); injective on length-k messages."""
     msg = tuple(msg)
     if len(msg) != inst.k:
         raise ValueError(f"message length {len(msg)} != k = {inst.k}")
-    _check_indices(msg, inst.q, "message")
+    check_indices("message", msg, inst.q)
     prod = gf.poly_mul(inst.small, gf.poly_normalize(msg), inst.gen_poly)
     return Codeword(prod + (0,) * (inst.n - len(prod)))
 
@@ -210,7 +204,7 @@ def is_member(inst: CodeInstance, word) -> bool:
     word = tuple(word)
     if len(word) != inst.n:
         raise ValueError(f"word length {len(word)} != n = {inst.n}")
-    _check_indices(word, inst.q, "word")
+    check_indices("word", word, inst.q)
     terms = [(j, c) for j, c in enumerate(word) if c]
     return not any(inst.emb.evaluate(terms, a) for a in inst.zero_representatives)
 

@@ -72,12 +72,11 @@ _MASK_BITS = 1 << 25  # cap on the n * q * chunk bits of the mask table
 _MAX_CANDIDATES = 1 << 22  # find_weight_witness: most words one search tries
 
 
-def _multiples(ctx, g, n, dim, q) -> tuple[list[int], list[int] | None]:
+def _multiples(ctx, g, n, dim, q) -> tuple[list[int], list[int]]:
     """Walk all q^dim multiples m(x) * g(x) with deg m < dim and deg(m g) < n.
 
     Returns the weight histogram (zero word included) and the least message,
-    read as the integer sum m_i q^i, among the nonzero words of least weight
-    (None when dim = 0).
+    read as the integer sum m_i q^i, among the nonzero words of least weight.
 
     The lo low digits name C = q^lo messages x, one bit lane each, with
     C <= _CHUNK and n q C <= _MASK_BITS.  ``masks[j][v]`` is the C-bit mask
@@ -101,8 +100,6 @@ def _multiples(ctx, g, n, dim, q) -> tuple[list[int], list[int] | None]:
     first chunk that has it; weight 0 is the zero message alone, so it is
     left out.
     """
-    if dim == 0:
-        return [1] + [0] * n, None
     if len(g) + dim - 1 > n:
         raise ValueError(f"deg g + dim = {len(g) - 1 + dim} exceeds the length {n}")
     lo = 0

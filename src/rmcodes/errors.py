@@ -6,6 +6,7 @@ a ValueError too.  ``InternalError`` means the program contradicted itself,
 and ``FactorizationIncomplete`` that an integer could not be fully factored.
 ``check_int`` states the one rule for an integer argument, which every public
 entry point runs ahead of any cache: an int, not a bool, and not below its bound.
+``check_indices`` applies the same int rule to the entries of a word or message.
 """
 
 
@@ -18,7 +19,8 @@ class InternalError(RuntimeError):
 
 
 class FactorizationIncomplete(RuntimeError):
-    """A composite cofactor survived the ECM budget; it is ``.cofactor``."""
+    """A composite cofactor survived every ECM curve of ``ntheory._ECM_ROUNDS``,
+    the one bound on ECM work; it is ``.cofactor``."""
 
     def __init__(self, cofactor: int):
         super().__init__(f"composite cofactor {cofactor} not factored within budget")
@@ -36,3 +38,14 @@ def check_int(name: str, value, low: int | None = None, *, optional: bool = Fals
         return
     bound = "" if low is None else f" >= {low}"
     raise ValueError(f"need an int {name}{bound}{' or None' if optional else ''}, got {value!r}")
+
+
+def check_indices(what: str, entries: tuple, q: int) -> None:
+    """ValueError unless every entry of ``entries`` is a field element index in
+    [0, q) by the rule of ``check_int``: an int, not a bool; int subclasses pass.
+    One pass over the entry types decides the common case, all exact ints."""
+    types = set(map(type, entries))
+    if types == {int} or all(issubclass(t, int) and not issubclass(t, bool) for t in types):
+        if not entries or 0 <= min(entries) and max(entries) < q:
+            return
+    raise ValueError(f"{what} entries must be field element indices")

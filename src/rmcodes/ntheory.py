@@ -24,9 +24,9 @@ x-only ladder, and its stage-2 points by one simultaneous inversion per
 block.  Each scaling is by a unit mod n, which changes no gcd with n, so a
 curve returns the gcd of the unscaled computation; the one exception is a
 stage-2 block whose product of Z's is not a unit, where the curve returns
-that product's gcd with n.  ``_BUDGET`` bounds the ECM work on each
-composite; a composite cofactor that survives it is reported, never
-mislabeled as prime.
+that product's gcd with n.  ``_ECM_ROUNDS``, a fixed table of curves, is
+the one bound on the ECM work on each composite; a composite cofactor that
+survives its last curve is reported, never mislabeled as prime.
 
 ``factorize`` is the one factoring entry point; the cyclotomic pieces,
 ``UnitGroup`` and ``prime_power_split`` call its body, ``_factor``, without
@@ -62,7 +62,6 @@ from .errors import FactorizationIncomplete, check_int
 
 
 TRIAL_LIMIT = 1 << 20
-_BUDGET = 1 << 22  # bound on the ECM work spent on each composite cofactor
 
 # The first 13 primes as strong Miller-Rabin bases.  Sorenson and Webster
 # (2015) proved that no composite below psi_13 = PROVEN_PRIME_BOUND passes
@@ -100,13 +99,11 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-# ECM: (B1, curves) per round, the usual choice for factors of 15 and 20
-# digits.  A curve costs 14,110 budget units at B1 = 2000 and 77,508 at
-# 11,000, so _BUDGET runs all 25 curves of the first round and 49 of the 90 of
-# the second, and leaves 43,662 units.  Stage 2 covers the primes up to
-# B2 = _ECM_B2_RATIO * B1 in giant steps of _ECM_D, against the baby steps
-# i < D/2 prime to D.
-_ECM_ROUNDS = ((2_000, 25), (11_000, 90))
+# ECM: (B1, curves) per round, the usual B1 for factors of 15 and 20 digits.
+# The table is the one limit on ECM work: each composite gets these 74 curves
+# at most.  Stage 2 covers the primes up to B2 = _ECM_B2_RATIO * B1 in giant
+# steps of _ECM_D, against the baby steps i < D/2 prime to D.
+_ECM_ROUNDS = ((2_000, 25), (11_000, 49))
 _ECM_B2_RATIO = 50
 _ECM_D = 210
 _ECM_BABY = tuple(i for i in range(1, _ECM_D // 2, 2) if gcd(i, _ECM_D) == 1)
@@ -239,28 +236,14 @@ def _ecm_curve(n: int, sigma: int, b1: int) -> int:
     return gcd(acc, n)
 
 
-def _ecm_cost(b1: int) -> int:
-    """Budget units of one curve: stage-1 ladder steps plus stage-2 terms."""
-    return _stage1_multiplier(b1).bit_length() + len(_ecm_giants(b1)) * len(_ECM_BABY)
-
-
-def _ecm(n: int, budget: int) -> int:
-    """A proper factor of the odd composite ``n`` by ECM, or 0 once ``budget`` runs out.
-
-    The curves take sigma = 6, 7, 8, ... through ``_ECM_ROUNDS``; a curve
-    runs only if its whole cost still fits the budget.
-    """
-    sigma = 6
-    for b1, curves in _ECM_ROUNDS:
-        cost = _ecm_cost(b1)
-        for _ in range(curves):
-            if cost > budget:
-                return 0
-            budget -= cost
-            g = _ecm_curve(n, sigma, b1)
-            sigma += 1
-            if 1 < g < n:
-                return g
+def _ecm(n: int) -> int:
+    """A proper factor of the odd composite ``n`` by ECM, or 0 after the last
+    curve of ``_ECM_ROUNDS``: the curves take sigma = 6, 7, 8, ... through its
+    rounds in order."""
+    for sigma, b1 in enumerate((b1 for b1, curves in _ECM_ROUNDS for _ in range(curves)), 6):
+        g = _ecm_curve(n, sigma, b1)
+        if 1 < g < n:
+            return g
     return 0
 
 
@@ -281,7 +264,7 @@ def _finish(y: int) -> tuple[tuple[int, int], ...]:
         if j > 1 and is_probable_prime(y):
             factors[y] = factors.get(y, 0) + k
             continue
-        g = _ecm(y, _BUDGET)
+        g = _ecm(y)
         if g == 0:
             raise FactorizationIncomplete(y)
         for z in (g, y // g):
@@ -463,8 +446,8 @@ def factorize(x: int) -> dict[int, int]:
     next candidate, is proven prime by the division.  Any other factor is
     proven prime by Miller-Rabin when it is below PROVEN_PRIME_BOUND and only
     a strong probable prime at or above it.  Raises FactorizationIncomplete
-    if a composite cofactor survives ``_BUDGET``, which bounds the ECM work
-    on each cofactor.
+    if a composite cofactor survives every curve of ``_ECM_ROUNDS``, the one
+    bound on the ECM work on each cofactor.
     """
     check_int("x", x, 2)
     return _factor(x)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 
 from . import bounds as bd
@@ -175,30 +176,6 @@ def _distance_check(q, m, h, variant, expected, method):
     return f"d({variant}(q={q},m={m},h={h})) = {result.value} [{method}]"
 
 
-def check_distance_231():
-    return _distance_check(2, 3, 1, "omega", 3, "message-enumeration")
-
-
-def check_distance_241():
-    return _distance_check(2, 4, 1, "omega", 3, "message-enumeration")
-
-
-def check_distance_232():
-    return _distance_check(2, 3, 2, "omega", 7, "message-enumeration")
-
-
-def check_distance_321():
-    return _distance_check(3, 2, 1, "omega", 4, "message-enumeration")
-
-
-def check_distance_331():
-    return _distance_check(3, 3, 1, "omega", 4, "dual-transform")
-
-
-def check_distance_241_bar():
-    return _distance_check(2, 4, 1, "omega_bar", 6, "message-enumeration")
-
-
 def check_distance_repunit_family():
     inst = _build(3, 2, 1)
     result = ds.exact_distance(inst)
@@ -210,50 +187,32 @@ def check_distance_repunit_family():
 # -- criterion 4: quotient-codeword witnesses ---------------------------------
 
 
-def _assert_zero_at_all_zeros(inst, word):
-    terms = [(j, c) for j, c in enumerate(word) if c]
+def _witness_check(q, m, h, e, barred):
+    # a plain quotient word has weight e, a mirrored one at most 2e
+    w = cd.quotient_codeword(q, m, h, e, barred=barred)
+    _require(w.weight <= 2 * e if barred else w.weight == e, w.weight)
+    variant = "omega_bar" if barred else "omega"
+    inst = _build(q, m, h, variant)
+    terms = [(j, c) for j, c in enumerate(w.coeffs) if c]
     for a in inst.zero_exponents:
         _require(inst.emb.evaluate(terms, a) == 0, f"nonzero value at exponent {a}")
-
-
-def check_witness_342():
-    w = cd.quotient_codeword(3, 4, 2, 16)
-    _require(w.weight == 16, w.weight)
-    inst = _build(3, 4, 2)
-    _assert_zero_at_all_zeros(inst, w.coeffs)
-    _require(cd.is_member(inst, w.coeffs))
-    return f"weight-16 quotient word vanishes at all {len(inst.zero_exponents)} zeros of omega(3,4,2)"
-
-
-def check_witness_362_bar():
-    w = cd.quotient_codeword(3, 6, 2, 13, barred=True)
-    _require(w.weight <= 26, w.weight)
-    inst = _build(3, 6, 2, "omega_bar")
-    _assert_zero_at_all_zeros(inst, w.coeffs)
     _require(cd.is_member(inst, w.coeffs))
     return (
-        f"weight-{w.weight} mirrored quotient word vanishes at all "
-        f"{len(inst.zero_exponents)} zeros of omega_bar(3,6,2)"
+        f"weight-{w.weight} {'mirrored quotient' if barred else 'quotient'} word vanishes at all "
+        f"{len(inst.zero_exponents)} zeros of {variant}({q},{m},{h})"
     )
 
 
 # -- criterion 5: sphere packing ----------------------------------------------
 
 
-def check_packing_binary_bar():
-    inst = _build(2, 4, 1, "omega_bar")
-    _require((inst.n, inst.k) == (15, 6))
-    _require(not bd.sphere_packing_ok(15, 6, 2, 7))
-    _require(bd.distance_optimal(15, 6, 2, 6))
-    return "(15,6) binary: d = 7 excluded, d = 6 distance-optimal"
-
-
-def check_packing_ternary():
-    inst = _build(3, 2, 1)
-    _require((inst.n, inst.k) == (8, 4))
-    _require(not bd.sphere_packing_ok(8, 4, 3, 5))
-    _require(bd.distance_optimal(8, 4, 3, 4))
-    return "(8,4) ternary: d = 5 excluded, d = 4 distance-optimal"
+def _packing_check(q, m, h, variant, n, k, d):
+    inst = _build(q, m, h, variant)
+    _require((inst.n, inst.k) == (n, k), (inst.n, inst.k))
+    _require(not bd.sphere_packing_ok(n, k, q, d + 1))
+    _require(bd.distance_optimal(n, k, q, d))
+    alphabet = "binary" if q == 2 else "ternary"
+    return f"({n},{k}) {alphabet}: d = {d + 1} excluded, d = {d} distance-optimal"
 
 
 def check_packing_positivity():
@@ -371,33 +330,34 @@ def check_scope_note():
     )
 
 
+# (id, name, check): a check returns its detail line and raises on failure
 CHECKS = [
-    ("1.1", check_representatives_342),
-    ("1.2", check_maximal_342),
-    ("1.3", check_maximal_362),
-    ("2.1", check_table_reference_cells),
-    ("2.2", check_table_bound_rows),
-    ("2.3", check_table_rows_verified),
-    ("3.1", check_distance_231),
-    ("3.2", check_distance_241),
-    ("3.3", check_distance_232),
-    ("3.4", check_distance_321),
-    ("3.5", check_distance_331),
-    ("3.6", check_distance_241_bar),
-    ("3.7", check_distance_repunit_family),
-    ("4.1", check_witness_342),
-    ("4.2", check_witness_362_bar),
-    ("5.1", check_packing_binary_bar),
-    ("5.2", check_packing_ternary),
-    ("5.3", check_packing_positivity),
-    ("6.1", check_dimension_grid),
-    ("6.2", check_dimension_grid_barred),
-    ("7.a", check_weight_constant_on_classes),
-    ("7.b", check_condition_equivalence),
-    ("7.c", check_odd_order_parity),
-    ("7.d", check_quadratic_residue_rule),
-    ("7.e", check_generator_divides),
-    ("8.1", check_scope_note),
+    ("1.1", "representatives_342", check_representatives_342),
+    ("1.2", "maximal_342", check_maximal_342),
+    ("1.3", "maximal_362", check_maximal_362),
+    ("2.1", "table_reference_cells", check_table_reference_cells),
+    ("2.2", "table_bound_rows", check_table_bound_rows),
+    ("2.3", "table_rows_verified", check_table_rows_verified),
+    ("3.1", "distance_231", partial(_distance_check, 2, 3, 1, "omega", 3, "message-enumeration")),
+    ("3.2", "distance_241", partial(_distance_check, 2, 4, 1, "omega", 3, "message-enumeration")),
+    ("3.3", "distance_232", partial(_distance_check, 2, 3, 2, "omega", 7, "message-enumeration")),
+    ("3.4", "distance_321", partial(_distance_check, 3, 2, 1, "omega", 4, "message-enumeration")),
+    ("3.5", "distance_331", partial(_distance_check, 3, 3, 1, "omega", 4, "dual-transform")),
+    ("3.6", "distance_241_bar", partial(_distance_check, 2, 4, 1, "omega_bar", 6, "message-enumeration")),
+    ("3.7", "distance_repunit_family", check_distance_repunit_family),
+    ("4.1", "witness_342", partial(_witness_check, 3, 4, 2, 16, False)),
+    ("4.2", "witness_362_bar", partial(_witness_check, 3, 6, 2, 13, True)),
+    ("5.1", "packing_binary_bar", partial(_packing_check, 2, 4, 1, "omega_bar", 15, 6, 6)),
+    ("5.2", "packing_ternary", partial(_packing_check, 3, 2, 1, "omega", 8, 4, 4)),
+    ("5.3", "packing_positivity", check_packing_positivity),
+    ("6.1", "dimension_grid", check_dimension_grid),
+    ("6.2", "dimension_grid_barred", check_dimension_grid_barred),
+    ("7.a", "weight_constant_on_classes", check_weight_constant_on_classes),
+    ("7.b", "condition_equivalence", check_condition_equivalence),
+    ("7.c", "odd_order_parity", check_odd_order_parity),
+    ("7.d", "quadratic_residue_rule", check_quadratic_residue_rule),
+    ("7.e", "generator_divides", check_generator_divides),
+    ("8.1", "scope_note", check_scope_note),
 ]
 
 
@@ -408,13 +368,13 @@ def run_checks(only: str | None = None, seed: int = DEFAULT_SEED) -> list[CheckR
     if only is not None:
         by_name = {v: k for k, v in GROUP_NAMES.items()}
         group_filter = by_name.get(only, only.split(".")[0])
-        row_ids = {cid for cid, _ in CHECKS} | {f"{g}.runtime" for g in GROUP_TIME_LIMITS}
+        row_ids = {cid for cid, _, _ in CHECKS} | {f"{g}.runtime" for g in GROUP_TIME_LIMITS}
         if group_filter not in GROUP_NAMES or ("." in only and only not in row_ids):
             groups = ", ".join(f"{k} {v}" for k, v in GROUP_NAMES.items())
             raise ValueError(f"unknown check group {only!r}; groups: {groups}")
     results = []
     group_time: dict[str, float] = {}
-    for cid, fn in CHECKS:
+    for cid, name, fn in CHECKS:
         group = cid.split(".")[0]
         if group_filter is not None and group != group_filter:
             continue
@@ -430,7 +390,7 @@ def run_checks(only: str | None = None, seed: int = DEFAULT_SEED) -> list[CheckR
         if limit is not None and seconds > limit:
             passed = False
             detail += f" [exceeded per-check time limit {limit:.0f}s]"
-        results.append(CheckResult(cid, fn.__name__.removeprefix("check_"), passed, detail, seconds))
+        results.append(CheckResult(cid, name, passed, detail, seconds))
     for group, total in sorted(group_time.items()):
         limit = GROUP_TIME_LIMITS.get(group)
         if limit is None:

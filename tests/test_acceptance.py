@@ -63,6 +63,28 @@ def test_criterion_8_scope():
     _assert_group("8")
 
 
+def test_check_ids_and_names():
+    # the 26 checks and the 5 group runtime rows, in report order
+    assert [(r.cid, r.name) for r in all_results()] == [
+        ("1.1", "representatives_342"), ("1.2", "maximal_342"), ("1.3", "maximal_362"),
+        ("1.runtime", "cyclotomy runtime"),
+        ("2.1", "table_reference_cells"), ("2.2", "table_bound_rows"),
+        ("2.3", "table_rows_verified"), ("2.runtime", "tables runtime"),
+        ("3.1", "distance_231"), ("3.2", "distance_241"), ("3.3", "distance_232"),
+        ("3.4", "distance_321"), ("3.5", "distance_331"), ("3.6", "distance_241_bar"),
+        ("3.7", "distance_repunit_family"),
+        ("4.1", "witness_342"), ("4.2", "witness_362_bar"), ("4.runtime", "witnesses runtime"),
+        ("5.1", "packing_binary_bar"), ("5.2", "packing_ternary"), ("5.3", "packing_positivity"),
+        ("5.runtime", "packing runtime"),
+        ("6.1", "dimension_grid"), ("6.2", "dimension_grid_barred"),
+        ("6.runtime", "dimensions runtime"),
+        ("7.a", "weight_constant_on_classes"), ("7.b", "condition_equivalence"),
+        ("7.c", "odd_order_parity"), ("7.d", "quadratic_residue_rule"),
+        ("7.e", "generator_divides"),
+        ("8.1", "scope_note"),
+    ]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason=verify.REFERENCE_ERRATA["maximal-set-362"],

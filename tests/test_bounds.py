@@ -62,7 +62,7 @@ class TestFactorize:
     def test_incomplete_budget(self, monkeypatch):
         # an exact power needs no ECM curve, so only the product is left open
         m31, m61 = 2**31 - 1, 2**61 - 1
-        monkeypatch.setattr(nt, "_BUDGET", 1)
+        monkeypatch.setattr(nt, "_ECM_ROUNDS", ())
         nt._finish.cache_clear()
         try:
             assert nt.factorize(m61**2) == {m61: 2}
@@ -74,7 +74,7 @@ class TestFactorize:
 
     def test_exact_powers_of_large_primes(self):
         # the square of a 64-bit prime is as hard for ECM as a product of two
-        # such primes, and the ECM budget ran out on it; the finisher takes
+        # such primes, and the ECM curves ran out on it; the finisher takes
         # its root instead, also after ECM has split off r
         rng = random.Random(61)
         r = seeded_prime(rng, 25)
@@ -173,18 +173,16 @@ class TestFactorize:
     def test_ecm_splits_phi_43_of_7(self):
         # Phi_43(7) = (7^43 - 1)/6, 119 bits, is a product of two primes near 2^57 and 2^61
         cofactor = (7**43 - 1) // 6
-        assert nt._ecm(cofactor, 1 << 22) in (166003607842448777, 2192537062271178641)
-        assert nt._ecm(cofactor, nt._ecm_cost(2_000) - 1) == 0
+        assert nt._ecm(cofactor) in (166003607842448777, 2192537062271178641)
 
     def test_every_ecm_round_runs(self, monkeypatch):
-        # with no curve splitting, _BUDGET runs all 25 curves at B1 = 2000 and
-        # 49 of the 90 at 11,000: every configured round runs at least one curve
+        # with no curve splitting, _ECM_ROUNDS is the one limit: all 25 curves
+        # at B1 = 2000 run, then all 49 at 11,000, sigma 6..79 in order, and 0 comes back
         calls = []
         monkeypatch.setattr(nt, "_ecm_curve", lambda n, sigma, b1: calls.append((sigma, b1)) or 1)
-        assert nt._ecm((2**31 - 1) * (2**61 - 1), nt._BUDGET) == 0
-        assert [sigma for sigma, _ in calls] == list(range(6, 6 + len(calls)))
-        assert Counter(b1 for _, b1 in calls) == {2_000: 25, 11_000: 49}
-        assert {b1 for b1, _ in nt._ECM_ROUNDS} == {b1 for _, b1 in calls}
+        assert nt._ecm((2**31 - 1) * (2**61 - 1)) == 0
+        assert [sigma for sigma, _ in calls] == list(range(6, 80))
+        assert Counter(b1 for _, b1 in calls) == dict(nt._ECM_ROUNDS) == {2_000: 25, 11_000: 49}
 
     def test_small_kernel_matches_trial_division(self):
         # _factor's one-gcd screen against a plain trial division by every

@@ -138,10 +138,10 @@ class TestBounds:
 
     def test_factoring_budget_exhausted(self, capsys, monkeypatch):
         # Phi_43(7) = (7^43 - 1)/6 is a 119-bit product of two primes, which
-        # no ECM curve within a budget of 1 splits; the finisher cache would
-        # otherwise answer from an earlier, full-budget factorization. The
+        # an empty curve table leaves unsplit; the finisher cache would
+        # otherwise answer from an earlier factorization with every curve. The
         # uncapped walk of search-e needs that split; bounds stops at 13
-        monkeypatch.setattr(nt, "_BUDGET", 1)
+        monkeypatch.setattr(nt, "_ECM_ROUNDS", ())
         nt._finish.cache_clear()
         try:
             code, out, err = run(capsys, "search-e", "7", "43", "1")
@@ -174,9 +174,9 @@ class TestBounds:
 
     @pytest.mark.parametrize("q, m, e", [(19, 29, 59), (11, 31, 50159)])
     def test_divisor_walk_skips_the_finisher(self, capsys, monkeypatch, q, m, e):
-        # q^m - 1 has a composite cofactor no ECM curve within a budget of 1
-        # splits, but its least passing divisor is below TRIAL_LIMIT
-        monkeypatch.setattr(nt, "_BUDGET", 1)
+        # q^m - 1 has a composite cofactor that an empty curve table leaves
+        # unsplit, but its least passing divisor is below TRIAL_LIMIT
+        monkeypatch.setattr(nt, "_ECM_ROUNDS", ())
         nt._finish.cache_clear()
         try:
             code, out, err = run(capsys, "search-e", str(q), str(m), "1", "--max-e", str(e),
@@ -189,8 +189,8 @@ class TestBounds:
     @pytest.mark.parametrize("q, m", FINISHER_CURVES)
     def test_finisher_moduli_need_no_split(self, capsys, monkeypatch, q, m):
         # the walk of bounds stops at the upper bound, below the least passing
-        # divisor, so it splits no cofactor, even within a budget no ECM curve fits
-        monkeypatch.setattr(nt, "_BUDGET", 1)
+        # divisor, so it splits no cofactor, even with an empty curve table
+        monkeypatch.setattr(nt, "_ECM_ROUNDS", ())
         nt._finish.cache_clear()
         try:
             code, out, err = run(capsys, "bounds", str(q), str(m), "1", "--format", "json")
@@ -276,9 +276,9 @@ class TestSearchE:
 
     def test_capped_search_skips_the_finisher(self, capsys, monkeypatch):
         # 7^43 - 1 has the stage-1 divisors 1, 2, 3, 6; a search capped at 6
-        # needs no later divisor, so it splits no cofactor, even within a
-        # budget no ECM curve fits
-        monkeypatch.setattr(nt, "_BUDGET", 1)
+        # needs no later divisor, so it splits no cofactor, even with an
+        # empty curve table
+        monkeypatch.setattr(nt, "_ECM_ROUNDS", ())
         nt._finish.cache_clear()
         try:
             code, out, err = run(capsys, "search-e", "7", "43", "1", "--max-e", "6", "--format", "json")

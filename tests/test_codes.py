@@ -365,6 +365,24 @@ class TestEncodeAndMembership:
         with pytest.raises(ValueError, match="message entries must be field element indices"):
             encode(inst, word[: inst.k])
 
+    def test_int_subclass_entries_pass_and_bool_is_refused(self):
+        """Entries follow check_int's rule: an int subclass passes, a bool does not."""
+        class Int(int):
+            pass
+
+        inst = build_code(CodeSpec(3, 2, 1))
+        msg = (1, 2, 0, 1)
+        word = encode(inst, msg).coeffs
+        assert encode(inst, tuple(map(Int, msg))) == encode(inst, msg)
+        assert encode(inst, (Int(1),) + msg[1:]) == encode(inst, msg)
+        assert is_member(inst, tuple(map(Int, word)))
+        assert is_member(inst, (Int(word[0]),) + word[1:])
+        assert not is_member(inst, (Int((word[0] + 1) % 3),) + word[1:])
+        with pytest.raises(ValueError, match="message entries must be field element indices"):
+            encode(inst, (True,) + msg[1:])
+        with pytest.raises(ValueError, match="word entries must be field element indices"):
+            is_member(inst, (Int(1), True) + word[2:])
+
     @pytest.mark.parametrize(
         "q,m,h,barred", [(4, 6, 1, False), (3, 6, 2, True)], ids=["omega", "omega_bar"]
     )

@@ -179,8 +179,9 @@ class TestKernel:
             ds._multiples(ctx, (1, 2, 1), 4, 3, 3)
 
     def test_empty_message_space(self):
+        # the general walk at dim 0: one lane, no digits, the zero word alone
         inst = build_code(CodeSpec(2, 3, 1))
-        assert ds._multiples(inst.small, inst.gen_poly, inst.n, 0, 2) == ([1] + [0] * inst.n, None)
+        assert ds._multiples(inst.small, inst.gen_poly, inst.n, 0, 2) == ([1] + [0] * inst.n, [])
 
     def test_zero_code_through_dispatch(self):
         inst = build_code(CodeSpec(2, 3, 1, "omega_bar"))
