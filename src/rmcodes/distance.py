@@ -1,20 +1,27 @@
 """Exact minimum distances for small instances, plus low-weight witness checks.
 
-Both exact routes walk every multiple of a generator polynomial with one
-kernel, ``_multiples``, which is transposed and bit-sliced: a Python int
-holds one bit per message for a chunk of up to 2^12 messages that share
-their high digits, so each big-int operation acts on the whole chunk.  For
-each code position the kernel picks a precomputed mask of the messages whose
-word is nonzero there, adds the n masks lane-wise into binary counter
-planes, and splits the planes into the chunk's weight histogram.  The
-routes are cross-checked against each other in the tests:
+Both exact routes take the weight histogram of one side of the code, the
+code itself or its dual, from ``_orbit_histogram``.  A cyclic shift keeps a
+word's weight, so it splits the side into the minimal ideals of its
+nonzero q-cyclotomic cosets and walks one coset of a subcode per class of
+shift orbits: about 1/n of the words when the first coset is primitive,
+one word for the dual of a Hamming code.  Each walk runs one kernel,
+``_multiples``, which is transposed and bit-sliced: a Python int holds one
+bit per message for a chunk of up to 2^12 messages that share their high
+digits, so each big-int operation acts on the whole chunk.  For each code
+position the kernel picks a precomputed mask of the messages whose word is
+nonzero there, adds the n masks lane-wise into binary counter planes, and
+splits the planes into the chunk's weight histogram.  The routes are
+cross-checked against each other, and the orbit histogram against the
+full walk, in the tests:
 
-  * message enumeration: walk the q^k multiples of the code's generator
-    (exact when q^k fits the budget); the witness is the codeword of the
-    least message, read as the integer sum m_i q^i, among those of
-    minimum weight;
-  * dual transform: when only q^(n-k) fits the budget, walk the q^(n-k)
-    multiples of the dual generator and recover the code's own weight
+  * message enumeration: the histogram of the q^k multiples of the code's
+    generator (exact when q^k fits the budget); the witness is the codeword
+    of the least message, read as the integer sum m_i q^i, among those of
+    minimum weight, which a walk of the messages in integer order finds
+    and stops at;
+  * dual transform: when only q^(n-k) fits the budget, the histogram of
+    the q^(n-k) multiples of the dual generator gives the code's own weight
     distribution through the exact integer MacWilliams transform, with
     divisibility and total-count checks at every step.
 
@@ -23,17 +30,19 @@ The second route exists because dimension grows fast: already (q, m, h) =
 
 Every route returns a ``Bound``: the value, its ``via`` (``enumeration:<route>``
 or ``candidate-witnesses``), the witness codeword when one is known and the
-number of words walked.  ``bounds`` reports hold the same type.
+number of nonzero words the route accounts for.  ``bounds`` reports hold
+the same type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import comb
+from itertools import combinations, islice, product
+from math import comb, gcd
 
 from . import gf
-from .codes import Codeword, CodeInstance, encode, is_member
+from .codes import Codeword, CodeInstance, encode, is_member, minimal_poly
+from .cyclotomy import coset_of
 from .errors import InternalError, TooLarge, check_int
 
 @dataclass(frozen=True)
@@ -49,8 +58,9 @@ class Bound:
     """A distance bound, the rule or route that gave it, and its evidence.
 
     ``witness``, when set, is a codeword of weight ``value``.  ``enumerated``
-    counts the nonzero words walked on either exact route, q^k - 1 by
-    messages and q^(n-k) - 1 by the dual, or the candidates checked.
+    counts the nonzero words of the side an exact route accounts for, q^k - 1
+    by messages and q^(n-k) - 1 by the dual, one shift-orbit class at a time,
+    or the candidates checked.
     """
 
     value: int
@@ -72,11 +82,14 @@ _MASK_BITS = 1 << 25  # cap on the n * q * chunk bits of the mask table
 _MAX_CANDIDATES = 1 << 22  # find_weight_witness: most words one search tries
 
 
-def _multiples(ctx, g, n, dim, q) -> tuple[list[int], list[int]]:
-    """Walk all q^dim multiples m(x) * g(x) with deg m < dim and deg(m g) < n.
+def _multiples(ctx, g, n, dim, q, offset=None, target=0) -> tuple[list[int], list[int]]:
+    """Walk all q^dim words m(x) * g(x) + w with deg m < dim and deg(m g) < n.
 
     Returns the weight histogram (zero word included) and the least message,
     read as the integer sum m_i q^i, among the nonzero words of least weight.
+    The fixed word w, ``offset``, is 0 unless given.  A ``target`` weight
+    ends the walk after the first chunk whose least weight equals it; the
+    message is then the same as after the full walk, the histogram partial.
 
     The lo low digits name C = q^lo messages x, one bit lane each, with
     C <= _CHUNK and n q C <= _MASK_BITS.  ``masks[j][v]`` is the C-bit mask
@@ -84,21 +97,23 @@ def _multiples(ctx, g, n, dim, q) -> tuple[list[int], list[int]]:
     built digit by digit: digit i with value c moves x to x + c q^i and adds
     c a, a = g_(j-i), at position j, so the new mask for v is the sum of the
     old masks for v - c a, each shifted by c q^i into its own block of
-    lanes.  The table ``minus[t][v] = v - t`` keeps field calls out of the
-    loops; for a code, n = q^m - 1 with m >= 2, so it has at most n + 1
-    entries.
+    lanes.  So the masks of position j after digit i depend only on its
+    window (g_(j-i), ..., g_j), and each level builds each distinct window
+    once, from the level before: a position beyond the ends of g shares
+    the all-zero window.  The table ``minus[t][v] = v - t`` keeps field
+    calls out of the loops; for a code, n = q^m - 1 with m >= 2, so it has
+    at most n + 1 entries.
 
     The high digits H run in integer order.  They reach only positions
-    lo and up, whose ``neg`` entry is minus the high part of the word there,
-    updated by one scaled row of g per changed digit.  Position j of word
-    x + H C is zero exactly when the low part equals that entry (0 below
-    lo), so one mask per position marks the nonzero positions of the whole
-    chunk, and ``tally`` counts them lane-wise with carry-save adders:
-    ``planes[t]`` ends as bit t of every weight.  Splitting the lanes by
-    plane from the top gives the weight classes of the chunk.  The least
-    message of the least weight is the lowest lane of that class in the
-    first chunk that has it; weight 0 is the zero message alone, so it is
-    left out.
+    lo and up, whose ``neg`` entry is minus the high part of the word there
+    and of w, updated by one scaled row of g per changed digit.  Position j
+    of word x + H C is zero exactly when the low part equals that entry
+    (-w_j below lo), so one mask per position marks the nonzero positions
+    of the whole chunk, and ``tally`` counts them lane-wise with carry-save
+    adders: ``planes[t]`` ends as bit t of every weight.  Splitting the
+    lanes by plane from the top gives the weight classes of the chunk.  The
+    least message of the least weight is the lowest lane of that class in
+    the first chunk that has it; weight 0 is left out.
     """
     if len(g) + dim - 1 > n:
         raise ValueError(f"deg g + dim = {len(g) - 1 + dim} exceeds the length {n}")
@@ -109,12 +124,15 @@ def _multiples(ctx, g, n, dim, q) -> tuple[list[int], list[int]]:
     full = (1 << size) - 1
     minus = [[ctx.sub(v, t) for v in range(q)] for t in range(q)]
     shifts = {a: [minus[ctx.mul(c, a)] for c in range(q)] for a in {0, *g}}
-    masks = [[0] + [1] * (q - 1) for _ in range(n)]
+    padded = (0,) * lo + tuple(g) + (0,) * (n - len(g))
+    built = {(): [0] + [1] * (q - 1)}  # window (g_(j-i), ..., g_j) -> masks after digit i
     for i in range(lo):
-        step = q**i
-        for j, old in enumerate(masks):
-            rows = shifts[g[j - i] if 0 <= j - i < len(g) else 0]
-            masks[j] = [sum(old[r[v]] << c * step for c, r in enumerate(rows)) for v in range(q)]
+        step, prev, built = q**i, built, {}
+        for w in {padded[j + lo - i : j + lo + 1] for j in range(n)}:
+            old, rows = prev[w[1:]], shifts[w[0]]
+            built[w] = [sum(old[r[v]] << c * step for c, r in enumerate(rows)) for v in range(q)]
+    masks = [built[padded[j + 1 : j + lo + 1]] for j in range(n)]
+    start = [minus[c][0] for c in offset] if offset else [0] * n
 
     def tally(planes, ones):
         # Each plane holds back one input; the next one meets it and the plane
@@ -140,12 +158,13 @@ def _multiples(ctx, g, n, dim, q) -> tuple[list[int], list[int]]:
                 t += 1
         return planes
 
-    base = tally([0] * n.bit_length(), [masks[j][0] for j in range(lo)])
+    base = tally([0] * n.bit_length(), [masks[j][start[j]] for j in range(lo)])
     # when high digit i steps from index d to d + 1 (or q - 1 to 0), the word
     # gains (new - old) g_t at position lo + i + t; steps[d][t] subtracts it from neg
     top, width, tail = q - 1, len(g), masks[lo:]
-    steps = [[minus[ctx.mul(ctx.sub(d + 1 if d < top else 0, d), a)] for a in g] for d in range(q)]
-    neg = [0] * (n - lo)
+    diffs = [ctx.sub(d + 1 if d < top else 0, d) for d in range(q)]
+    steps = [[shifts[a][c] for a in g] for c in diffs]
+    neg = start[lo:]
     digits = [0] * (dim - lo)
     hist = [0] * (n + 1)
     best, best_msg = n + 1, 0
@@ -173,15 +192,71 @@ def _multiples(ctx, g, n, dim, q) -> tuple[list[int], list[int]]:
             hist[w] += lanes.bit_count()
             if 0 < w < best:
                 best, best_msg = w, h * size + (lanes & -lanes).bit_length() - 1
+        if best == target:
+            break
     return hist, [best_msg // q**i % q for i in range(dim)]
+
+
+def _orbit_histogram(inst: CodeInstance, g, dim: int, nonzeros) -> list[int]:
+    """Weight histogram of the dim-dimensional side generated by g, whose
+    nonzeros, the exponents b with g(alpha^b) != 0, are the set ``nonzeros``.
+
+    A word's part in the minimal ideal of a q-cyclotomic coset K is its value
+    at alpha^b, b = min K, in F_(q^|K|), and a shift multiplies that value by
+    alpha^b, of order ord = n / gcd(n, b).  With the cosets K_1, K_2, ... of
+    the nonzeros in order of decreasing ord, let C_i be the subcode that also
+    vanishes on K_1, ..., K_i, generated by g_i = g M_(K_1) ... M_(K_i).
+    Take one word w_r = u_r g_(i-1) of C_(i-1), deg u_r < |K_i|, per class
+    of its value modulo <alpha^b> in F_(q^|K_i|)^*; as g_(i-1) is a nonzero
+    constant at alpha^b, the class key of u_r(alpha^b) is its power to ord.
+    Then (s, t) -> x^s (w_r + t), 0 <= s < ord and t in C_i, is onto the
+    words of C_(i-1) that are nonzero on K_i, one to one, and keeps the
+    weight.  So the histogram is the zero word plus ord times the histograms
+    of the walks of w_r + C_i, which hold about 1/ord of the words.  At the
+    end g M_(K_1) ... must be x^n - 1, so the cosets are exactly the
+    nonzeros of g, and the total must be q^dim.
+    """
+    n, q, small, emb = inst.n, inst.q, inst.small, inst.emb
+    params = inst.spec.params
+    cosets, seen = [], set()
+    for a in sorted(nonzeros):
+        if a not in seen:
+            cosets.append(coset_of(params, a))
+            seen.update(cosets[-1])
+    if len(seen) != dim or not seen <= set(nonzeros):
+        raise InternalError(f"internal: the nonzeros are no union of cosets with {dim} exponents")
+    cosets.sort(key=lambda K: (-(n // gcd(n, K[0])), K[0]))
+    hist = [1] + [0] * n
+    left = dim
+    for K in cosets:
+        b, d = K[0], len(K)
+        order = n // gcd(n, b)
+        above, g, left = g, gf.poly_mul(small, g, minimal_poly(emb, K)), left - d
+        keys = set()
+        for u in islice(product(range(q), repeat=d), 1, None):  # the nonzero u
+            key = emb.big.pow(emb.evaluate([(i, c) for i, c in enumerate(u) if c], b), order)
+            if key in keys:
+                continue
+            keys.add(key)
+            word = gf.poly_mul(small, gf.poly_normalize(u), above)
+            part, _ = _multiples(small, g, n, left, q, offset=word + (0,) * (n - len(word)))
+            for w, count in enumerate(part):
+                hist[w] += order * count
+            if len(keys) * order == q**d - 1:
+                break
+    if g != (small.neg(1),) + (0,) * (n - 1) + (1,) or sum(hist) != q**dim:
+        raise InternalError("internal: the orbit walks do not account for every word")
+    return hist
 
 
 def exhaustive_distance(inst: CodeInstance, budget: SearchBudget | None = None) -> Bound:
     """Minimum weight over all q^k - 1 nonzero information words.
 
-    One pass of the shared kernel over the multiples of the generator.  The
-    witness is ``encode`` of the least message (as the integer sum m_i q^i)
-    among the words of minimum weight.
+    The weight comes from the orbit histogram of the code, whose nonzeros
+    are the exponents outside the zero set.  The witness is ``encode`` of
+    the least message (as the integer sum m_i q^i) among the words of
+    minimum weight: the kernel walks the messages in integer order and stops
+    after the first chunk that holds that weight.
     """
     budget = budget or SearchBudget()
     q, n, k = inst.q, inst.n, inst.k
@@ -190,8 +265,9 @@ def exhaustive_distance(inst: CodeInstance, budget: SearchBudget | None = None) 
     total = q**k
     if total > budget.max_messages:
         raise TooLarge(f"q^k = {q}^{k} exceeds the message budget {budget.max_messages}")
-    hist, msg = _multiples(inst.small, inst.gen_poly, n, k, q)
+    hist = _orbit_histogram(inst, inst.gen_poly, k, set(range(n)).difference(inst.zero_exponents))
     value = next(w for w in range(1, n + 1) if hist[w])
+    _, msg = _multiples(inst.small, inst.gen_poly, n, k, q, target=value)
     witness = encode(inst, msg)
     if witness.weight != value:
         raise InternalError("internal: the witness weight differs from the enumerated minimum")
@@ -242,7 +318,8 @@ def _macwilliams(hist: list[int], q: int) -> list[int]:
 def weight_distribution_from_dual(inst: CodeInstance) -> list[int]:
     """Exact weight distribution A_0..A_n via the dual code and MacWilliams.
 
-    Enumerates the q^(n-k) dual codewords with weight distribution B, so
+    Takes the weight distribution B of the q^(n-k) dual codewords from the
+    orbit histogram of the dual, whose nonzeros are the negated zeros -Z, so
     that q^(n-k) A(y) = sum_i B_i (1 + (q-1)y)^(n-i) (1-y)^i, and verifies
     integrality, nonnegativity, A_0 = 1 and sum(A) = q^k before returning.
     """
@@ -251,7 +328,7 @@ def weight_distribution_from_dual(inst: CodeInstance) -> list[int]:
     dual_gen = dual_generator(inst)
     if gf.poly_degree(dual_gen) != k:
         raise InternalError("internal: dual generator degree != k")
-    hist, _ = _multiples(inst.small, dual_gen, n, r, q)
+    hist = _orbit_histogram(inst, dual_gen, r, {-a % n for a in inst.zero_exponents})
     size = q**r
     dist = _macwilliams(hist, q)
     for j, s in enumerate(dist):  # in place: each A_j has up to n bits

@@ -23,7 +23,7 @@ class FactorizationIncomplete(RuntimeError):
     the one bound on ECM work; it is ``.cofactor``."""
 
     def __init__(self, cofactor: int):
-        super().__init__(f"composite cofactor {cofactor} not factored within budget")
+        super().__init__(f"composite cofactor {cofactor} survived every ECM curve")
         self.cofactor = cofactor
 
 

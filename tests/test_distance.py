@@ -21,8 +21,8 @@ from rmcodes.distance import (
     witness_upper_bound,
 )
 from rmcodes.codes import Codeword
-from rmcodes.errors import TooLarge
-from rmcodes.verify import GRID
+from rmcodes.errors import InternalError, TooLarge
+from rmcodes.verify import BARRED_GRID, GRID
 
 
 GOLDEN = [
@@ -187,6 +187,126 @@ class TestKernel:
         inst = build_code(CodeSpec(2, 3, 1, "omega_bar"))
         with pytest.raises(ValueError):
             exact_distance(inst)
+
+
+def _side(inst, side):
+    """(generator, dimension, nonzeros) of the code's message or dual side."""
+    n = inst.n
+    if side == "message":
+        return inst.gen_poly, inst.k, set(range(n)).difference(inst.zero_exponents)
+    return ds.dual_generator(inst), n - inst.k, {-a % n for a in inst.zero_exponents}
+
+
+def _orbit_sides():
+    """(spec, side) for both sides of the GRID omega and BARRED_GRID omega_bar
+    codes with 1 <= dim and q^dim <= 2^20 words on that side."""
+    barred = {CodeSpec(q, m, h, "omega_bar") for q, m, h in BARRED_GRID}
+    out = []
+    for spec, k in _grid_dimensions():
+        if spec.variant == "omega" or spec in barred:
+            for side, dim in (("message", k), ("dual", spec.n - k)):
+                if dim and spec.q**dim <= 1 << 20:
+                    out.append((spec, side))
+    return out
+
+
+ORBIT_SIDES = _orbit_sides()
+
+
+def _spy_dims(monkeypatch):
+    """Record the dimension of every ``_multiples`` walk."""
+    dims, walk = [], ds._multiples
+
+    def spy(ctx, g, n, dim, q, **kwargs):
+        dims.append(dim)
+        return walk(ctx, g, n, dim, q, **kwargs)
+
+    monkeypatch.setattr(ds, "_multiples", spy)
+    return dims
+
+
+class TestOrbits:
+    """The orbit histogram and the target walk against the full walk of ``_multiples``."""
+
+    @pytest.mark.parametrize("spec,side", ORBIT_SIDES,
+                             ids=[f"{_spec_id(s)}-{side}" for s, side in ORBIT_SIDES])
+    def test_orbit_histogram_matches_the_full_walk(self, spec, side):
+        inst = build_code(spec)
+        g, dim, nonzeros = _side(inst, side)
+        hist, msg = ds._multiples(inst.small, g, inst.n, dim, spec.q)
+        assert ds._orbit_histogram(inst, g, dim, nonzeros) == hist
+        d = next(w for w in range(1, inst.n + 1) if hist[w])
+        assert ds._multiples(inst.small, g, inst.n, dim, spec.q, target=d)[1] == msg
+
+    def test_sides_cover_the_grid(self):
+        # 17 message and 20 dual sides; omega_bar(2,3,1), a zero code, has a dual side only
+        sides = [side for _, side in ORBIT_SIDES]
+        assert (sides.count("message"), sides.count("dual")) == (17, 20)
+
+    @pytest.mark.parametrize("chunk", CHUNKS.values(), ids=CHUNKS.keys())
+    def test_target_walk_at_every_chunk_size(self, chunk, monkeypatch):
+        monkeypatch.setattr(ds, "_CHUNK", chunk(2))
+        inst = build_code(CodeSpec(2, 5, 2))
+        hist, msg = ds._multiples(inst.small, inst.gen_poly, inst.n, inst.k, 2)
+        assert ds._multiples(inst.small, inst.gen_poly, inst.n, inst.k, 2, target=7)[1] == msg
+        assert exhaustive_distance(inst).witness == encode(inst, msg)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_offset_matches_brute_force(self, q):
+        """Seeded random g and fixed words w: the walk of m g + w."""
+        ctx, cases = _arbitrary_cases(q)
+        rng = random.Random(-q)
+        for g, n, dim, _, _ in cases[:10]:
+            w = tuple(rng.randrange(q) for _ in range(n))
+
+            def weight(msg):
+                prod = poly_mul(ctx, poly_normalize(msg), g)
+                return sum(1 for j in range(n) if ctx.add(prod[j] if j < len(prod) else 0, w[j]))
+
+            hist, _ = _brute_force(q, n, dim, weight)
+            assert ds._multiples(ctx, g, n, dim, q, offset=w)[0] == hist
+
+    def test_several_classes_per_coset(self, monkeypatch):
+        # the dual nonzeros of omega(5,2,1) are the cosets of 19, 14, 9 and 4,
+        # of ord 24, 12, 8 and 6: 1, 2, 3 and 4 classes of F_25^*
+        inst = build_code(CodeSpec(5, 2, 1))
+        g, dim, nonzeros = _side(inst, "dual")
+        full, _ = ds._multiples(inst.small, g, inst.n, dim, 5)
+        dims = _spy_dims(monkeypatch)
+        assert ds._orbit_histogram(inst, g, dim, nonzeros) == full
+        assert dims == [6, 4, 4, 2, 2, 2, 0, 0, 0, 0]
+
+    def test_zero_coset_has_q_minus_1_classes(self, monkeypatch):
+        # the dual nonzeros of omega_bar(3,2,1) are its zeros {0} u I u -I: the
+        # cosets of 1 and 5 (ord 8, one class), of 2 (ord 4, two classes) and
+        # {0} (ord 1, q - 1 = 2 classes)
+        inst = build_code(CodeSpec(3, 2, 1, "omega_bar"))
+        g, dim, nonzeros = _side(inst, "dual")
+        assert 0 in nonzeros
+        full, _ = ds._multiples(inst.small, g, inst.n, dim, 3)
+        dims = _spy_dims(monkeypatch)
+        assert ds._orbit_histogram(inst, g, dim, nonzeros) == full
+        assert dims == [5, 3, 1, 1, 0, 0]
+
+    def test_hamming_dual_walks_one_word(self, monkeypatch):
+        # the dual of the [1023, 1013, 3] Hamming code is one primitive orbit
+        inst = build_code(CodeSpec(2, 10, 1))
+        dims = _spy_dims(monkeypatch)
+        dist = weight_distribution_from_dual(inst)
+        assert dims == [0]
+        n = inst.n
+        assert dist[3] == n * (n - 1) // 6
+
+    def test_nonzeros_must_be_the_side(self):
+        inst = build_code(CodeSpec(2, 4, 1))
+        g, dim, nonzeros = _side(inst, "dual")
+        assert nonzeros == {7, 11, 13, 14}  # -{1, 2, 4, 8}, one coset
+        for wrong in ({11, 13, 14}, nonzeros | {0}):
+            with pytest.raises(InternalError, match="no union of cosets"):
+                ds._orbit_histogram(inst, g, dim, wrong)
+        # a coset of the right size that is a zero of g, not a nonzero
+        with pytest.raises(InternalError, match="do not account for every word"):
+            ds._orbit_histogram(inst, g, dim, {1, 2, 4, 8})
 
 
 class TestWitnessUpperBound:
