@@ -35,7 +35,7 @@ from math import comb, gcd
 
 from .cyclotomy import QadicParams, q_weight
 from .codes import CodeSpec, _condition_star, build_code
-from .distance import Bound, SearchBudget, exact_distance
+from .distance import Bound, SearchBudget, _search_budget, exact_distance
 from .errors import InternalError, TooLarge, check_int
 from .ntheory import UnitGroup, divisors_ascending, is_prime_power, prime_power_split
 
@@ -141,6 +141,7 @@ def certify(spec: CodeSpec, *, budget: SearchBudget | None = None) -> BoundRepor
     search or enumeration too large to run, or a code beyond the default length
     bound, leaves a note too.  Without a budget nothing is built.
     """
+    _search_budget(budget)  # a bad budget is refused before the divisor walk
     report = generic_bounds(spec.q, spec.m, spec.h, spec.variant)
     scale = 1 if spec.variant == "omega" else 2
     cap = None if report.upper is None else report.upper.value // scale

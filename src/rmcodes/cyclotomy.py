@@ -8,12 +8,13 @@ representative (the maximal set).  Divisibility conditions over the full
 exponent set can be decided on the maximal set alone, which is what makes
 the maximal set worth computing.
 
-``coset_of`` is the one orbit walk: ``coset_partition`` calls it once per
-coset, behind the size gate of ``index_set``, and the maximal set and the
-generators of the codes read the cosets of a partition.  The walks start only
-from the exponents whose lowest base-q digit is nonzero, q - 1 of them for
-h = 1: a -> a*q mod n rotates the m digits, so every coset holds such an
-exponent, and the partition still reaches every coset.
+``coset_of`` is the one orbit walk; ``cosets_meeting`` calls it once per coset
+that meets a set of exponents: the index set, for ``coset_partition`` behind
+the size gate of ``index_set``, and a code's nonzeros, for the exact
+distances.  A partition, which the maximal set and the code generators read,
+walks only from the exponents whose lowest base-q digit is nonzero, q - 1 of
+them for h = 1: a -> a*q mod n rotates the m digits, so every coset lies in
+the index set and holds such an exponent.
 
 ``EXPONENT_LIMIT`` = 2^128 bounds q^m - 1 here, in ``QadicParams``, and the
 field order p^s in ``gf``, which imports it from this module.
@@ -105,14 +106,21 @@ def coset_of(params: QadicParams, a: int) -> tuple[int, ...]:
     check_int("a", a)
     n = params.n
     a %= n
-    orbit = []
-    x = a
-    while True:
+    orbit, x = [a], a * params.q % n
+    while x != a:
         orbit.append(x)
         x = x * params.q % n
-        if x == a:
-            break
     return tuple(sorted(orbit))
+
+
+def cosets_meeting(params: QadicParams, exponents) -> list[tuple[int, ...]]:
+    """The q-cyclotomic cosets that meet ``exponents``, each walked once, in the order met."""
+    seen, cosets = set(), []
+    for a in exponents:
+        if a not in seen:
+            cosets.append(coset_of(params, a))
+            seen.update(cosets[-1])
+    return cosets
 
 
 @dataclass(frozen=True)
@@ -127,16 +135,7 @@ class CosetPartition:
 
 
 def _partition(params: QadicParams, h: int) -> CosetPartition:
-    # a -> a*q mod n rotates the m base-q digits: each coset lies in the index set,
-    # and rotating any nonzero digit of a into the lowest place gives an exponent
-    # of a's coset whose lowest digit is nonzero.  So the walks start only from
-    # those seeds, q - 1 of them for h = 1, and still reach every coset
-    seen, classes = set(), []
-    for a in _index_exponents(params, h, anchored=True):
-        if a not in seen:
-            classes.append(coset_of(params, a))
-            seen.update(classes[-1])
-    classes.sort()
+    classes = sorted(cosets_meeting(params, _index_exponents(params, h, anchored=True)))
     if sum(map(len, classes)) != index_set_size(params, h):
         raise InternalError(f"internal: the cosets of {params} at h={h} do not cover the index set")
     return CosetPartition(params, h, tuple(classes), tuple(c[0] for c in classes))

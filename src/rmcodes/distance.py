@@ -5,15 +5,15 @@ code itself or its dual, from ``_orbit_histogram``.  A cyclic shift keeps a
 word's weight, so it splits the side into the minimal ideals of its
 nonzero q-cyclotomic cosets and walks one coset of a subcode per class of
 shift orbits: about 1/n of the words when the first coset is primitive,
-one word for the dual of a Hamming code.  Each walk runs one kernel,
-``_multiples``, which is transposed and bit-sliced: a Python int holds one
-bit per message for a chunk of up to 2^12 messages that share their high
-digits, so each big-int operation acts on the whole chunk.  For each code
-position the kernel picks a precomputed mask of the messages whose word is
-nonzero there, adds the n masks lane-wise into binary counter planes, and
-splits the planes into the chunk's weight histogram.  The routes are
-cross-checked against each other, and the orbit histogram against the
-full walk, in the tests:
+one word for the dual of a Hamming code.  A coset's walks are one call of
+the kernel, ``_multiples``, which is transposed and bit-sliced: a Python
+int holds one bit per message for a chunk of up to 2^12 messages that
+share their high digits, so each big-int operation acts on the whole
+chunk.  For each code position the kernel picks a precomputed mask of the
+messages whose word is nonzero there, adds the n masks lane-wise into
+binary counter planes, and splits the planes into the chunk's weight
+histogram.  The routes are cross-checked against each other, and the
+orbit histogram against the full walk, in the tests:
 
   * message enumeration: the histogram of the q^k multiples of the code's
     generator (exact when q^k fits the budget); the witness is the codeword
@@ -42,7 +42,7 @@ from math import comb, gcd
 
 from . import gf
 from .codes import Codeword, CodeInstance, encode, is_member, minimal_poly
-from .cyclotomy import coset_of
+from .cyclotomy import cosets_meeting
 from .errors import InternalError, TooLarge, check_int
 
 @dataclass(frozen=True)
@@ -77,19 +77,44 @@ class Bound:
         }
 
 
+def _search_budget(budget) -> SearchBudget:
+    """``budget``, or the default SearchBudget for None; ValueError for any other value."""
+    if budget is not None and not isinstance(budget, SearchBudget):
+        raise ValueError(f"need a SearchBudget budget or None, got {budget!r}")
+    return budget or SearchBudget()
+
+
+def _fitting_side(inst: CodeInstance, budget, sides=("message", "dual")) -> str:
+    """The first of ``sides``, "message" with q^k words or "dual" with q^(n-k),
+    that fits the budget; ValueError for the zero code, TooLarge when none fits."""
+    limit = _search_budget(budget).max_messages
+    q, n, k = inst.q, inst.n, inst.k
+    if k == 0:
+        raise ValueError("the zero code has no nonzero codewords")
+    words = {"message": (f"q^k = {q}^{k}", k), "dual": (f"q^(n-k) = {q}^{n - k}", n - k)}
+    for side in sides:
+        if q ** words[side][1] <= limit:
+            return side
+    texts = [words[side][0] for side in sides]
+    raise TooLarge(f"neither {texts[0]} nor {texts[1]} fits the budget {limit}" if texts[1:]
+                   else f"{texts[0]} exceeds the message budget {limit}")
+
+
 _CHUNK = 1 << 12  # low messages per pass: the lanes of one mask
 _MASK_BITS = 1 << 25  # cap on the n * q * chunk bits of the mask table
 _MAX_CANDIDATES = 1 << 22  # find_weight_witness: most words one search tries
 
 
-def _multiples(ctx, g, n, dim, q, offset=None, target=0) -> tuple[list[int], list[int]]:
-    """Walk all q^dim words m(x) * g(x) + w with deg m < dim and deg(m g) < n.
+def _multiples(ctx, g, n, dim, q, offsets=((),), target=0) -> tuple[list[int], list[int]]:
+    """Walk all q^dim words m(x) * g(x) + w with deg m < dim and deg(m g) < n, for
+    each fixed word w in ``offsets`` (n or fewer coefficients; the zero word alone
+    by default), over one mask table.
 
-    Returns the weight histogram (zero word included) and the least message,
-    read as the integer sum m_i q^i, among the nonzero words of least weight.
-    The fixed word w, ``offset``, is 0 unless given.  A ``target`` weight
-    ends the walk after the first chunk whose least weight equals it; the
-    message is then the same as after the full walk, the histogram partial.
+    Returns the weight histogram of all the walks (zero word included) and the
+    least message, read as the integer sum m_i q^i, among the nonzero words of
+    least weight in the first walk that has them.  A ``target`` weight ends the
+    walk after the first chunk whose least weight equals it; the message is
+    then the same as after the full walk, the histogram partial.
 
     The lo low digits name C = q^lo messages x, one bit lane each, with
     C <= _CHUNK and n q C <= _MASK_BITS.  ``masks[j][v]`` is the C-bit mask
@@ -132,7 +157,6 @@ def _multiples(ctx, g, n, dim, q, offset=None, target=0) -> tuple[list[int], lis
             old, rows = prev[w[1:]], shifts[w[0]]
             built[w] = [sum(old[r[v]] << c * step for c, r in enumerate(rows)) for v in range(q)]
     masks = [built[padded[j + 1 : j + lo + 1]] for j in range(n)]
-    start = [minus[c][0] for c in offset] if offset else [0] * n
 
     def tally(planes, ones):
         # Each plane holds back one input; the next one meets it and the plane
@@ -158,17 +182,19 @@ def _multiples(ctx, g, n, dim, q, offset=None, target=0) -> tuple[list[int], lis
                 t += 1
         return planes
 
-    base = tally([0] * n.bit_length(), [masks[j][start[j]] for j in range(lo)])
     # when high digit i steps from index d to d + 1 (or q - 1 to 0), the word
     # gains (new - old) g_t at position lo + i + t; steps[d][t] subtracts it from neg
     top, width, tail = q - 1, len(g), masks[lo:]
     diffs = [ctx.sub(d + 1 if d < top else 0, d) for d in range(q)]
     steps = [[shifts[a][c] for a in g] for c in diffs]
-    neg = start[lo:]
-    digits = [0] * (dim - lo)
     hist = [0] * (n + 1)
     best, best_msg = n + 1, 0
-    for h in range(q ** (dim - lo)):
+    for word, h in product(offsets, range(q ** (dim - lo))):
+        if not h:  # a new fixed word w: the low positions' masks and neg start from it
+            start = [minus[c][0] for c in word] + [0] * (n - len(word))
+            base = tally([0] * n.bit_length(), [masks[j][start[j]] for j in range(lo)])
+            neg = start[lo:]
+            digits = [0] * (dim - lo)
         i = 0
         while h:  # step the high digits from h - 1 to h
             d = digits[i]
@@ -211,39 +237,30 @@ def _orbit_histogram(inst: CodeInstance, g, dim: int, nonzeros) -> list[int]:
     constant at alpha^b, the class key of u_r(alpha^b) is its power to ord.
     Then (s, t) -> x^s (w_r + t), 0 <= s < ord and t in C_i, is onto the
     words of C_(i-1) that are nonzero on K_i, one to one, and keeps the
-    weight.  So the histogram is the zero word plus ord times the histograms
-    of the walks of w_r + C_i, which hold about 1/ord of the words.  At the
-    end g M_(K_1) ... must be x^n - 1, so the cosets are exactly the
-    nonzeros of g, and the total must be q^dim.
+    weight.  So the histogram is the zero word plus ord times the histogram
+    of the walks of all w_r + C_i, one kernel call per coset, about 1/ord of
+    the words.  At the end g M_(K_1) ... must be x^n - 1, so the cosets are
+    exactly the nonzeros of g, and the total must be q^dim.
     """
     n, q, small, emb = inst.n, inst.q, inst.small, inst.emb
-    params = inst.spec.params
-    cosets, seen = [], set()
-    for a in sorted(nonzeros):
-        if a not in seen:
-            cosets.append(coset_of(params, a))
-            seen.update(cosets[-1])
-    if len(seen) != dim or not seen <= set(nonzeros):
+    cosets = cosets_meeting(inst.spec.params, nonzeros)
+    if len(nonzeros) != dim or sum(map(len, cosets)) != dim:
         raise InternalError(f"internal: the nonzeros are no union of cosets with {dim} exponents")
     cosets.sort(key=lambda K: (-(n // gcd(n, K[0])), K[0]))
     hist = [1] + [0] * n
-    left = dim
     for K in cosets:
         b, d = K[0], len(K)
         order = n // gcd(n, b)
-        above, g, left = g, gf.poly_mul(small, g, minimal_poly(emb, K)), left - d
-        keys = set()
+        above, g = g, gf.poly_mul(small, g, minimal_poly(emb, K))
+        words = {}  # class key -> w_r
         for u in islice(product(range(q), repeat=d), 1, None):  # the nonzero u
             key = emb.big.pow(emb.evaluate([(i, c) for i, c in enumerate(u) if c], b), order)
-            if key in keys:
-                continue
-            keys.add(key)
-            word = gf.poly_mul(small, gf.poly_normalize(u), above)
-            part, _ = _multiples(small, g, n, left, q, offset=word + (0,) * (n - len(word)))
-            for w, count in enumerate(part):
-                hist[w] += order * count
-            if len(keys) * order == q**d - 1:
-                break
+            if key not in words:
+                words[key] = gf.poly_mul(small, gf.poly_normalize(u), above)
+                if len(words) * order == q**d - 1:
+                    break
+        part, _ = _multiples(small, g, n, n + 1 - len(g), q, offsets=list(words.values()))
+        hist = [a + order * count for a, count in zip(hist, part)]
     if g != (small.neg(1),) + (0,) * (n - 1) + (1,) or sum(hist) != q**dim:
         raise InternalError("internal: the orbit walks do not account for every word")
     return hist
@@ -258,20 +275,15 @@ def exhaustive_distance(inst: CodeInstance, budget: SearchBudget | None = None) 
     minimum weight: the kernel walks the messages in integer order and stops
     after the first chunk that holds that weight.
     """
-    budget = budget or SearchBudget()
+    _fitting_side(inst, budget, ("message",))
     q, n, k = inst.q, inst.n, inst.k
-    if k == 0:
-        raise ValueError("the zero code has no nonzero codewords")
-    total = q**k
-    if total > budget.max_messages:
-        raise TooLarge(f"q^k = {q}^{k} exceeds the message budget {budget.max_messages}")
     hist = _orbit_histogram(inst, inst.gen_poly, k, set(range(n)).difference(inst.zero_exponents))
     value = next(w for w in range(1, n + 1) if hist[w])
     _, msg = _multiples(inst.small, inst.gen_poly, n, k, q, target=value)
     witness = encode(inst, msg)
     if witness.weight != value:
         raise InternalError("internal: the witness weight differs from the enumerated minimum")
-    return Bound(value, "enumeration:message-enumeration", witness, total - 1)
+    return Bound(value, "enumeration:message-enumeration", witness, q**k - 1)
 
 
 def witness_upper_bound(inst: CodeInstance, candidates) -> Bound:
@@ -324,12 +336,11 @@ def weight_distribution_from_dual(inst: CodeInstance) -> list[int]:
     integrality, nonnegativity, A_0 = 1 and sum(A) = q^k before returning.
     """
     n, k, q = inst.n, inst.k, inst.q
-    r = n - k
     dual_gen = dual_generator(inst)
     if gf.poly_degree(dual_gen) != k:
         raise InternalError("internal: dual generator degree != k")
-    hist = _orbit_histogram(inst, dual_gen, r, {-a % n for a in inst.zero_exponents})
-    size = q**r
+    hist = _orbit_histogram(inst, dual_gen, n - k, {-a % n for a in inst.zero_exponents})
+    size = q ** (n - k)
     dist = _macwilliams(hist, q)
     for j, s in enumerate(dist):  # in place: each A_j has up to n bits
         dist[j], rem = divmod(s, size)
@@ -370,27 +381,15 @@ def find_weight_witness(inst: CodeInstance, weight: int) -> Codeword | None:
 
 def dual_transform_distance(inst: CodeInstance, budget: SearchBudget | None = None) -> Bound:
     """Exact distance from the dual weight distribution; exact but witness-optional."""
-    budget = budget or SearchBudget()
-    n, k, q = inst.n, inst.k, inst.q
-    if k == 0:
-        raise ValueError("the zero code has no nonzero codewords")
-    size = q ** (n - k)
-    if size > budget.max_messages:
-        raise TooLarge(f"q^(n-k) = {q}^{n - k} exceeds the message budget {budget.max_messages}")
+    _fitting_side(inst, budget, ("dual",))
     dist = weight_distribution_from_dual(inst)
-    value = next(j for j in range(1, n + 1) if dist[j])
+    value = next(j for j in range(1, inst.n + 1) if dist[j])
     witness = find_weight_witness(inst, value)
-    return Bound(value, "enumeration:dual-transform", witness, size - 1)
+    return Bound(value, "enumeration:dual-transform", witness, inst.q ** (inst.n - inst.k) - 1)
 
 
 def exact_distance(inst: CodeInstance, budget: SearchBudget | None = None) -> Bound:
-    """Exact distance via whichever side of the code fits the budget."""
-    budget = budget or SearchBudget()
-    q, n, k = inst.q, inst.n, inst.k
-    if q**k <= budget.max_messages:
-        return exhaustive_distance(inst, budget)
-    if q ** (n - k) <= budget.max_messages:
-        return dual_transform_distance(inst, budget)
-    raise TooLarge(
-        f"neither q^k = {q}^{k} nor q^(n-k) = {q}^{n - k} fits the budget {budget.max_messages}"
-    )
+    """Exact distance by the message side whenever q^k fits the budget, and by
+    the dual side otherwise."""
+    route = {"message": exhaustive_distance, "dual": dual_transform_distance}
+    return route[_fitting_side(inst, budget)](inst, budget)

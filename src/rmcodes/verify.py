@@ -367,7 +367,7 @@ def run_checks(only: str | None = None, seed: int = DEFAULT_SEED) -> list[CheckR
     group_filter = None
     if only is not None:
         by_name = {v: k for k, v in GROUP_NAMES.items()}
-        group_filter = by_name.get(only, only.split(".")[0])
+        group_filter = by_name.get(only, only.split(".")[0]) if isinstance(only, str) else None
         row_ids = {cid for cid, _, _ in CHECKS} | {f"{g}.runtime" for g in GROUP_TIME_LIMITS}
         if group_filter not in GROUP_NAMES or ("." in only and only not in row_ids):
             groups = ", ".join(f"{k} {v}" for k, v in GROUP_NAMES.items())

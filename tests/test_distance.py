@@ -214,11 +214,11 @@ ORBIT_SIDES = _orbit_sides()
 
 
 def _spy_dims(monkeypatch):
-    """Record the dimension of every ``_multiples`` walk."""
+    """Record (dimension, number of fixed words) of every ``_multiples`` call."""
     dims, walk = [], ds._multiples
 
     def spy(ctx, g, n, dim, q, **kwargs):
-        dims.append(dim)
+        dims.append((dim, len(kwargs.get("offsets", ((),)))))
         return walk(ctx, g, n, dim, q, **kwargs)
 
     monkeypatch.setattr(ds, "_multiples", spy)
@@ -253,18 +253,24 @@ class TestOrbits:
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_offset_matches_brute_force(self, q):
-        """Seeded random g and fixed words w: the walk of m g + w."""
+        """Seeded random g and fixed words w: the walk of m g + w, and of two
+        words over one mask table against the sum of their two walks."""
         ctx, cases = _arbitrary_cases(q)
         rng = random.Random(-q)
         for g, n, dim, _, _ in cases[:10]:
-            w = tuple(rng.randrange(q) for _ in range(n))
+            words = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(2)]
 
-            def weight(msg):
-                prod = poly_mul(ctx, poly_normalize(msg), g)
-                return sum(1 for j in range(n) if ctx.add(prod[j] if j < len(prod) else 0, w[j]))
+            def walk(w):
+                def weight(msg):
+                    prod = poly_mul(ctx, poly_normalize(msg), g)
+                    return sum(1 for j in range(n) if ctx.add(prod[j] if j < len(prod) else 0, w[j]))
 
-            hist, _ = _brute_force(q, n, dim, weight)
-            assert ds._multiples(ctx, g, n, dim, q, offset=w)[0] == hist
+                return _brute_force(q, n, dim, weight)[0]
+
+            first, second = map(walk, words)
+            assert ds._multiples(ctx, g, n, dim, q, offsets=[words[0]])[0] == first
+            both = ds._multiples(ctx, g, n, dim, q, offsets=words)[0]
+            assert both == [a + b for a, b in zip(first, second)]
 
     def test_several_classes_per_coset(self, monkeypatch):
         # the dual nonzeros of omega(5,2,1) are the cosets of 19, 14, 9 and 4,
@@ -274,7 +280,8 @@ class TestOrbits:
         full, _ = ds._multiples(inst.small, g, inst.n, dim, 5)
         dims = _spy_dims(monkeypatch)
         assert ds._orbit_histogram(inst, g, dim, nonzeros) == full
-        assert dims == [6, 4, 4, 2, 2, 2, 0, 0, 0, 0]
+        # one kernel call per coset, with one fixed word per class
+        assert dims == [(6, 1), (4, 2), (2, 3), (0, 4)]
 
     def test_zero_coset_has_q_minus_1_classes(self, monkeypatch):
         # the dual nonzeros of omega_bar(3,2,1) are its zeros {0} u I u -I: the
@@ -286,14 +293,14 @@ class TestOrbits:
         full, _ = ds._multiples(inst.small, g, inst.n, dim, 3)
         dims = _spy_dims(monkeypatch)
         assert ds._orbit_histogram(inst, g, dim, nonzeros) == full
-        assert dims == [5, 3, 1, 1, 0, 0]
+        assert dims == [(5, 1), (3, 1), (1, 2), (0, 2)]
 
     def test_hamming_dual_walks_one_word(self, monkeypatch):
         # the dual of the [1023, 1013, 3] Hamming code is one primitive orbit
         inst = build_code(CodeSpec(2, 10, 1))
         dims = _spy_dims(monkeypatch)
         dist = weight_distribution_from_dual(inst)
-        assert dims == [0]
+        assert dims == [(0, 1)]
         n = inst.n
         assert dist[3] == n * (n - 1) // 6
 

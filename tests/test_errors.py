@@ -12,6 +12,7 @@ from rmcodes import cyclotomy as cy
 from rmcodes import distance as ds
 from rmcodes import gf
 from rmcodes import ntheory as nt
+from rmcodes import verify
 from rmcodes.errors import check_int
 
 P34 = cy.QadicParams(3, 4)
@@ -101,3 +102,30 @@ def test_check_int():
     for value, low, optional in ((1, 2, False), (False, None, False), (None, 0, False), (1.5, None, True)):
         with pytest.raises(ValueError, match=f"^{re.escape(message('x', low, optional, value))}$"):
             check_int("x", value, low, optional=optional)
+
+
+# a budget is a SearchBudget, or None for the default; a falsy or int budget
+# is refused, not read as the default or as an attribute error
+@pytest.mark.parametrize("route", [ds.exact_distance, ds.exhaustive_distance, ds.dual_transform_distance])
+@pytest.mark.parametrize("bad", [0, 5, False, "5"], ids=repr)
+def test_bad_budget_is_refused(route, bad):
+    inst = cd.build_code(cd.CodeSpec(3, 2, 1))
+    with pytest.raises(ValueError, match=f"^need a SearchBudget budget or None, got {re.escape(repr(bad))}$"):
+        route(inst, bad)
+    assert route(inst, None).value == route(inst, ds.SearchBudget()).value == 4
+
+
+def test_certify_refuses_a_bad_budget_before_the_divisor_walk(monkeypatch):
+    def walk(*args):
+        raise AssertionError("the divisor walk ran")
+
+    monkeypatch.setattr(bd, "_condition_divisors", walk)
+    for bad in (0, 5):
+        with pytest.raises(ValueError, match="^need a SearchBudget budget or None"):
+            bd.certify(cd.CodeSpec(3, 2, 1), budget=bad)
+
+
+@pytest.mark.parametrize("only", [3, 3.5, ["3"]], ids=repr)
+def test_run_checks_refuses_an_only_that_is_no_str(only):
+    with pytest.raises(ValueError, match=rf"^unknown check group {re.escape(repr(only))}; groups: 1 cyclotomy, "):
+        verify.run_checks(only=only)
