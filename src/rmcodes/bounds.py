@@ -33,8 +33,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import comb, gcd
 
-from .cyclotomy import QadicParams, q_weight
-from .codes import CodeSpec, _condition_star, build_code
+from .cyclotomy import QadicParams, anchored_exponents, q_weight
+from .codes import CodeSpec, build_code
 from .distance import Bound, SearchBudget, _search_budget, exact_distance
 from .errors import InternalError, TooLarge, check_int
 from .ntheory import UnitGroup, divisors_ascending, is_prime_power, prime_power_split
@@ -168,14 +168,22 @@ def certify(spec: CodeSpec, *, budget: SearchBudget | None = None) -> BoundRepor
 def _condition_divisors(q: int, m: int, h: int, max_e: int | None = None):
     """The divisors e of q^m - 1 in [2, min(max_e, n-1)] passing the divisor condition, ascending.
 
-    The arguments are checked once, at the call; ``codes._condition_star``
-    decides each e and reads the maximal set, or raises TooLarge, at the first e >= 2.
+    The arguments are checked once, at the call.  The anchored exponents, which
+    decide the condition as in ``codes.condition_star_holds``, are listed once,
+    or TooLarge raised, at the first e >= 2, and each e is tested against them.
     """
     params = CodeSpec(q, m, h).params
     check_int("max_e", max_e, optional=True)
     n = params.n
     top = n - 1 if max_e is None else min(max_e, n - 1)
-    return (e for e in divisors_ascending(n, top) if e >= 2 and _condition_star(params, h, e))
+    anchored = []
+
+    def passes(e):
+        if not anchored:
+            anchored.extend(anchored_exponents(params, h))
+        return all(a % e for a in anchored)
+
+    return (e for e in divisors_ascending(n, top) if e >= 2 and passes(e))
 
 
 def search_condition_divisors(q: int, m: int, h: int, max_e: int | None = None) -> list[int]:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import gf
-from .cyclotomy import (MATERIALIZE_LIMIT, QadicParams, check_h, coset_partition, index_set_size,
-                        maximal_representatives)
+from .cyclotomy import (MATERIALIZE_LIMIT, QadicParams, anchored_exponents, check_h, coset_partition,
+                        index_set_size)
 from .errors import InternalError, TooLarge, check_indices, check_int
 from .gf import SubfieldEmbedding, build_field, embed_subfield
 from .ntheory import prime_power_split
@@ -209,14 +209,11 @@ def is_member(inst: CodeInstance, word) -> bool:
     return not any(inst.emb.evaluate(terms, a) for a in inst.zero_representatives)
 
 
-def _condition_star(params: QadicParams, h: int, e: int) -> bool:
-    """The divisor condition on a checked e, for ``condition_star_holds`` and the divisor walk."""
-    return all(a % e for a in maximal_representatives(params, h))
-
-
 def condition_star_holds(q: int, m: int, h: int, e: int) -> bool:
     """True iff the divisor e of n = q^m - 1, 2 <= e < n, divides no bounded-weight
-    exponent (decided on the maximal set); the checked entry point for one e.
+    exponent; the checked entry point for one e.  As gcd(e, q) = 1, e divides a
+    exactly when it divides a*q mod n, so the anchored exponents, one or more per
+    coset, decide it.
 
     When true, the quotient codeword certifies distance <= e (and <= 2e for
     the mirrored code) at every extension length m*l.  The fold
@@ -233,7 +230,7 @@ def condition_star_holds(q: int, m: int, h: int, e: int) -> bool:
         raise ValueError(f"need 2 <= e < n = {n}, got {e}")
     if n % e:
         raise ValueError(f"{e} does not divide {n}")
-    return _condition_star(params, h, e)
+    return all(a % e for a in anchored_exponents(params, h))
 
 
 def quotient_codeword(

@@ -4,17 +4,18 @@ The central objects are the bounded-weight exponent sets
 ``{a in [1, n-1] : 1 <= q_weight(a) <= h}`` (with n = q^m - 1), their
 partition into orbits of a -> a*q mod n, the per-orbit minima
 (representatives), and the representatives that divide no other
-representative (the maximal set).  Divisibility conditions over the full
-exponent set can be decided on the maximal set alone, which is what makes
-the maximal set worth computing.
+representative (the maximal set).  Divisibility by a divisor of n is
+constant on each coset, so the paper decides its divisor condition on the
+maximal set; the library decides it on ``anchored_exponents``, which needs no
+partition, and the paper's checks compare the two.
 
 ``coset_of`` is the one orbit walk; ``cosets_meeting`` calls it once per coset
 that meets a set of exponents: the index set, for ``coset_partition`` behind
 the size gate of ``index_set``, and a code's nonzeros, for the exact
 distances.  A partition, which the maximal set and the code generators read,
-walks only from the exponents whose lowest base-q digit is nonzero, q - 1 of
-them for h = 1: a -> a*q mod n rotates the m digits, so every coset lies in
-the index set and holds such an exponent.
+walks only from the anchored exponents, those whose lowest base-q digit is
+nonzero, q - 1 of them for h = 1: a -> a*q mod n rotates the m digits, so
+every coset lies in the index set and holds such an exponent.
 
 ``EXPONENT_LIMIT`` = 2^128 bounds q^m - 1 here, in ``QadicParams``, and the
 field order p^s in ``gf``, which imports it from this module.
@@ -31,8 +32,8 @@ from .errors import InternalError, TooLarge, check_int
 
 EXPONENT_LIMIT = 1 << 128
 MATERIALIZE_LIMIT = 1 << 26
-# largest index set with a maximal set; (2, 17, 8), 65,535 exponents, takes
-# about 0.4 s: 0.07 s to partition and 0.3 s for the quadratic scan (2-vCPU VM)
+# largest index set for the maximal set and the divisor condition; (2, 17, 8)'s 65,535
+# exponents take about 0.4 s: 0.07 s to partition and 0.3 s for the maximal scan (2-vCPU VM)
 _MAXIMAL_LIMIT = 1 << 16
 
 
@@ -88,12 +89,24 @@ def _index_exponents(params: QadicParams, h: int, anchored: bool = False):
     if index_set_size(params, h) > MATERIALIZE_LIMIT:
         raise TooLarge("index set too large to materialize")
     q, m = params.q, params.m
-    # the nonzero digit values at each position: an exponent is one pick per support position
-    places = [[d * q**i for d in range(1, q)] for i in range(m)]
+    # the nonzero digit values at each position: an exponent is one pick per support
+    # position, and the anchored walk at h = 1 reads position 0 alone
+    places = [range(q**i, q**(i + 1), q**i) for i in range(1 if anchored and h == 1 else m)]
     return (a
             for r in range(1, h + 1)
             for support in combinations(range(m), r) if support[0] == 0 or not anchored
             for a in map(sum, product(*(places[i] for i in support))))
+
+
+def anchored_exponents(params: QadicParams, h: int):
+    """The exponents of the index set whose lowest base-q digit is nonzero, unsorted:
+    every coset holds one, so they decide any property constant on cosets.  Above
+    ``_MAXIMAL_LIMIT`` exponents, TooLarge at the call."""
+    size = index_set_size(params, h)
+    if size > _MAXIMAL_LIMIT:
+        raise TooLarge(f"the index set of (q={params.q}, m={params.m}, h={h}) has {size} exponents, "
+                       f"more than the maximal-set limit {_MAXIMAL_LIMIT}")
+    return _index_exponents(params, h, anchored=True)
 
 
 def index_set(params: QadicParams, h: int) -> tuple[int, ...]:
@@ -134,8 +147,8 @@ class CosetPartition:
     representatives: tuple[int, ...]
 
 
-def _partition(params: QadicParams, h: int) -> CosetPartition:
-    classes = sorted(cosets_meeting(params, _index_exponents(params, h, anchored=True)))
+def _partition(params: QadicParams, h: int, anchored) -> CosetPartition:
+    classes = sorted(cosets_meeting(params, anchored))
     if sum(map(len, classes)) != index_set_size(params, h):
         raise InternalError(f"internal: the cosets of {params} at h={h} do not cover the index set")
     return CosetPartition(params, h, tuple(classes), tuple(c[0] for c in classes))
@@ -145,7 +158,7 @@ def _partition(params: QadicParams, h: int) -> CosetPartition:
 def coset_partition(params: QadicParams, h: int) -> CosetPartition:
     """Partition the index set into cosets, each walked once; representatives are
     per-orbit minima.  Above ``MATERIALIZE_LIMIT`` exponents, TooLarge before any walk."""
-    return _partition(params, h)
+    return _partition(params, h, _index_exponents(params, h, anchored=True))
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -154,13 +167,9 @@ def maximal_representatives(params: QadicParams, h: int) -> tuple[int, ...]:
 
     The scan is quadratic in the representatives, so a set above
     ``_MAXIMAL_LIMIT`` exponents raises TooLarge before any walk.  The
-    partition is not cached: the divisor search reads the maximal sets of
-    many moduli that no build needs, and caching their classes costs memory.
+    partition is not cached: the paper's checks read the maximal sets of
+    moduli that no build needs, and caching their classes costs memory.
     """
-    size = index_set_size(params, h)
-    if size > _MAXIMAL_LIMIT:
-        raise TooLarge(f"the index set of (q={params.q}, m={params.m}, h={h}) has {size} exponents, "
-                       f"more than the maximal-set limit {_MAXIMAL_LIMIT}")
-    reps = _partition(params, h).representatives
+    reps = _partition(params, h, anchored_exponents(params, h)).representatives
     # ascending, and a proper multiple of r is larger than r: scan only what follows
     return tuple(r for i, r in enumerate(reps) if not any(s % r == 0 for s in reps[i + 1:]))

@@ -263,14 +263,15 @@ def check_weight_constant_on_classes():
 def check_condition_equivalence():
     checked = 0
     for q, m, h in GRID:
-        n = q**m - 1
-        full = index_set(QadicParams(q, m), h)
-        for e in nt.divisors(n):
-            if not 2 <= e < n:
+        params = QadicParams(q, m)
+        maximal, full = maximal_representatives(params, h), index_set(params, h)
+        for e in nt.divisors(params.n):
+            if not 2 <= e < params.n:
                 continue
-            via_maximal = cd.condition_star_holds(q, m, h, e)
             via_full = all(a % e for a in full)
-            _require(via_maximal == via_full, f"(q,m,h,e)=({q},{m},{h},{e})")
+            via_maximal = all(a % e for a in maximal)
+            via_anchored = cd.condition_star_holds(q, m, h, e)
+            _require(via_full == via_maximal == via_anchored, f"(q,m,h,e)=({q},{m},{h},{e})")
             checked += 1
     return f"maximal-set condition agrees with the full index set on {checked} divisors"
 

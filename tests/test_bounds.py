@@ -1000,23 +1000,29 @@ class TestConditionStar:
                 assert e >= lower
 
     def test_three_route_equivalence(self):
-        # deciding on the full index set, the representatives, or the
-        # maximal set must agree for every divisor of n (divisibility by a
-        # divisor of n is constant on cosets; arbitrary e have no such law)
-        from rmcodes.cyclotomy import coset_partition
-
-        cases = [(3, 4, 2), (2, 6, 3), (4, 3, 2), (5, 2, 1), (3, 5, 2)]
-        for q, m, h in cases:
-            params = QadicParams(q, m)
-            part = coset_partition(params, h)
-            full = index_set(params, h)
-            for e in nt.divisors(params.n):
-                if not 2 <= e < params.n:
-                    continue
-                via_full = all(a % e for a in full)
-                via_reps = all(a % e for a in part.representatives)
-                via_max = all(a % e for a in maximal_representatives(params, h))
-                assert via_full == via_reps == via_max, (q, m, h, e)
+        # deciding on the full index set, the representatives, the maximal
+        # set, or the anchored exponents of condition_star_holds must agree
+        # for every divisor of n (divisibility by a divisor of n is constant
+        # on cosets; arbitrary e have no such law), over every (q, m, h) with
+        # q^m <= 2^12 for the 18 prime powers of the certify workload
+        checked = 0
+        for q in filter(nt.is_prime_power, range(2, 33)):
+            for m in takewhile(lambda m: q**m <= 1 << 12, range(2, 13)):
+                params = QadicParams(q, m)
+                for h in range(1, m):
+                    reps = coset_partition(params, h).representatives
+                    full = index_set(params, h)
+                    maximal = maximal_representatives(params, h)
+                    for e in nt.divisors(params.n):
+                        if not 2 <= e < params.n:
+                            continue
+                        via_full = all(a % e for a in full)
+                        via_reps = all(a % e for a in reps)
+                        via_max = all(a % e for a in maximal)
+                        via_anchored = cd.condition_star_holds(q, m, h, e)
+                        assert via_full == via_reps == via_max == via_anchored, (q, m, h, e)
+                        checked += 1
+        assert checked == 1326
 
 
 class TestRepunitCertificate:
@@ -1363,22 +1369,42 @@ class TestCertify:
 
     def test_divisor_search_stops_at_first_hit(self, monkeypatch):
         calls = []
+        walk = bd.divisors_ascending
 
-        def counted(params, h, e):
-            calls.append(e)
-            return cd._condition_star(params, h, e)
+        def counted(x, stop):
+            for e in walk(x, stop):
+                calls.append(e)
+                yield e
 
-        monkeypatch.setattr(bd, "_condition_star", counted)
+        monkeypatch.setattr(bd, "divisors_ascending", counted)
         report = bd.certify(CodeSpec(3, 80, 1))
-        assert calls == [2, 4]  # 3^80 - 1 has 16128 divisors
+        assert calls == [1, 2, 4]  # 3^80 - 1 has 16128 divisors; 1 is not tested
         assert ("divisor_e", 4) in report.witnesses
 
     def test_divisor_search_leaves_the_partition_cache(self):
-        # the maximal sets of the divisor search walk their own partitions:
+        # the divisor search walks no partition, it reads the anchored exponents:
         # a cached partition per modulus would hold classes of 128-bit exponents
         coset_partition.cache_clear()
         bd.certify(CodeSpec(31, 25, 1))
         assert coset_partition.cache_info().currsize == 0
+
+    def test_divisor_search_reads_no_maximal_set(self):
+        # the anchored exponents decide the condition: neither the capped walk
+        # of certify nor the uncapped search partitions or scans an index set
+        coset_partition.cache_clear()
+        maximal_representatives.cache_clear()
+        bd.certify(CodeSpec(31, 25, 1))
+        assert bd.search_condition_divisors(2, 16, 7) == [255, 3855, 13107, 21845]
+        for cached in (coset_partition, maximal_representatives):
+            info = cached.cache_info()
+            assert info.hits + info.misses == 0, cached
+
+    def test_divisor_search_refused_above_the_maximal_set_limit(self):
+        # the anchored exponents keep the maximal set's size gate and its text
+        assert bd.certify(CodeSpec(2, 18, 9)).notes == [
+            "divisor search skipped: the index set of (q=2, m=18, h=9) has 155381 exponents, "
+            "more than the maximal-set limit 65536"
+        ]
 
     def test_no_budget_builds_nothing(self, monkeypatch):
         monkeypatch.setattr(bd, "build_code", None)
