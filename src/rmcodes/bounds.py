@@ -170,18 +170,19 @@ def _condition_divisors(q: int, m: int, h: int, max_e: int | None = None):
 
     The arguments are checked once, at the call.  The anchored exponents, which
     decide the condition as in ``codes.condition_star_holds``, are listed once,
-    or TooLarge raised, at the first e >= 2, and each e is tested against them.
+    or TooLarge raised, at the first e >= 2.  A walked e divides n, so e | a
+    exactly when e | gcd(a, n), and each e is tested against the distinct gcds.
     """
     params = CodeSpec(q, m, h).params
     check_int("max_e", max_e, optional=True)
     n = params.n
     top = n - 1 if max_e is None else min(max_e, n - 1)
-    anchored = []
+    gcds = []
 
     def passes(e):
-        if not anchored:
-            anchored.extend(anchored_exponents(params, h))
-        return all(a % e for a in anchored)
+        if not gcds:
+            gcds.extend({gcd(a, n) for a in anchored_exponents(params, h)})
+        return all(d % e for d in gcds)
 
     return (e for e in divisors_ascending(n, top) if e >= 2 and passes(e))
 

@@ -12,8 +12,11 @@ share their high digits, so each big-int operation acts on the whole
 chunk.  For each code position the kernel picks a precomputed mask of the
 messages whose word is nonzero there, adds the n masks lane-wise into
 binary counter planes, and splits the planes into the chunk's weight
-histogram.  The routes are cross-checked against each other, and the
-orbit histogram against the full walk, in the tests:
+histogram.  The masks are built once per distinct window of g: for
+q = 2^s from s parity masks per window, as multiplying by a field element
+is GF(2)-linear, and for odd q one message digit at a time.  The routes
+are cross-checked against each other, and the orbit histogram against the
+full walk, in the tests:
 
   * message enumeration: the histogram of the q^k multiples of the code's
     generator (exact when q^k fits the budget); the witness is the codeword
@@ -105,6 +108,94 @@ _MASK_BITS = 1 << 25  # cap on the n * q * chunk bits of the mask table
 _MAX_CANDIDATES = 1 << 22  # find_weight_witness: most words one search tries
 
 
+def _shift_rows(ctx, g):
+    """``minus[t][v] = v - t``, and for a = 0 and each a in g the rows
+    ``shifts[a][c] = minus[c a]``, so that the kernel's loops make no field calls."""
+    q = ctx.order
+    minus = [[ctx.sub(v, t) for v in range(q)] for t in range(q)]
+    return minus, {a: [minus[ctx.mul(c, a)] for c in range(q)] for a in {0, *g}}
+
+
+def _digit_masks(shifts, g, n, lo):
+    """The mask table of ``_multiples``, built digit by digit from the rows
+    ``shifts`` of ``_shift_rows``, for any field.
+
+    Digit i with value c moves x to x + c q^i and adds c a, a = g_(j-i), at
+    position j, so the new mask for v is the sum of the old masks for
+    v - c a, each shifted by c q^i into its own block of lanes.  So the
+    masks of position j after digit i depend only on its window
+    (g_(j-i), ..., g_j), and each level builds each distinct window once,
+    from the level before: a position beyond the ends of g shares the
+    all-zero window.  Each level costs q^2 shift-adds per distinct window.
+    """
+    q = len(shifts[0])
+    padded = (0,) * lo + tuple(g) + (0,) * (n - len(g))
+    built = {(): [0] + [1] * (q - 1)}  # window (g_(j-i), ..., g_j) -> masks after digit i
+    for i in range(lo):
+        step, prev, built = q**i, built, {}
+        for w in {padded[j + lo - i : j + lo + 1] for j in range(n)}:
+            old, rows = prev[w[1:]], shifts[w[0]]
+            built[w] = [sum(old[r[v]] << c * step for c, r in enumerate(rows)) for v in range(q)]
+    return [built[padded[j + 1 : j + lo + 1]] for j in range(n)]
+
+
+def _parity_masks(ctx, g, n, lo):
+    """The mask table of ``_multiples`` for q = 2^s, built from parities.
+
+    Field addition is XOR of indices and multiplication by g_(j-i) is
+    GF(2)-linear, so bit b of the low part sum_i x_i g_(j-i) at position j
+    is the parity of x & U_b, for an (s lo)-bit pattern U_b that is linear
+    in the window key K_j = sum_i g_(j-i) 2^(s i), the window's digits side
+    by side; K_(j+1) is K_j slid up one digit with g_(j+1) put in.  So the
+    C-bit lane mask of that parity is linear in K_j too, the XOR of one
+    table entry per nibble of K_j, each table the XORs of the masks of its
+    four key bits: key bit s i + u, bit u of g_(j-i), flips parity b on the
+    lanes with bit s i + t of x set, for each t with bit b of e_t e_u set
+    (e_t = 2^t, the basis element of index bit t).  A window's q masks are
+    ORs of its s parity masks and their complements, the lanes whose low
+    part differs from v in some bit: a few whole-int operations per
+    distinct key, and per position only the key's slide and one lookup.
+    """
+    s, bits = ctx.s, ctx.s * lo
+    size = 1 << bits
+    full = mask = (1 << size) - 1
+    lanes = [0] * bits  # lanes[k]: the lanes with bit k of x set, halved from the top bit down
+    for k in range(bits - 1, -1, -1):
+        mask ^= mask >> (1 << k)
+        lanes[k] = mask
+    products = [[ctx.mul(1 << t, 1 << u) for u in range(s)] for t in range(s)]
+    tables = []  # per parity b, from the top: (k, the XORs of key bits k to k + 3)
+    for b in range(s - 1, -1, -1):
+        basis = [0] * bits
+        for i, u, t in product(range(lo), range(s), range(s)):
+            if products[t][u] >> b & 1:
+                basis[s * i + u] ^= lanes[s * i + t]
+        groups = []
+        for k in range(0, bits, 4):
+            table = [0]
+            for row in basis[k : k + 4]:
+                table += [e ^ row for e in table]
+            groups.append((k, table))
+        tables.append(groups)
+
+    def build(key):
+        differs = [0]
+        for groups in tables:
+            one = 0
+            for k, table in groups:
+                one ^= table[key >> k & 15]
+            differs = [m | e for m in differs for e in (one, full ^ one)]
+        return differs
+
+    keys, key = [], 0
+    for c in (*g, *(0,) * (lo - 1))[:n]:  # g has n + 1 entries when it is x^n - 1
+        key = (key << s | c) & size - 1
+        keys.append(key)
+    keys += [0] * (n - len(keys))
+    built = {key: build(key) for key in set(keys)}
+    return [built[key] for key in keys]
+
+
 def _multiples(ctx, g, n, dim, q, offsets=((),), target=0) -> tuple[list[int], list[int]]:
     """Walk all q^dim words m(x) * g(x) + w with deg m < dim and deg(m g) < n, for
     each fixed word w in ``offsets`` (n or fewer coefficients; the zero word alone
@@ -118,16 +209,15 @@ def _multiples(ctx, g, n, dim, q, offsets=((),), target=0) -> tuple[list[int], l
 
     The lo low digits name C = q^lo messages x, one bit lane each, with
     C <= _CHUNK and n q C <= _MASK_BITS.  ``masks[j][v]`` is the C-bit mask
-    of the x whose low part of the word is not v at position j.  It is
-    built digit by digit: digit i with value c moves x to x + c q^i and adds
-    c a, a = g_(j-i), at position j, so the new mask for v is the sum of the
-    old masks for v - c a, each shifted by c q^i into its own block of
-    lanes.  So the masks of position j after digit i depend only on its
-    window (g_(j-i), ..., g_j), and each level builds each distinct window
-    once, from the level before: a position beyond the ends of g shares
-    the all-zero window.  The table ``minus[t][v] = v - t`` keeps field
-    calls out of the loops; for a code, n = q^m - 1 with m >= 2, so it has
-    at most n + 1 entries.
+    of the x whose low part of the word, sum_i x_i g_(j-i) over the low
+    digits i, is not v at position j.  It depends only on the window
+    (g_(j-lo+1), ..., g_j), so each builder builds each distinct window once
+    and every position beyond the ends of g shares the all-zero window.  The
+    characteristic picks the builder: for q = 2^s, ``_parity_masks`` reads a
+    window's q masks off s parity masks, a few whole-int operations; for odd
+    q, ``_digit_masks`` adds one digit at a time, q^2 shift-adds per digit.
+    ``_shift_rows`` keeps field calls out of the loops; for a code,
+    n = q^m - 1 with m >= 2, so its q^2-entry table has at most n + 1 entries.
 
     The high digits H run in integer order.  They reach only positions
     lo and up, whose ``neg`` entry is minus the high part of the word there
@@ -147,16 +237,8 @@ def _multiples(ctx, g, n, dim, q, offsets=((),), target=0) -> tuple[list[int], l
         lo += 1
     size = q**lo
     full = (1 << size) - 1
-    minus = [[ctx.sub(v, t) for v in range(q)] for t in range(q)]
-    shifts = {a: [minus[ctx.mul(c, a)] for c in range(q)] for a in {0, *g}}
-    padded = (0,) * lo + tuple(g) + (0,) * (n - len(g))
-    built = {(): [0] + [1] * (q - 1)}  # window (g_(j-i), ..., g_j) -> masks after digit i
-    for i in range(lo):
-        step, prev, built = q**i, built, {}
-        for w in {padded[j + lo - i : j + lo + 1] for j in range(n)}:
-            old, rows = prev[w[1:]], shifts[w[0]]
-            built[w] = [sum(old[r[v]] << c * step for c, r in enumerate(rows)) for v in range(q)]
-    masks = [built[padded[j + 1 : j + lo + 1]] for j in range(n)]
+    minus, shifts = _shift_rows(ctx, g)
+    masks = _parity_masks(ctx, g, n, lo) if ctx.p == 2 else _digit_masks(shifts, g, n, lo)
 
     def tally(planes, ones):
         # Each plane holds back one input; the next one meets it and the plane

@@ -1001,7 +1001,8 @@ class TestConditionStar:
 
     def test_three_route_equivalence(self):
         # deciding on the full index set, the representatives, the maximal
-        # set, or the anchored exponents of condition_star_holds must agree
+        # set, the anchored exponents of condition_star_holds, or the gcds of
+        # the anchored exponents with n in the divisor walk must agree
         # for every divisor of n (divisibility by a divisor of n is constant
         # on cosets; arbitrary e have no such law), over every (q, m, h) with
         # q^m <= 2^12 for the 18 prime powers of the certify workload
@@ -1013,6 +1014,7 @@ class TestConditionStar:
                     reps = coset_partition(params, h).representatives
                     full = index_set(params, h)
                     maximal = maximal_representatives(params, h)
+                    walk = set(bd.search_condition_divisors(q, m, h))
                     for e in nt.divisors(params.n):
                         if not 2 <= e < params.n:
                             continue
@@ -1020,7 +1022,8 @@ class TestConditionStar:
                         via_reps = all(a % e for a in reps)
                         via_max = all(a % e for a in maximal)
                         via_anchored = cd.condition_star_holds(q, m, h, e)
-                        assert via_full == via_reps == via_max == via_anchored, (q, m, h, e)
+                        via_gcds = e in walk
+                        assert via_full == via_reps == via_max == via_anchored == via_gcds, (q, m, h, e)
                         checked += 1
         assert checked == 1326
 

@@ -2,6 +2,7 @@ import random
 import time
 from functools import cache
 from itertools import product
+from operator import ne
 
 import pytest
 
@@ -120,9 +121,17 @@ def _arbitrary_cases(q):
         dim = rng.randrange(1, max_dim + 1)
         g = tuple(rng.randrange(q) for _ in range(deg)) + (rng.randrange(1, q),)
         n = deg + dim
+        # the word m_0 g + r, r the product of the other digits, is zero at j
+        # exactly where r_j = -m_0 g_j; r is formed once per other digits
+        minus = [[ctx.neg(ctx.mul(c, a)) for a in g] + [0] * (dim - 1) for c in range(q)]
+        rest = {}
 
         def weight(msg):
-            return sum(1 for c in poly_mul(ctx, poly_normalize(msg), g) if c)
+            high = msg[1:]
+            if high not in rest:
+                r = poly_mul(ctx, poly_normalize((0, *high)), g)
+                rest[high] = r + (0,) * (n - len(r))
+            return sum(map(ne, rest[high], minus[msg[0]]))
 
         cases.append((g, n, dim, *_brute_force(q, n, dim, weight)))
     return ctx, cases
@@ -151,9 +160,9 @@ class TestKernel:
         assert result.value == least[0]
         assert result.witness == encode(inst, got_msg)
 
-    # p = 2 with s = 1, 2, 3; odd p with s = 1 and s = 2
+    # p = 2 with s = 1, 2, 3, 4 and 6; odd p with s = 1 and s = 2
     @pytest.mark.parametrize("chunk", CHUNKS.values(), ids=CHUNKS.keys())
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 31])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 31, 64])
     def test_arbitrary_polynomials(self, q, chunk, monkeypatch):
         """Seeded random g, whose lightest multiples are mostly not g itself.
 
@@ -188,6 +197,40 @@ class TestKernel:
         with pytest.raises(ValueError):
             exact_distance(inst)
 
+
+
+class TestMaskTables:
+    """The two builders of the kernel's mask table, entry by entry, and the
+    choice between them by the field's characteristic."""
+
+    @pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64])
+    def test_parity_table_matches_the_digit_table(self, q):
+        """Every lo the kernel admits, lo = 0 included, on seeded random g,
+        on sparse g whose windows repeat, and at n = deg g + lo, where the
+        lo low digits are all the message digits (lo = dim)."""
+        ctx = build_field(2, q.bit_length() - 1)
+        rng = random.Random(q)
+        for lo in range(max(lo for lo in range(13) if q**lo <= ds._CHUNK) + 1):
+            dense = tuple(rng.randrange(q) for _ in range(rng.randrange(40))) + (rng.randrange(1, q),)
+            sparse = [0] * rng.randrange(1, 50) + [rng.randrange(1, q)]
+            for j in rng.sample(range(len(sparse)), min(3, len(sparse))):
+                sparse[j] = rng.randrange(1, q)
+            for g in (dense, tuple(sparse)):
+                for n in (len(g) + lo - 1, len(g) + lo - 1 + rng.randrange(1, 20)):
+                    digit = ds._digit_masks(ds._shift_rows(ctx, g)[1], g, n, lo)
+                    assert len(digit) == n
+                    assert ds._parity_masks(ctx, g, n, lo) == digit
+
+    @pytest.mark.parametrize("q,builder", [(4, "_parity_masks"), (8, "_parity_masks"),
+                                           (3, "_digit_masks"), (5, "_digit_masks")])
+    def test_characteristic_picks_the_builder(self, q, builder, monkeypatch):
+        ctx = build_field(*prime_power_split(q))
+        calls = []
+        for name in ("_parity_masks", "_digit_masks"):
+            build = getattr(ds, name)
+            monkeypatch.setattr(ds, name, lambda *args, name=name, build=build: calls.append(name) or build(*args))
+        ds._multiples(ctx, (1, 1), 6, 3, q)
+        assert calls == [builder]
 
 def _side(inst, side):
     """(generator, dimension, nonzeros) of the code's message or dual side."""
